@@ -219,10 +219,6 @@ def oob_error(model, ds, rows=None):
     return OobReport(mse=mse, n_covered=int(np.count_nonzero(covered)), n_uncovered=n_uncovered)
 
 
-def _tree_oob_mse(t, x, y):
-    return float(np.mean((y - tree_mod.predict_batch(t, x)) ** 2))
-
-
 def permutation_importance(model, ds, iterations=10, seed=0, scaling="std", rows=None):
     """Out-of-bag permutation importance, averaged over seeded iterations.
 
@@ -265,15 +261,17 @@ def permutation_importance(model, ds, iterations=10, seed=0, scaling="std", rows
                 continue
             x_oob = x_all[oob]
             y_oob = y_all[oob]
-            base = _tree_oob_mse(t, x_oob, y_oob)
             n_oob = x_oob.shape[0]
-            for j in range(p):
-                if j not in used[t_idx]:
-                    continue
-                perm = rng.permutation(n_oob)
-                x_perm = x_oob.copy()
-                x_perm[:, j] = x_oob[perm, j]
-                diffs[t_idx, j] = _tree_oob_mse(t, x_perm, y_oob) - base
+            # One routed matrix per tree: the OOB block, then one copy per
+            # used variable with that column permuted (drawn in column order).
+            permuted = sorted(used[t_idx])
+            x_stack = np.tile(x_oob, (len(permuted) + 1, 1))
+            for b, j in enumerate(permuted, start=1):
+                x_stack[b * n_oob:(b + 1) * n_oob, j] = x_oob[rng.permutation(n_oob), j]
+            preds = tree_mod.predict_batch(t, x_stack).reshape(-1, n_oob)
+            mses = [float(np.mean((y_oob - block) ** 2)) for block in preds]
+            for j, mse in zip(permuted, mses[1:]):
+                diffs[t_idx, j] = mse - mses[0]
         mean = diffs.mean(axis=0)
         std = diffs.std(axis=0, ddof=1) if n_trees > 1 else np.zeros(p)
         if scaling == "stderr":
@@ -440,7 +438,7 @@ def from_text(text):
     while i < len(lines) and not lines[i].startswith("tree "):
         parts = lines[i].split(None, 2)
         if parts and parts[0] == "feature":
-            if len(parts) < 3:
+            if len(parts) < 3 or not parts[1].isdigit():
                 raise ParseError("bad feature line %r" % lines[i])
             features[int(parts[1])] = parts[2]
         else:

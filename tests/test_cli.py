@@ -141,6 +141,23 @@ def test_predict_from_a_saved_model(mix_files, tmp_path):
     assert (pred_out / "report.csv").exists()
 
 
+def test_predict_with_a_corrupt_model_file_is_a_parse_error(mix_files, tmp_path, capsys):
+    data, schema = mix_files
+    train_out = tmp_path / "train"
+    run([
+        "train", "--model", "bag", "--trees", "3",
+        "--data", data, "--schema", schema, "--out", str(train_out),
+    ])
+    model = train_out / "model.txt"
+    model.write_text(model.read_text().replace(" left 1 ", " left 9999 ", 1))
+    code = run([
+        "predict", "--model-file", str(model),
+        "--data", data, "--schema", schema, "--out", str(tmp_path / "pred"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:parse-error:")
+
+
 def test_train_and_predict_mlp(mix_files, tmp_path):
     data, schema = mix_files
     out = tmp_path / "run"

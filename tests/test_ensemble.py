@@ -3,7 +3,7 @@ import pytest
 
 import duracast as dc
 from duracast import ensemble, tree
-from duracast.errors import DomainError, NoCoverage
+from duracast.errors import DomainError, NoCoverage, ParseError
 
 from helpers import continuous_ds, make_ds
 
@@ -337,3 +337,19 @@ def test_saved_ensembles_are_byte_stable(tmp_path):
 def test_rejects_malformed_ensemble_text():
     with pytest.raises(dc.DuracastError):
         ensemble.from_text("ensemble v2\n")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(("feature 0 ", "feature x "), id="bad-feature-index"),
+        pytest.param((" left 1 ", " left 99 "), id="missing-child"),
+        pytest.param((" left 1 ", " left 0 "), id="cycle"),
+    ],
+)
+def test_corrupt_ensemble_text_raises_parse_error(edit):
+    ds = nonlinear_ds(n=40)
+    text = ensemble.to_text(dc.train_bagged(ds, n_trees=2, stop=stop(), seed=2))
+    assert edit[0] in text
+    with pytest.raises(ParseError):
+        ensemble.from_text(text.replace(edit[0], edit[1], 1))

@@ -3,7 +3,7 @@ import pytest
 
 import duracast as dc
 from duracast import tree
-from duracast.errors import DuracastError
+from duracast.errors import DuracastError, ParseError, ShapeError
 
 from helpers import continuous_ds, make_ds
 from oracles import grow_reference, predict_reference
@@ -36,6 +36,21 @@ def test_tie_breaks_toward_lower_feature_index():
     ds = continuous_ds(x, [0.0, 0.0, 4.0, 4.0], names=["a", "b"])
     t = dc.grow(ds, stop=small_stop())
     assert t.rule.feature == 0
+
+
+@pytest.mark.parametrize("nominal_first", [False, True])
+def test_exact_tie_between_continuous_and_nominal_picks_the_lower_index(nominal_first):
+    # Both columns separate {0, 0} from {4, 4}: each gain is exactly 16.
+    cols = [("x", "continuous", "input"), ("c", "nominal", "input", ("p", "q"))]
+    values = [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]]
+    if nominal_first:
+        cols = cols[::-1]
+    ds = make_ds(cols + [("y", "continuous", "target")],
+                 [row + [y] for row, y in zip(values, [0.0, 0.0, 4.0, 4.0])])
+    t = dc.grow(ds, stop=small_stop())
+    assert t.rule.feature == 0
+    assert t.rule.nominal == nominal_first
+    assert t.risk - t.left.risk - t.right.risk == 16.0
 
 
 def test_min_leaf_blocks_small_children():
@@ -281,3 +296,53 @@ def test_nominal_rules_round_trip():
 def test_rejects_malformed_tree_text():
     with pytest.raises(DuracastError):
         tree.from_text("not a tree\n")
+
+
+LEAF_LINES = "node 1 leaf 0 1\nnode 2 leaf 1 1\n"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        pytest.param("node 0 split 0 0.5 left 1 right 3\n" + LEAF_LINES, id="missing-child"),
+        pytest.param("node 0 split 0 0.5 left 0 right 1\nnode 1 leaf 0 1\n", id="self-cycle"),
+        pytest.param("node 0 split 0 0.5 left 1 right 1\nnode 1 leaf 0 1\n", id="shared-child"),
+        pytest.param("node x leaf 0 1\n", id="bad-id"),
+        pytest.param("node 0 leaf 0\n", id="short-leaf"),
+        pytest.param("node 0 split 0 0.5 left 1\n" + LEAF_LINES, id="short-split"),
+        pytest.param("node 0 split -1 0.5 left 1 right 2\n" + LEAF_LINES, id="negative-feature"),
+        pytest.param("node 0 split 0 in:a|b left 1 right 2\n" + LEAF_LINES, id="bad-levels"),
+        pytest.param("node 0 split 0 0.5 left 1 right 2\n" + LEAF_LINES + "surrogate 0 1\n",
+                     id="short-surrogate"),
+        pytest.param("node 0 split 0 0.5 left 1 right 2\n" + LEAF_LINES + "info 0 risk\n",
+                     id="short-info"),
+        pytest.param("node 0 bud 0 1\n", id="bad-node-kind"),
+        pytest.param("leaf\n", id="unknown-line"),
+        pytest.param("node 1 leaf 0 1\n", id="no-root"),
+    ],
+)
+def test_malformed_tree_text_raises_parse_error(body):
+    with pytest.raises(ParseError):
+        tree.from_text("tree v1\n" + body)
+
+
+def test_deep_trees_parse_walk_and_route_without_recursion():
+    depth = 3000
+    lines = ["tree v1"]
+    for d in range(depth):
+        lines.append("node %d split 0 %d left %d right %d" % (2 * d, d, 2 * d + 1, 2 * d + 2))
+        lines.append("node %d leaf %d 1" % (2 * d + 1, d))
+    lines.append("node %d leaf %d 1" % (2 * depth, depth))
+    text = "\n".join(lines) + "\n"
+    t = tree.from_text(text)
+    assert len(tree.iter_nodes(t)) == 2 * depth + 1
+    x = np.array([[-1.0], [10.5], [depth + 1.0]])
+    assert list(dc.predict_batch(t, x)) == [0.0, 11.0, float(depth)]
+    again = tree.from_text(tree.to_text(t))
+    assert list(dc.predict_batch(again, x)) == [0.0, 11.0, float(depth)]
+
+
+def test_predict_batch_rejects_inputs_narrower_than_the_splits():
+    t = dc.grow(_correlated_ds(), stop=small_stop(max_splits=1))
+    with pytest.raises(ShapeError):
+        dc.predict_batch(t, np.zeros((3, 1)))
