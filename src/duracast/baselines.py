@@ -6,16 +6,18 @@ These are the physics yardsticks the learned models are compared against.
 """
 
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import atomic_write_text, fmt_float
+from ._io import atomic_write_text, fmt_float, read_text
 from .errors import (
     DivisionError,
     DomainError,
+    ParseError,
     ShapeError,
     SingularTime,
     UnitMismatch,
@@ -356,10 +358,15 @@ def write_comparison_csv(path, rows):
 
 
 def read_comparison_csv(path):
+    """Rows of a comparison CSV as written by write_comparison_csv. Raises
+    IoError when the file cannot be read and ParseError for a missing or
+    extra field or a bad number."""
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
+    reader = csv.DictReader(io.StringIO(read_text(path)))
+    for ln, rec in enumerate(reader, start=2):
+        if None in rec:
+            raise ParseError("comparison CSV row %d has extra fields" % ln)
+        try:
             rows.append(
                 ComparisonRow(
                     model=rec["model"],
@@ -372,4 +379,6 @@ def read_comparison_csv(path):
                     q3=float(rec["q3"]),
                 )
             )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError("bad comparison CSV row %d: %s" % (ln, exc)) from None
     return rows

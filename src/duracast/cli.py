@@ -231,17 +231,20 @@ def _mlpreg_from_lines(lines):
         parts = line.split()
         if not parts:
             continue
-        if parts[0] == "norm_x_min":
-            x_min = np.array([float(v) for v in parts[1:]])
-        elif parts[0] == "norm_x_max":
-            x_max = np.array([float(v) for v in parts[1:]])
-        elif parts[0] == "norm_y":
-            y_bounds = (float(parts[1]), float(parts[2]))
-        elif parts[0] == "mlp":
+        if parts[0] == "mlp":
             mlp_start = i
             break
-        else:
+        if parts[0] not in ("norm_x_min", "norm_x_max", "norm_y"):
             raise ParseError("unknown line %r in tabular network file" % parts[0])
+        try:
+            if parts[0] == "norm_x_min":
+                x_min = np.array([float(v) for v in parts[1:]])
+            elif parts[0] == "norm_x_max":
+                x_max = np.array([float(v) for v in parts[1:]])
+            else:
+                y_bounds = (float(parts[1]), float(parts[2]))
+        except (ValueError, IndexError) as exc:
+            raise ParseError("bad tabular network line %r: %s" % (line, exc)) from None
     if x_min is None or x_max is None or mlp_start is None:
         raise ParseError("tabular network file is incomplete")
     net = neural.mlp_from_lines(lines[mlp_start:])
@@ -649,11 +652,15 @@ def cmd_baseline(args):
 
 
 def _read_series_csv(path, rh_percent=False):
+    """Per-element HygroSeries from a logger CSV, in order of first
+    appearance. A reading with an empty temperature or humidity field is
+    missing."""
     try:
         fh = open(path, newline="")
     except OSError as exc:
         raise IoError("cannot read %s: %s" % (path, exc)) from exc
-    series = {}
+    columns = {}
+    nan = float("nan")
     with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -671,19 +678,28 @@ def _read_series_csv(path, rh_percent=False):
                 raise ParseError("series row %d has a bad timestamp" % ln) from None
             missing = t_c.strip() == "" or rh.strip() == ""
             if missing:
-                sample = durability.HygroSample(ts, missing=True)
+                t_val = rh_val = nan
             else:
                 try:
                     t_val = float(t_c)
                     rh_val = float(rh)
                 except ValueError:
                     raise ParseError("series row %d has a bad reading" % ln) from None
-                if rh_percent:
-                    rh_val /= 100.0
-                sample = durability.HygroSample(ts, t_val, rh_val)
-            series.setdefault(name, []).append(sample)
-    if not series:
+            col = columns.get(name)
+            if col is None:
+                col = columns[name] = ([], [], [], [])
+            col[0].append(ts)
+            col[1].append(t_val)
+            col[2].append(rh_val)
+            col[3].append(missing)
+    if not columns:
         raise ParseError("series file has no rows")
+    series = {}
+    for name, (ts, t_c, rh, missing) in columns.items():
+        rh = np.array(rh)
+        if rh_percent:
+            rh /= 100.0
+        series[name] = durability.HygroSeries(ts, t_c, rh, missing)
     return series
 
 

@@ -505,6 +505,24 @@ def normalize_dataset(ds, spec):
 # gap filling
 
 
+def segment_means(values, starts, counts):
+    """Mean of each segment values[s:s + c] for s, c in zip(starts, counts).
+
+    Every count must be at least 1. Segments of equal length are gathered
+    into one (k, c) block and summed along its rows, which gives the same
+    bits as values[s:s + c].mean() for each segment (np.add.reduceat would
+    not: it sums in another order).
+    """
+    starts = np.asarray(starts, dtype=np.intp)
+    counts = np.asarray(counts, dtype=np.intp)
+    out = np.empty(starts.size)
+    for c in np.unique(counts):
+        sel = np.flatnonzero(counts == c)
+        block = values[starts[sel, None] + np.arange(c)]
+        out[sel] = block.sum(axis=1) / c
+    return out
+
+
 def moving_average_fill(series, m, smooth=False, empty_window="error"):
     """Fill missing points of a series with a centered moving average.
 
@@ -518,7 +536,9 @@ def moving_average_fill(series, m, smooth=False, empty_window="error"):
             no observed neighbor in its window; "keep" leaves it missing.
 
     Returns:
-        New array of the same length.
+        New array of the same length. Each filled value is the mean of the
+        observed values in its window, taken in series order, so it equals
+        x[window][observed[window]].mean() exactly.
     """
     x = np.asarray(series, dtype=float).copy()
     if x.ndim != 1:
@@ -529,30 +549,27 @@ def moving_average_fill(series, m, smooth=False, empty_window="error"):
     if n < 2 * m + 1:
         raise DomainError("series length %d is shorter than the window span %d" % (n, 2 * m + 1))
     observed = np.isfinite(x)
-    out = x.copy()
-    for i in range(n):
-        radius = min(m, i, n - 1 - i)
-        window = slice(i - radius, i + radius + 1)
-        if not observed[i]:
-            vals = x[window][observed[window]]
-            if vals.size == 0:
-                if empty_window == "keep":
-                    continue
-                lo = i
-                while lo > 0 and not observed[lo - 1]:
-                    lo -= 1
-                hi = i
-                while hi < n - 1 and not observed[hi + 1]:
-                    hi += 1
-                raise UnfillableGap(
-                    "no observed value within the window of point %d (gap spans %d..%d)"
-                    % (i, lo, hi)
-                )
-            out[i] = vals.mean()
-        elif smooth:
-            vals = x[window][observed[window]]
-            out[i] = vals.mean()
-    return out
+    points = np.arange(n) if smooth else np.flatnonzero(~observed)
+    if points.size == 0:
+        return x
+    radius = np.minimum(m, np.minimum(points, n - 1 - points))
+    obs_idx = np.flatnonzero(observed)
+    first = np.searchsorted(obs_idx, points - radius)
+    count = np.searchsorted(obs_idx, points + radius + 1) - first
+    empty = count == 0
+    if empty.any():
+        if empty_window != "keep":
+            i = int(points[np.argmax(empty)])
+            k = int(np.searchsorted(obs_idx, i))
+            lo = int(obs_idx[k - 1]) + 1 if k > 0 else 0
+            hi = int(obs_idx[k]) - 1 if k < obs_idx.size else n - 1
+            raise UnfillableGap(
+                "no observed value within the window of point %d (gap spans %d..%d)"
+                % (i, lo, hi)
+            )
+        points, first, count = points[~empty], first[~empty], count[~empty]
+    x[points] = segment_means(x[obs_idx], first, count)
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,20 @@ switches from 190 RH^26 to 2000 (1 - RH)^2 above RH = 0.95. Rates and
 humidities map onto banded categories, and element histories become
 time-binned risk grids rendered as plain-text PPM images.
 
+An element history is a HygroSeries: one array each of timestamps,
+temperatures, humidities and missing flags. build_risk_grid works on those
+columns (sequences of HygroSample are converted once on entry). Strictly
+increasing timestamps make every time bin a contiguous run of readings, and
+bins with the same number of readings are averaged together as the rows of
+one block, so each bin mean has the same bits as the mean of that bin's
+slice. The factors use the numpy ufuncs on scalars and arrays alike, so a
+scalar call and the same value inside an array agree exactly.
+
 Relative humidity is a fraction in [0, 1] throughout this module.
 """
 
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -17,8 +27,8 @@ from enum import IntEnum
 
 import numpy as np
 
-from ._io import atomic_write_text, fmt_float
-from .data import moving_average_fill
+from ._io import atomic_write_text, fmt_float, read_text
+from .data import moving_average_fill, segment_means
 from .errors import DomainError, ParseError, ShapeError
 
 
@@ -63,11 +73,56 @@ class HygroSample:
                 raise DomainError("relative humidity must lie in [0, 1]")
 
 
+@dataclass(frozen=True)
+class HygroSeries:
+    """One element's logger history as columns: timestamps in days,
+    temperatures in Celsius, relative humidities as fractions and missing
+    flags, one entry per reading. Validation matches HygroSample's, applied
+    to every reading at once; temperature and humidity read nan where the
+    flag is set."""
+
+    ts: np.ndarray
+    t_celsius: np.ndarray
+    rh: np.ndarray
+    missing: np.ndarray
+
+    def __post_init__(self):
+        ts = np.array(self.ts, dtype=float)
+        t = np.array(self.t_celsius, dtype=float)
+        rh = np.array(self.rh, dtype=float)
+        miss = np.array(self.missing, dtype=bool)
+        if ts.ndim != 1 or not ts.shape == t.shape == rh.shape == miss.shape:
+            raise ShapeError("series columns must be 1-d arrays of one length")
+        if not np.isfinite(ts).all():
+            raise DomainError("sample timestamp must be finite")
+        present = ~miss
+        t_present, rh_present = t[present], rh[present]
+        if not (np.isfinite(t_present).all() and np.isfinite(rh_present).all()):
+            raise DomainError("present sample needs finite temperature and humidity")
+        if not ((rh_present >= 0.0) & (rh_present <= 1.0)).all():
+            raise DomainError("relative humidity must lie in [0, 1]")
+        object.__setattr__(self, "ts", ts)
+        object.__setattr__(self, "t_celsius", np.where(miss, np.nan, t))
+        object.__setattr__(self, "rh", np.where(miss, np.nan, rh))
+        object.__setattr__(self, "missing", miss)
+
+    @classmethod
+    def from_samples(cls, samples):
+        """Columns of a sequence of HygroSample, in sequence order."""
+        samples = list(samples)
+        return cls(
+            ts=[s.timestamp for s in samples],
+            t_celsius=[s.t_celsius for s in samples],
+            rh=[s.rh for s in samples],
+            missing=[s.missing for s in samples],
+        )
+
+
 def temperature_factor(t_celsius):
     """Quartic temperature multiplier 1.6e-7 (30 + T)^4, zero at and below
     -30 C where the polynomial would otherwise rise again."""
     t = np.asarray(t_celsius, dtype=float)
-    c_t = np.where(t < -30.0, 0.0, 1.6e-7 * (30.0 + t) ** 4)
+    c_t = np.where(t < -30.0, 0.0, 1.6e-7 * np.power(30.0 + t, 4.0))
     return float(c_t) if c_t.ndim == 0 else c_t
 
 
@@ -77,7 +132,7 @@ def humidity_factor(rh):
     rh = np.asarray(rh, dtype=float)
     if np.any((rh < 0) | (rh > 1)):
         raise DomainError("relative humidity must lie in [0, 1]")
-    r_o = np.where(rh <= 0.95, 190.0 * rh**26, 2000.0 * (1.0 - rh) ** 2)
+    r_o = np.where(rh <= 0.95, 190.0 * np.power(rh, 26.0), 2000.0 * np.square(1.0 - rh))
     return float(r_o) if r_o.ndim == 0 else r_o
 
 
@@ -169,12 +224,29 @@ class RiskGrid:
         return self.bin_starts.size
 
 
+def _classify_bins(kind, mean_t, mean_rh):
+    """Categories of bin mean vectors, banded as classify_corrosion,
+    classify_frost and classify_chemical band one value."""
+    if kind == CORROSION:
+        rate, _ = _rate_array(mean_t, mean_rh)
+        if not np.isfinite(rate).all():
+            raise DomainError("corrosion rate must be finite and >= 0")
+        codes = (rate >= 1.0).astype(int) + (rate > 5.0) + (rate > 10.0)
+        return np.array(list(CorrosionStatus), dtype=object)[codes]
+    middle = RiskLevel.Medium if kind == FROST else RiskLevel.Slight
+    codes = np.where(
+        mean_rh < 0.85, RiskLevel.Insignificant,
+        np.where(mean_rh < 0.98, middle, RiskLevel.High),
+    )
+    return np.array(list(RiskLevel), dtype=object)[codes]
+
+
 def build_risk_grid(series, kind=CORROSION, bin_width=1.0, fill_radius=None):
-    """Reduce per-element sample histories to a categorical risk grid.
+    """Reduce per-element histories to a categorical risk grid.
 
     Args:
-        series: mapping of element name to a sequence of HygroSample with
-            strictly increasing timestamps.
+        series: mapping of element name to a HygroSeries, or to a sequence
+            of HygroSample, with strictly increasing timestamps.
         kind: "corrosion", "frost" or "chemical".
         bin_width: time bin width in days.
         fill_radius: optional moving-average radius used to impute missing
@@ -193,53 +265,44 @@ def build_risk_grid(series, kind=CORROSION, bin_width=1.0, fill_radius=None):
         raise DomainError("bin width must be positive")
 
     elements = tuple(series.keys())
-    per_element = {}
-    t_min = math.inf
-    t_max = -math.inf
+    columns = []
     for name in elements:
-        samples = list(series[name])
-        if not samples:
+        hs = series[name]
+        if not isinstance(hs, HygroSeries):
+            hs = HygroSeries.from_samples(hs)
+        if hs.ts.size == 0:
             raise ShapeError("element %r has no samples" % name)
-        ts = np.array([s.timestamp for s in samples])
-        if np.any(np.diff(ts) <= 0):
+        if np.any(np.diff(hs.ts) <= 0):
             raise DomainError("element %r timestamps must be strictly increasing" % name)
-        temp = np.array([s.t_celsius for s in samples])
-        rh = np.array([s.rh for s in samples])
-        miss = np.array([s.missing for s in samples], dtype=bool)
-        temp = np.where(miss, np.nan, temp)
-        rh = np.where(miss, np.nan, rh)
+        temp, rh, miss = hs.t_celsius, hs.rh, hs.missing
         if fill_radius is not None and miss.any() and not miss.all():
             temp = moving_average_fill(temp, fill_radius, empty_window="keep")
             rh = moving_average_fill(rh, fill_radius, empty_window="keep")
-        per_element[name] = (ts, temp, rh, miss)
-        t_min = min(t_min, float(ts.min()))
-        t_max = max(t_max, float(ts.max()))
+        columns.append((hs.ts, temp, rh, miss))
+    # timestamps increase, so each element starts at its first reading and
+    # ends at its last
+    t_min = min(float(ts[0]) for ts, _, _, _ in columns)
+    t_max = max(float(ts[-1]) for ts, _, _, _ in columns)
 
     n_bins = int(math.floor((t_max - t_min) / bin_width)) + 1
     bin_starts = t_min + bin_width * np.arange(n_bins)
     cells = np.full((len(elements), n_bins), None, dtype=object)
 
-    for ei, name in enumerate(elements):
-        ts, temp, rh, miss = per_element[name]
+    for ei, (ts, temp, rh, miss) in enumerate(columns):
         idx = np.minimum(
             np.floor((ts - t_min) / bin_width).astype(int), n_bins - 1
         )
-        for b in range(n_bins):
-            in_bin = idx == b
-            if not in_bin.any() or miss[in_bin].all():
-                continue
-            t_vals = temp[in_bin]
-            rh_vals = rh[in_bin]
-            keep = np.isfinite(t_vals) & np.isfinite(rh_vals)
-            mean_t = float(t_vals[keep].mean())
-            mean_rh = float(rh_vals[keep].mean())
-            if kind == CORROSION:
-                rate, _ = _rate_array(mean_t, mean_rh)
-                cells[ei, b] = classify_corrosion(float(rate))
-            elif kind == FROST:
-                cells[ei, b] = classify_frost(mean_rh)
-            else:
-                cells[ei, b] = classify_chemical(mean_rh)
+        bins = np.flatnonzero(np.bincount(idx[~miss], minlength=n_bins))
+        if bins.size == 0:
+            continue
+        # readings the classifier sees, still in time order: each bin is one
+        # contiguous segment of them
+        keep = np.isfinite(temp) & np.isfinite(rh)
+        counts = np.bincount(idx[keep], minlength=n_bins)
+        starts = np.cumsum(counts) - counts
+        mean_t = segment_means(temp[keep], starts[bins], counts[bins])
+        mean_rh = segment_means(rh[keep], starts[bins], counts[bins])
+        cells[ei, bins] = _classify_bins(kind, mean_t, mean_rh)
     return RiskGrid(
         kind=kind,
         elements=elements,
@@ -303,15 +366,19 @@ def render_grid(grid, ppm_path, csv_path=None, scale=1):
 
 def read_grid_csv(path):
     """Round-trip reader for the grid CSV; returns (element, bin_start,
-    category) tuples."""
+    category) tuples. Raises IoError when the file cannot be read and
+    ParseError for a malformed header or row."""
+    reader = csv.reader(io.StringIO(read_text(path)))
+    header = next(reader, None)
+    if header != ["element", "bin_start", "category"]:
+        raise ParseError("unexpected grid CSV header")
     out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["element", "bin_start", "category"]:
-            raise ParseError("unexpected grid CSV header")
-        for rec in reader:
-            if len(rec) != 3:
-                raise ParseError("grid CSV row needs 3 fields")
-            out.append((rec[0], float(rec[1]), rec[2]))
+    for ln, rec in enumerate(reader, start=2):
+        if len(rec) != 3:
+            raise ParseError("grid CSV row %d needs 3 fields" % ln)
+        try:
+            start = float(rec[1])
+        except ValueError:
+            raise ParseError("grid CSV row %d has a bad bin_start" % ln) from None
+        out.append((rec[0], start, rec[2]))
     return out

@@ -571,18 +571,20 @@ def mlp_from_lines(lines):
         parts = line.split()
         if not parts:
             continue
-        if parts[0] == "sizes":
-            sizes = tuple(int(v) for v in parts[1:])
-        elif parts[0] == "activation":
-            idx = int(parts[1])
-            a = float(parts[3]) if len(parts) > 3 else 1.0
-            acts[idx] = Activation(parts[2], a)
-        elif parts[0] == "weights":
-            weights[int(parts[1])] = np.array([float(v) for v in parts[2:]])
-        elif parts[0] == "bias":
-            biases[int(parts[1])] = np.array([float(v) for v in parts[2:]])
-        else:
+        if parts[0] not in ("sizes", "activation", "weights", "bias"):
             raise ParseError("unknown network line %r" % parts[0])
+        try:
+            if parts[0] == "sizes":
+                sizes = tuple(int(v) for v in parts[1:])
+            elif parts[0] == "activation":
+                a = float(parts[3]) if len(parts) > 3 else 1.0
+                acts[int(parts[1])] = Activation(parts[2], a)
+            elif parts[0] == "weights":
+                weights[int(parts[1])] = np.array([float(v) for v in parts[2:]])
+            else:
+                biases[int(parts[1])] = np.array([float(v) for v in parts[2:]])
+        except (ValueError, IndexError) as exc:
+            raise ParseError("bad network line %r: %s" % (line, exc)) from None
     if sizes is None:
         raise ParseError("network block lacks a sizes line")
     n_layers = len(sizes) - 1
@@ -626,19 +628,22 @@ def narx_from_lines(lines):
         parts = line.split()
         if not parts:
             continue
-        if parts[0] == "q":
-            q = int(parts[1])
-        elif parts[0] == "mode":
-            mode = parts[1]
-        elif parts[0] == "norm_u":
-            u_bounds = (float(parts[1]), float(parts[2]))
-        elif parts[0] == "norm_y":
-            y_bounds = (float(parts[1]), float(parts[2]))
-        elif parts[0] == "mlp":
+        if parts[0] == "mlp":
             mlp_start = i
             break
-        else:
+        if parts[0] not in ("q", "mode", "norm_u", "norm_y"):
             raise ParseError("unknown narx line %r" % parts[0])
+        try:
+            if parts[0] == "q":
+                q = int(parts[1])
+            elif parts[0] == "mode":
+                mode = parts[1]
+            elif parts[0] == "norm_u":
+                u_bounds = (float(parts[1]), float(parts[2]))
+            else:
+                y_bounds = (float(parts[1]), float(parts[2]))
+        except (ValueError, IndexError) as exc:
+            raise ParseError("bad narx line %r: %s" % (line, exc)) from None
     if q is None or mlp_start is None:
         raise ParseError("narx file lacks q or the network block")
     net = mlp_from_lines(lines[mlp_start:])

@@ -8,6 +8,12 @@ under tests/data/ hold the artifacts as the package wrote them before the
 tree hot path was vectorised; test_golden.py regenerates them and requires
 exact equality.
 
+The risk fixture is a small hourly logger file (risk.logger.csv) with
+elements of different time spans, scattered and day-long gaps, cold spells
+below -30 C and days of constant humidity exactly on the 0.85, 0.98 and 1.0
+cut points. risk.<flags>.grid_<kind>.{csv,ppm} are the grids `duracast risk`
+wrote from it before the risk path became columnar.
+
 Regenerate the files (only when an output value is meant to change, and
 say which in CHANGES.md) with:
 
@@ -15,12 +21,14 @@ say which in CHANGES.md) with:
 """
 
 import os
+import tempfile
 
 import numpy as np
 
 import duracast as dc
 from duracast import ensemble, tree
 from duracast._io import fmt_float
+from duracast.cli import run_cli
 
 from helpers import make_ds
 
@@ -124,12 +132,79 @@ def artifacts(seed):
     }
 
 
+RISK_SEED = 21
+RISK_LOGGER = "risk.logger.csv"
+# (file name tag, extra `duracast risk` flags)
+RISK_RUNS = (
+    ("fill2", ["--fill", "2"]),
+    ("fill2_bin0.25", ["--fill", "2", "--bin-width", "0.25"]),
+)
+
+
+def logger_csv(seed=RISK_SEED):
+    """Hourly readings of five elements, header element,timestamp,t_celsius,rh."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    lines = ["element,timestamp,t_celsius,rh"]
+    # (name, first hour, last hour, temperature centre, humidity centre)
+    elements = [
+        ("wall", 0, 7 * 24, 12.0, 0.80),
+        ("deck", 36, 5 * 24, 25.0, 0.93),
+        ("pier", 0, 4 * 24, 20.0, 0.85),
+        ("beam", 10, 6 * 24 + 5, 33.0, 0.95),
+        ("slab", 0, 7 * 24, -28.0, 0.70),
+    ]
+    for name, first, last, t_mid, rh_mid in elements:
+        hours = np.arange(first, last)
+        temp = t_mid + 6.0 * np.sin(2 * np.pi * hours / 24.0) + rng.normal(0.0, 2.0, hours.size)
+        rh = np.clip(rh_mid + rng.normal(0.0, 0.06, hours.size), 0.0, 1.0)
+        if name == "pier":
+            # constant days on the band edges, then a day at saturation
+            rh = np.select([hours < 24, hours < 48, hours < 72], [0.85, 0.98, 1.0], rh)
+            temp = np.where(hours < 72, 20.0, temp)
+        miss = rng.uniform(size=hours.size) < 0.2
+        if name == "wall":
+            miss[(hours >= 72) & (hours < 96)] = True  # a whole day missing
+        if name == "deck":
+            miss[(hours >= 60) & (hours < 66)] = True  # wider than the fill window
+        for h, t, r, gone in zip(hours, temp, rh, miss):
+            if gone:
+                lines.append("%s,%.6f,," % (name, h / 24.0))
+            else:
+                lines.append("%s,%.6f,%.3f,%.4f" % (name, h / 24.0, t, r))
+    return "\n".join(lines) + "\n"
+
+
+def risk_artifacts(logger_path):
+    """{file name: text} of the grids `duracast risk` writes for each run."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for tag, flags in RISK_RUNS:
+            run_dir = os.path.join(tmp, tag)
+            code = run_cli(["risk", "--series", logger_path, "--scale", "1",
+                            "--out", run_dir] + flags)
+            if code != 0:
+                raise RuntimeError("risk run %s failed" % tag)
+            for kind in ("corrosion", "frost", "chemical"):
+                for ext in ("csv", "ppm"):
+                    name = "grid_%s.%s" % (kind, ext)
+                    with open(os.path.join(run_dir, name), newline="") as fh:
+                        out["risk.%s.%s" % (tag, name)] = fh.read()
+    return out
+
+
+def _write(name, text):
+    with open(os.path.join(DATA_DIR, name), "w", newline="") as fh:
+        fh.write(text)
+
+
 def write_all():
     os.makedirs(DATA_DIR, exist_ok=True)
     for seed in SEEDS:
         for name, text in artifacts(seed).items():
-            with open(os.path.join(DATA_DIR, name), "w", newline="") as fh:
-                fh.write(text)
+            _write(name, text)
+    _write(RISK_LOGGER, logger_csv())
+    for name, text in risk_artifacts(os.path.join(DATA_DIR, RISK_LOGGER)).items():
+        _write(name, text)
 
 
 if __name__ == "__main__":

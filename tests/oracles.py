@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 
-from duracast import neural
+from duracast import durability, neural
+from duracast.errors import DomainError, UnfillableGap
 
 
 def sse(values):
@@ -168,3 +169,77 @@ def simulate_first_order(u, a=0.5, b=0.3, y0=0.0):
     for n in range(len(u) - 1):
         y.append(a * y[-1] + b * float(u[n]))
     return np.array(y)
+
+
+def moving_average_fill_reference(series, m, smooth=False, empty_window="error"):
+    """Centered moving-average fill, one point at a time: each target point
+    averages the observed values of its (boundary-truncated) window."""
+    x = np.asarray(series, dtype=float).copy()
+    n = x.size
+    if n < 2 * m + 1:
+        raise DomainError("series length %d is shorter than the window span %d" % (n, 2 * m + 1))
+    observed = np.isfinite(x)
+    out = x.copy()
+    for i in range(n):
+        radius = min(m, i, n - 1 - i)
+        window = slice(i - radius, i + radius + 1)
+        if not observed[i]:
+            vals = x[window][observed[window]]
+            if vals.size == 0:
+                if empty_window == "keep":
+                    continue
+                lo = i
+                while lo > 0 and not observed[lo - 1]:
+                    lo -= 1
+                hi = i
+                while hi < n - 1 and not observed[hi + 1]:
+                    hi += 1
+                raise UnfillableGap(
+                    "no observed value within the window of point %d (gap spans %d..%d)"
+                    % (i, lo, hi)
+                )
+            out[i] = vals.mean()
+        elif smooth:
+            vals = x[window][observed[window]]
+            out[i] = vals.mean()
+    return out
+
+
+def risk_grid_reference(series, kind, bin_width=1.0, fill_radius=None):
+    """Risk grid cells by a scan of every bin of every element: the bin's
+    readings are selected by comparing each reading's bin index, averaged
+    with .mean() and classified one cell at a time by the scalar
+    classifiers. series maps element names to HygroSample lists."""
+    per_element = []
+    for samples in series.values():
+        ts = np.array([s.timestamp for s in samples])
+        miss = np.array([s.missing for s in samples], dtype=bool)
+        temp = np.where(miss, np.nan, [s.t_celsius for s in samples])
+        rh = np.where(miss, np.nan, [s.rh for s in samples])
+        if fill_radius is not None and miss.any() and not miss.all():
+            temp = moving_average_fill_reference(temp, fill_radius, empty_window="keep")
+            rh = moving_average_fill_reference(rh, fill_radius, empty_window="keep")
+        per_element.append((ts, temp, rh, miss))
+    t_min = min(float(ts.min()) for ts, _, _, _ in per_element)
+    t_max = max(float(ts.max()) for ts, _, _, _ in per_element)
+    n_bins = int(math.floor((t_max - t_min) / bin_width)) + 1
+    cells = np.full((len(per_element), n_bins), None, dtype=object)
+    for ei, (ts, temp, rh, miss) in enumerate(per_element):
+        idx = np.minimum(np.floor((ts - t_min) / bin_width).astype(int), n_bins - 1)
+        for b in range(n_bins):
+            in_bin = idx == b
+            if not in_bin.any() or miss[in_bin].all():
+                continue
+            t_vals = temp[in_bin]
+            rh_vals = rh[in_bin]
+            keep = np.isfinite(t_vals) & np.isfinite(rh_vals)
+            mean_t = float(t_vals[keep].mean())
+            mean_rh = float(rh_vals[keep].mean())
+            if kind == durability.CORROSION:
+                rate = durability.temperature_factor(mean_t) * durability.humidity_factor(mean_rh)
+                cells[ei, b] = durability.classify_corrosion(rate)
+            elif kind == durability.FROST:
+                cells[ei, b] = durability.classify_frost(mean_rh)
+            else:
+                cells[ei, b] = durability.classify_chemical(mean_rh)
+    return cells

@@ -9,6 +9,8 @@ from duracast.errors import (
     DivisionError,
     DomainError,
     DuracastError,
+    IoError,
+    ParseError,
     ShapeError,
     SingularTime,
     UnitMismatch,
@@ -266,3 +268,17 @@ def test_comparison_csv_round_trip(tmp_path):
         assert a.model == b.model
         assert a.age == b.age
         assert a.mse == pytest.approx(b.mse)
+
+
+def test_comparison_reader_raises_typed_errors(tmp_path):
+    with pytest.raises(IoError):
+        baselines.read_comparison_csv(tmp_path / "absent.csv")
+    path = tmp_path / "comparison.csv"
+    header = "model,age,mse,mae,rmse,median_resid,q1,q3\n"
+    for row in ["baseline,all,x,1,1,0,0,0", "baseline,all,1,1", "baseline,all,1,1,1,0,0,0,9"]:
+        path.write_text(header + row + "\n")
+        with pytest.raises(ParseError, match="row 2"):
+            baselines.read_comparison_csv(path)
+    path.write_text("model,age\nbaseline,all\n")
+    with pytest.raises(ParseError):
+        baselines.read_comparison_csv(path)

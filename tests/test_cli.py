@@ -158,6 +158,59 @@ def test_predict_with_a_corrupt_model_file_is_a_parse_error(mix_files, tmp_path,
     assert capsys.readouterr().err.startswith("error:parse-error:")
 
 
+def _corrupt_model(tmp_path, model_args, data, schema, old, new):
+    train_out = tmp_path / "train"
+    code = run([
+        "train", *model_args, "--data", data, "--schema", schema,
+        "--out", str(train_out), "--seed", "1",
+    ])
+    assert code == 0
+    model = train_out / "model.txt"
+    text = model.read_text()
+    assert old in text
+    model.write_text(text.replace(old, new, 1))
+    return model
+
+
+@pytest.mark.parametrize("line", ["norm_y x y", "norm_y 1", "norm_x_min a b c d"])
+def test_predict_with_a_corrupt_mlpreg_file_is_a_parse_error(mix_files, tmp_path, capsys,
+                                                             line):
+    data, schema = mix_files
+    model = _corrupt_model(
+        tmp_path, ["--model", "mlp", "--hidden", "2", "--epochs", "3"], data, schema,
+        "\nnorm_y ", "\n%s\nnorm_y " % line,
+    )
+    code = run([
+        "predict", "--model-file", str(model),
+        "--data", data, "--schema", schema, "--out", str(tmp_path / "pred"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:parse-error:")
+
+
+@pytest.mark.parametrize("old,new", [
+    ("\nq 2\n", "\nq x\n"),
+    ("\nq 2\n", "\nq\n"),
+    ("\nsizes ", "\nsizes 4 x\nsizes "),
+    ("\nbias 0 ", "\nbias 0 nope "),
+    ("\nactivation 0 ", "\nactivation x "),
+])
+def test_predict_with_a_corrupt_narx_file_is_a_parse_error(series_files, tmp_path, capsys,
+                                                           old, new):
+    data, schema = series_files
+    model = _corrupt_model(
+        tmp_path,
+        ["--model", "narx", "--delays", "2", "--hidden", "2", "--epochs", "3"],
+        data, schema, old, new,
+    )
+    code = run([
+        "predict", "--model-file", str(model), "--data", data, "--schema", schema,
+        "--out", str(tmp_path / "pred"), "--horizon", "5", "--mode", "closed",
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:parse-error:")
+
+
 def test_train_and_predict_mlp(mix_files, tmp_path):
     data, schema = mix_files
     out = tmp_path / "run"
@@ -302,6 +355,23 @@ def test_risk_accepts_percent_humidity(tmp_path):
     assert code == 0
     rows = (out / "grid_frost.csv").read_text().splitlines()
     assert rows[1].endswith(",High")
+
+
+@pytest.mark.parametrize("row,code", [
+    ("wall,2,20,1.5", "error:domain-error:"),
+    ("wall,inf,20,0.5", "error:domain-error:"),
+    ("wall,2,nan,0.5", "error:domain-error:"),
+    ("wall,2,20,wet", "error:parse-error:series row 4 "),
+    ("wall,later,20,0.5", "error:parse-error:series row 4 "),
+    ("wall,2,20", "error:parse-error:series row 4 "),
+])
+def test_risk_rejects_bad_series_rows(tmp_path, capsys, row, code):
+    path = tmp_path / "hygro.csv"
+    path.write_text(
+        "element,timestamp,t_celsius,rh\nwall,0,20,0.5\nwall,1,,\n%s\n" % row
+    )
+    assert run(["risk", "--series", str(path), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err.startswith(code)
 
 
 def test_risk_renders_are_byte_identical(hygro_file, tmp_path):

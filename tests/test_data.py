@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import duracast as dc
-from duracast.errors import DuracastError
+from duracast.data import segment_means
+from duracast.errors import DuracastError, UnfillableGap
 
 from helpers import continuous_ds, make_ds
+from oracles import moving_average_fill_reference
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +257,66 @@ def test_fill_smooth_mode_touches_everything():
     series = np.array([0.0, 3.0, 0.0, 3.0, 0.0])
     out = dc.moving_average_fill(series, 1, smooth=True)
     assert out[2] == pytest.approx(2.0)
+
+
+def test_unfillable_gap_names_the_point_and_the_gap_span():
+    series = np.array([1.0, 2.0, np.nan, np.nan, np.nan, np.nan, np.nan, 7.0, 8.0])
+    with pytest.raises(UnfillableGap) as err:
+        dc.moving_average_fill(series, 1)
+    # point 2 still reaches index 1; point 3 is the first with no neighbour
+    assert str(err.value) == (
+        "no observed value within the window of point 3 (gap spans 2..6)"
+    )
+    with pytest.raises(UnfillableGap) as err:
+        dc.moving_average_fill(np.array([np.nan, np.nan, np.nan, 4.0, 5.0]), 1)
+    assert str(err.value) == (
+        "no observed value within the window of point 0 (gap spans 0..2)"
+    )
+
+
+def _wide_range_series(rng, n, nan_share):
+    """Values spread over nine decades with both signs, so a sum taken in
+    another order would round differently."""
+    x = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 6.0, size=n)
+    x[rng.uniform(size=n) < nan_share] = np.nan
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_extra=st.integers(0, 280),
+    m=st.integers(1, 12),
+    nan_share=st.floats(0.0, 0.6),
+    smooth=st.booleans(),
+    empty_window=st.sampled_from(["keep", "error"]),
+)
+def test_fill_equals_the_pointwise_loop_bit_for_bit(seed, n_extra, m, nan_share, smooth,
+                                                    empty_window):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x = _wide_range_series(rng, 2 * m + 1 + n_extra, nan_share)
+    try:
+        expected = moving_average_fill_reference(x, m, smooth, empty_window)
+    except UnfillableGap as exc:
+        with pytest.raises(UnfillableGap) as err:
+            dc.moving_average_fill(x, m, smooth, empty_window)
+        assert str(err.value) == str(exc)
+        return
+    out = dc.moving_average_fill(x, m, smooth, empty_window)
+    assert np.array_equal(out, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(out), np.signbit(expected))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), max_len=st.integers(1, 300))
+def test_segment_means_equal_slice_means(seed, max_len):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    counts = rng.integers(1, max_len + 1, size=rng.integers(1, 30))
+    values = _wide_range_series(rng, int(counts.sum()) + 5, 0.0)
+    starts = rng.integers(0, values.size - counts + 1)
+    means = segment_means(values, starts, counts)
+    for k, (s, c) in enumerate(zip(starts, counts)):
+        assert means[k] == values[s:s + c].mean()
 
 
 # ---------------------------------------------------------------------------

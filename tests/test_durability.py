@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from duracast import durability as dur
-from duracast.errors import DomainError, ParseError, ShapeError
+from duracast.errors import DomainError, IoError, ParseError, ShapeError
+
+from oracles import risk_grid_reference
 
 
 def sample(ts, t=10.0, rh=0.5, missing=False):
@@ -109,6 +113,25 @@ def test_humidity_classifiers_are_total_on_the_unit_interval(rh):
     assert dur.classify_chemical(rh) in dur.RiskLevel
 
 
+@given(st.floats(-40.0, 60.0), st.floats(0.0, 1.0))
+def test_scalar_and_array_rates_agree_bit_for_bit(t, rh):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        scalar = dur.corrosion_rate(t, rh)
+        array = dur.corrosion_rate(np.array([t]), np.array([rh]))
+    assert scalar == array[0]
+
+
+def test_factors_of_a_long_array_equal_the_scalar_calls():
+    rng = np.random.Generator(np.random.PCG64(5))
+    t = rng.uniform(-40.0, 60.0, size=4000)
+    rh = rng.uniform(0.0, 1.0, size=4000)
+    c_t = dur.temperature_factor(t)
+    r_o = dur.humidity_factor(rh)
+    assert all(c_t[i] == dur.temperature_factor(t[i]) for i in range(t.size))
+    assert all(r_o[i] == dur.humidity_factor(rh[i]) for i in range(rh.size))
+
+
 @given(st.floats(min_value=-100.0, max_value=100.0),
        st.floats(min_value=0.0, max_value=1.0))
 def test_corrosion_rate_is_finite_and_nonnegative(t, rh):
@@ -130,6 +153,35 @@ def test_sample_validation():
         dur.HygroSample(timestamp=0.0, t_celsius=1.0, rh=1.5)
     # a flagged-missing sample may omit both readings
     dur.HygroSample(timestamp=0.0, missing=True)
+
+
+def test_series_validation_matches_the_sample_checks():
+    ok = dict(ts=[0.0, 1.0], t_celsius=[1.0, 2.0], rh=[0.5, 0.6], missing=[False, False])
+    dur.HygroSeries(**ok)
+    for field, value in [
+        ("ts", [0.0, float("inf")]),
+        ("t_celsius", [1.0, float("nan")]),
+        ("rh", [0.5, 1.5]),
+        ("rh", [-0.1, 0.5]),
+    ]:
+        with pytest.raises(DomainError):
+            dur.HygroSeries(**dict(ok, **{field: value}))
+    with pytest.raises(ShapeError):
+        dur.HygroSeries(**dict(ok, rh=[0.5]))
+    # flagged-missing readings may hold anything; they read back as nan
+    gone = dur.HygroSeries(ts=[0.0, 1.0], t_celsius=[float("nan"), 3.0],
+                           rh=[7.0, 0.5], missing=[True, False])
+    assert np.isnan(gone.t_celsius[0]) and np.isnan(gone.rh[0])
+    assert gone.rh[1] == 0.5
+
+
+def test_series_from_samples_keeps_every_column():
+    samples = [sample(0.0, t=3.0, rh=0.4), sample(0.5, missing=True), sample(2.0, t=-1.0, rh=1.0)]
+    hs = dur.HygroSeries.from_samples(samples)
+    assert np.array_equal(hs.ts, [0.0, 0.5, 2.0])
+    assert np.array_equal(hs.t_celsius, [3.0, np.nan, -1.0], equal_nan=True)
+    assert np.array_equal(hs.rh, [0.4, np.nan, 1.0], equal_nan=True)
+    assert hs.missing.tolist() == [False, True, False]
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +276,90 @@ def test_grid_rejects_bad_input():
         dur.build_risk_grid({"wall": [sample(1.0), sample(1.0)]})
 
 
+def _random_history(rng, n, start, missing_share, gap_days):
+    """Irregular strictly increasing timestamps from start, readings that
+    sometimes sit exactly on a band edge, scattered missing readings and
+    one run of consecutive missing readings."""
+    ts = start + np.cumsum(rng.uniform(0.02, 0.4, size=n))
+    temp = rng.uniform(-45.0, 45.0, size=n)
+    rh = rng.uniform(0.0, 1.0, size=n)
+    edges = rng.uniform(size=n) < 0.3
+    rh[edges] = rng.choice([0.0, 0.85, 0.95, 0.98, 1.0], size=int(edges.sum()))
+    miss = rng.uniform(size=n) < missing_share
+    gap_start = rng.uniform(ts[0], ts[-1] + 1e-9)
+    miss |= (ts >= gap_start) & (ts < gap_start + gap_days)
+    return [
+        sample(float(t), missing=True) if gone else sample(float(t), t=float(c), rh=float(r))
+        for t, c, r, gone in zip(ts, temp, rh, miss)
+    ]
+
+
+def _same_cells(a, b):
+    return a.shape == b.shape and all(x is y for x, y in zip(a.flat, b.flat))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_elements=st.integers(1, 4),
+    kind=st.sampled_from(dur.GRID_KINDS),
+    bin_width=st.sampled_from([0.1, 0.25, 0.5, 1.0, 2.5]),
+    fill_radius=st.one_of(st.none(), st.integers(1, 12)),
+    missing_share=st.floats(0.0, 0.7),
+    gap_days=st.floats(0.0, 3.0),
+)
+def test_grid_equals_the_per_bin_scan(seed, n_elements, kind, bin_width, fill_radius,
+                                      missing_share, gap_days):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    series = {
+        "e%d" % e: _random_history(
+            rng, int(rng.integers(1, 120)), float(rng.uniform(0.0, 6.0)),
+            missing_share, gap_days,
+        )
+        for e in range(n_elements)
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            expected = risk_grid_reference(series, kind, bin_width, fill_radius)
+        except DomainError as exc:
+            # a fill window longer than a short history
+            with pytest.raises(DomainError, match=str(exc)):
+                dur.build_risk_grid(series, kind, bin_width, fill_radius)
+            return
+        grid = dur.build_risk_grid(series, kind, bin_width, fill_radius)
+        columnar = dur.build_risk_grid(
+            {k: dur.HygroSeries.from_samples(v) for k, v in series.items()},
+            kind, bin_width, fill_radius,
+        )
+    assert _same_cells(grid.cells, expected)
+    assert _same_cells(columnar.cells, expected)
+
+
+@pytest.mark.parametrize("rh", [0.0, 0.85, 0.95, 0.98, 1.0])
+@pytest.mark.parametrize("count", [1, 3, 8, 9, 24, 200])
+def test_constant_bins_on_the_band_edges_classify_like_the_scan(rh, count):
+    # a bin of identical readings: its mean is whatever the summation gives,
+    # and both paths must band that same value
+    ts = np.arange(count) / count
+    series = {"wall": [sample(float(t), t=20.0, rh=rh) for t in ts]}
+    for kind in dur.GRID_KINDS:
+        grid = dur.build_risk_grid(series, kind=kind, bin_width=1.0)
+        assert _same_cells(grid.cells, risk_grid_reference(series, kind, 1.0))
+
+
+def test_grid_keeps_all_missing_bins_of_elements_with_other_spans():
+    series = {
+        "early": [sample(0.0), sample(0.5, missing=True), sample(1.2, missing=True)],
+        "late": [sample(2.5, rh=0.99), sample(3.1, rh=0.9)],
+    }
+    grid = dur.build_risk_grid(series, kind=dur.FROST, bin_width=1.0, fill_radius=1)
+    assert grid.cells.tolist() == [
+        [dur.RiskLevel.Insignificant, None, None, None],
+        [None, None, dur.RiskLevel.High, dur.RiskLevel.Medium],
+    ]
+
+
 def test_grid_rows_are_row_major():
     series = {
         "a": [sample(0.0, rh=0.5), sample(1.0, rh=0.5)],
@@ -299,6 +435,18 @@ def test_grid_csv_round_trip(tmp_path):
     with pytest.raises(ParseError):
         bad = tmp_path / "bad.csv"
         bad.write_text("nope,nope\n")
+        dur.read_grid_csv(bad)
+
+
+def test_grid_csv_reader_raises_typed_errors(tmp_path):
+    with pytest.raises(IoError):
+        dur.read_grid_csv(tmp_path / "absent.csv")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("element,bin_start,category\nwall,soon,High\n")
+    with pytest.raises(ParseError, match="row 2"):
+        dur.read_grid_csv(bad)
+    bad.write_text("element,bin_start,category\nwall,0\n")
+    with pytest.raises(ParseError, match="row 2"):
         dur.read_grid_csv(bad)
 
 

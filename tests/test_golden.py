@@ -54,3 +54,15 @@ def test_batch_routing_matches_the_single_row_walk(seed, train_missing, score_mi
     batch = tree.predict_batch(t, x)
     for i, row in enumerate(x):
         assert batch[i] == tree.predict(t, row)
+
+
+def test_risk_logger_fixture_matches_its_generator():
+    assert golden.logger_csv() == _read(golden.RISK_LOGGER)
+
+
+def test_risk_grids_match_the_golden_files():
+    logger = os.path.join(golden.DATA_DIR, golden.RISK_LOGGER)
+    artifacts = golden.risk_artifacts(logger)
+    assert len(artifacts) == 6 * len(golden.RISK_RUNS)
+    for name, text in artifacts.items():
+        assert text == _read(name), name
