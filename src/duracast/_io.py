@@ -1,4 +1,4 @@
-"""Deterministic file output helpers.
+"""Deterministic file output helpers and the model-file header reader.
 
 All artifacts are written atomically (temporary file in the target directory,
 then rename) and floats are printed with 17 significant digits so that the
@@ -8,7 +8,9 @@ decimal text round-trips to the exact same IEEE double.
 import os
 import tempfile
 
-from .errors import IoError
+import numpy as np
+
+from .errors import DuracastError, IoError, ParseError
 
 
 def fmt_float(x):
@@ -40,3 +42,60 @@ def read_text(path):
             return fh.read()
     except OSError as exc:
         raise IoError("cannot read %s: %s" % (path, exc)) from exc
+
+
+def float_array(text):
+    return np.array([float(v) for v in text.split()])
+
+
+def float_pair(text):
+    lo, hi = text.split()
+    return float(lo), float(hi)
+
+
+def word(text):
+    (value,) = text.split()
+    return value
+
+
+def read_model(lines, magic, fields, build, indexed=(), body=None):
+    """Parse a model file: its magic line, a header block, then a body.
+
+    The header block holds `key value...` lines up to the first line whose
+    key is `body` (or to the end). fields maps each key to a converter of
+    the text after the key; a key in `indexed` takes an integer index first
+    and collects {index: value}. Blank lines are skipped and a repeated key
+    keeps its last value. build(values, body_lines) makes the model.
+
+    An unknown key, a value its converter rejects, and a missing key or an
+    invalid model in build all raise ParseError.
+    """
+    if not lines or lines[0].split() != magic.split():
+        raise ParseError("not a %s file (missing %r header)" % (magic, magic))
+    values = {key: {} for key in indexed}
+    end = len(lines)
+    for i in range(1, len(lines)):
+        parts = lines[i].split(None, 1)
+        if not parts:
+            continue
+        key = parts[0]
+        if key == body:
+            end = i
+            break
+        if key not in fields:
+            raise ParseError("unknown line %r in %s file" % (key, magic))
+        rest = parts[1] if len(parts) > 1 else ""
+        try:
+            if key in indexed:
+                index, rest = rest.split(None, 1)
+                values[key][int(index)] = fields[key](rest)
+            else:
+                values[key] = fields[key](rest)
+        except (ValueError, IndexError, DuracastError) as exc:
+            raise ParseError("bad %s line %r: %s" % (magic, lines[i], exc)) from None
+    try:
+        return build(values, lines[end:])
+    except ParseError:
+        raise
+    except (ValueError, IndexError, KeyError, DuracastError) as exc:
+        raise ParseError("bad or incomplete %s file: %r" % (magic, exc)) from None

@@ -240,6 +240,9 @@ class ComparisonRow:
     q3: float
 
 
+_SCORES = ("mse", "mae", "rmse", "median_resid", "q1", "q3")
+
+
 def _comparison_row(name, age_label, pred, target):
     rep = evaluate(pred, target)
     return ComparisonRow(
@@ -337,23 +340,9 @@ def baseline_comparison(ds, specimen_column, age_column, eval_ages, model_predic
 def write_comparison_csv(path, rows):
     """Comparison table with the header
     model,age,mse,mae,rmse,median_resid,q1,q3."""
-    buf = []
-    buf.append("model,age,mse,mae,rmse,median_resid,q1,q3")
+    buf = ["model,age," + ",".join(_SCORES)]
     for r in rows:
-        buf.append(
-            ",".join(
-                [
-                    r.model,
-                    r.age,
-                    fmt_float(r.mse),
-                    fmt_float(r.mae),
-                    fmt_float(r.rmse),
-                    fmt_float(r.median_resid),
-                    fmt_float(r.q1),
-                    fmt_float(r.q3),
-                ]
-            )
-        )
+        buf.append(",".join([r.model, r.age] + [fmt_float(getattr(r, f)) for f in _SCORES]))
     atomic_write_text(path, "\n".join(buf) + "\n")
 
 
@@ -367,18 +356,8 @@ def read_comparison_csv(path):
         if None in rec:
             raise ParseError("comparison CSV row %d has extra fields" % ln)
         try:
-            rows.append(
-                ComparisonRow(
-                    model=rec["model"],
-                    age=rec["age"],
-                    mse=float(rec["mse"]),
-                    mae=float(rec["mae"]),
-                    rmse=float(rec["rmse"]),
-                    median_resid=float(rec["median_resid"]),
-                    q1=float(rec["q1"]),
-                    q3=float(rec["q3"]),
-                )
-            )
+            scores = {f: float(rec[f]) for f in _SCORES}
+            rows.append(ComparisonRow(model=rec["model"], age=rec["age"], **scores))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError("bad comparison CSV row %d: %s" % (ln, exc)) from None
     return rows

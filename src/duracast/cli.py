@@ -1,10 +1,14 @@
 """Command-line surface for the corrosion-assessment pipeline.
 
 Commands: ingest, train, predict, crossval, importance, baseline, risk,
-report. Every run writes the fully resolved configuration next to its
-outputs as config.json, and identical configuration, data and seed produce
-byte-identical artifacts. Errors exit nonzero with a single stderr line of
-the form error:<code>:<message>.
+report. run_cli resolves a command's knobs once, into one plain dict: the
+defaults of the command (KNOBS) and, for train and crossval, of the model
+kind (MODEL_KNOBS), then the preset, then the explicit flags, then the
+DURACAST_SEED environment variable. The command reads its knobs from that
+dict only, and config.json is that dict as the run left it, so it records
+exactly the knobs the run consumed. Identical configuration, data and seed
+produce byte-identical artifacts. Errors exit nonzero with a single stderr
+line of the form error:<code>:<message>.
 """
 
 import argparse
@@ -12,12 +16,11 @@ import csv
 import json
 import os
 import sys
-import warnings
 
 import numpy as np
 
-from . import baselines, data, durability, ensemble, metrics, neural, tree
-from ._io import atomic_write_text, fmt_float, read_text
+from . import baselines, data, durability, ensemble, metrics, models, neural, tree
+from ._io import atomic_write_text, fmt_float
 from .errors import ConfigError, DuracastError, IoError, ParseError, ShapeError
 
 PRESETS = {
@@ -27,147 +30,71 @@ PRESETS = {
     "hygro-narx": {"model": "narx", "delays": 2, "hidden": 10},
 }
 
-_MODEL_KINDS = ("tree", "bag", "boost", "mlp", "narx")
+# ---------------------------------------------------------------------------
+# run configuration
+
+_DATA = {"data": None, "schema": None}
+# Knob defaults per command; a None input path is a required flag.
+KNOBS = {
+    "ingest": _DATA,
+    "train": dict(_DATA, model="tree", preset=None, split="0.7,0.15,0.15"),
+    "predict": dict(_DATA, model_file=None, horizon=None, mode=None,
+                    u_column=None, y_column=None),
+    "crossval": dict(_DATA, model="tree", preset=None, folds=10),
+    "importance": dict(_DATA, preset=None, trees=100, leaf=5, branch=10, surrogates=5,
+                       m=None, iterations=10, scaling="std", keep=None, drop=None, top=5),
+    "baseline": dict(_DATA, model_file=None, specimen=None, age=None, ages=None),
+    "risk": {"series": None, "kind": "all", "bin_width": 1.0, "fill": None, "scale": 10,
+             "rh_percent": False},
+    "report": dict(_DATA, model_file=None),
+}
+
+_TREE = {"leaf": 1, "branch": 10, "surrogates": 5}
+_NET = {"hidden": 10, "epochs": 200}
+_KINDS = {
+    "tree": _TREE,
+    "bag": dict(_TREE, trees=150, m=None),
+    "boost": dict(_TREE, trees=150, rate=0.1),
+    "mlp": _NET,
+}
+# Knob defaults per model kind of the commands that take --model.
+MODEL_KNOBS = {
+    "train": dict(_KINDS, mlp=dict(_NET, patience=6),
+                  narx=dict(_NET, patience=6, delays=2, u_column=None, y_column=None,
+                            fill=None)),
+    "crossval": _KINDS,
+}
+# The model kinds a preset may name for each command that takes --preset.
+RUNNABLE = {"train": tuple(MODEL_KNOBS["train"]), "crossval": tuple(_KINDS),
+            "importance": ("bag",)}
+SEEDED = ("train", "crossval", "importance")
+# Knobs a command consumes but has no flag for.
+_UNFLAGGED = {("importance", "surrogates")}
+# predict records these only for narx models.
+_NARX_PREDICT = ("horizon", "mode", "u_column", "y_column")
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse that reports bad flags through the standard error channel."""
-
-    def error(self, message):
-        raise ConfigError(message)
-
-
-def _build_parser():
-    parser = _Parser(prog="duracast", description=__doc__)
-    sub = parser.add_subparsers(dest="command", metavar="command")
-
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text, description=help_text)
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (DURACAST_SEED env var wins; default 0)")
-        return p
-
-    def add_data_args(p):
-        p.add_argument("--data", required=True, help="CSV data file")
-        p.add_argument("--schema", required=True, help="schema CSV file")
-
-    p = add("ingest", "validate a CSV against its schema and echo a clean copy")
-    add_data_args(p)
-
-    p = add("train", "fit a model and report test-split metrics")
-    add_data_args(p)
-    p.add_argument("--model", choices=_MODEL_KINDS, default=None,
-                   help="model kind (default tree, presets may override)")
-    p.add_argument("--preset", choices=sorted(PRESETS), default=None,
-                   help="named default bundle; explicit flags override it")
-    p.add_argument("--trees", type=int, default=None, help="ensemble size (default 150)")
-    p.add_argument("--rate", type=float, default=None,
-                   help="boosting shrinkage (default 0.1)")
-    p.add_argument("--m", type=int, default=None,
-                   help="features sampled per split (default: all)")
-    p.add_argument("--leaf", type=int, default=None,
-                   help="minimum rows per leaf (default 1)")
-    p.add_argument("--branch", type=int, default=None,
-                   help="minimum rows to attempt a split (default 10)")
-    p.add_argument("--surrogates", type=int, default=None,
-                   help="surrogate splits kept per node (default 5)")
-    p.add_argument("--hidden", type=int, default=None,
-                   help="hidden neurons for network models (default 10)")
-    p.add_argument("--delays", type=int, default=None,
-                   help="tapped delay order q for narx (default 2)")
-    p.add_argument("--patience", type=int, default=None,
-                   help="validation increases tolerated before stopping (default 6)")
-    p.add_argument("--epochs", type=int, default=None,
-                   help="maximum training epochs for network models (default 200)")
-    p.add_argument("--split", default=None,
-                   help="train,validation,test fractions (default 0.7,0.15,0.15)")
-    p.add_argument("--u-column", default=None,
-                   help="narx input series column (default: first input column)")
-    p.add_argument("--y-column", default=None,
-                   help="narx output series column (default: the target column)")
-    p.add_argument("--fill", type=int, default=None,
-                   help="moving-average fill radius for narx series gaps")
-
-    p = add("predict", "apply a saved model to a data file")
-    add_data_args(p)
-    p.add_argument("--model-file", required=True, help="saved model file")
-    p.add_argument("--horizon", type=int, default=None,
-                   help="narx only: predict the last H points of the series")
-    p.add_argument("--mode", choices=("open", "closed"), default=None,
-                   help="narx only: feedback mode (default: as trained)")
-    p.add_argument("--u-column", default=None)
-    p.add_argument("--y-column", default=None)
-
-    p = add("crossval", "K-fold cross-validation error estimate")
-    add_data_args(p)
-    p.add_argument("--model", choices=("tree", "bag", "boost", "mlp"), default=None)
-    p.add_argument("--preset", choices=sorted(PRESETS), default=None)
-    p.add_argument("--folds", type=int, default=None, help="fold count K (default 10)")
-    p.add_argument("--trees", type=int, default=None)
-    p.add_argument("--rate", type=float, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--leaf", type=int, default=None)
-    p.add_argument("--branch", type=int, default=None)
-    p.add_argument("--surrogates", type=int, default=None)
-    p.add_argument("--hidden", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-
-    p = add("importance", "rank input variables by permutation and split-gain scores")
-    add_data_args(p)
-    p.add_argument("--preset", choices=sorted(PRESETS), default=None)
-    p.add_argument("--trees", type=int, default=None, help="bagged trees (default 100)")
-    p.add_argument("--leaf", type=int, default=None)
-    p.add_argument("--branch", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--iterations", type=int, default=None,
-                   help="permutation repeats averaged (default 10)")
-    p.add_argument("--scaling", choices=("std", "stderr"), default=None,
-                   help="permutation score denominator (default std)")
-    p.add_argument("--keep", default=None,
-                   help="comma-separated input columns to keep (default all)")
-    p.add_argument("--drop", default=None,
-                   help="comma-separated input columns to exclude")
-    p.add_argument("--top", type=int, default=None,
-                   help="rows in the cumulative-share summary (default 5)")
-
-    p = add("baseline", "compare a saved model with the square-root-of-time law")
-    add_data_args(p)
-    p.add_argument("--model-file", required=True)
-    p.add_argument("--specimen", required=True, help="specimen id column")
-    p.add_argument("--age", required=True, help="age column")
-    p.add_argument("--ages", required=True,
-                   help="comma-separated evaluation ages")
-
-    p = add("risk", "build and render risk grids from hygrothermal histories")
-    p.add_argument("--series", required=True,
-                   help="CSV with header element,timestamp,t_celsius,rh")
-    p.add_argument("--kind", choices=("all",) + durability.GRID_KINDS, default=None,
-                   help="grid kind (default all)")
-    p.add_argument("--bin-width", type=float, default=None,
-                   help="time bin width in days (default 1)")
-    p.add_argument("--fill", type=int, default=None,
-                   help="moving-average fill radius for gaps")
-    p.add_argument("--scale", type=int, default=None,
-                   help="pixels per grid cell (default 10)")
-    p.add_argument("--rh-percent", action="store_true",
-                   help="humidity column is in percent, not a fraction")
-
-    p = add("report", "score a saved model against a labeled data file")
-    add_data_args(p)
-    p.add_argument("--model-file", required=True)
-
-    return parser
+def _numbers(flag, text, count=None):
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigError("--%s takes comma-separated numbers" % flag) from None
+    if count is not None and len(values) != count:
+        raise ConfigError("--%s needs %d comma-separated numbers" % (flag, count))
+    return values
 
 
-def _resolve(args, key, default):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    preset = getattr(args, "preset", None)
-    if preset and key in PRESETS[preset]:
-        return PRESETS[preset][key]
-    return default
+def _names(text):
+    return [s.strip() for s in text.split(",")] if text else None
+
+
+# Flag text -> knob value, for the knobs that are not plain strings or numbers.
+_CONVERT = {
+    "split": lambda text: _numbers("split", text, 3),
+    "ages": lambda text: _numbers("ages", text),
+    "keep": _names,
+    "drop": lambda text: _names(text) or [],
+}
 
 
 def _resolve_seed(args):
@@ -182,160 +109,185 @@ def _resolve_seed(args):
     return 0
 
 
-def _parse_fractions(text):
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 3:
-        raise ConfigError("--split needs three comma-separated fractions")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise ConfigError("--split fractions must be numbers") from None
-
-
-def _write_config(out_dir, cfg):
-    atomic_write_text(
-        os.path.join(out_dir, "config.json"),
-        json.dumps(cfg, sort_keys=True, indent=2) + "\n",
-    )
-
-
-def _ensure_out(path):
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
-def _load_dataset(args):
-    sch = data.read_schema(args.schema)
-    return data.ingest_csv(args.data, sch)
+def resolve(args):
+    """The run configuration of a parsed command line (see the module doc)."""
+    seed = _resolve_seed(args)
+    command = args.command
+    knobs = dict(KNOBS[command])
+    preset = PRESETS[args.preset] if getattr(args, "preset", None) else {}
+    if "model" in preset and preset["model"] not in RUNNABLE[command]:
+        raise ConfigError("preset %s names a %s model, which %s cannot run"
+                          % (args.preset, preset["model"], command))
+    if command in MODEL_KNOBS:
+        knobs.update(MODEL_KNOBS[command][args.model or preset.get("model", knobs["model"])])
+    cfg = {"command": command, "out": args.out}
+    for key, default in knobs.items():
+        value = getattr(args, key, None)
+        if value is None:
+            value = preset.get(key, default)
+        cfg[key] = _CONVERT[key](value) if key in _CONVERT else value
+    if command in SEEDED:
+        cfg["seed"] = seed
+    return cfg
 
 
 # ---------------------------------------------------------------------------
-# tabular network wrapper (encoding + scaling + net in one file)
+# flags
+
+# Every flag, declared once; a command gets a flag for each of its knobs.
+# "{default}" in a help text is filled in from the command's knob defaults.
+_FLAGS = {
+    "out": dict(required=True, help="output directory"),
+    "seed": dict(type=int, help="RNG seed (DURACAST_SEED env var wins; default 0)"),
+    "data": dict(required=True, help="CSV data file"),
+    "schema": dict(required=True, help="schema CSV file"),
+    "model": dict(help="model kind (default {default}, presets may override)"),
+    "preset": dict(choices=sorted(PRESETS),
+                   help="named default bundle; explicit flags override it"),
+    "trees": dict(type=int, help="ensemble size (default {default})"),
+    "rate": dict(type=float, help="boosting shrinkage (default {default})"),
+    "m": dict(type=int, help="features sampled per split (default: all)"),
+    "leaf": dict(type=int, help="minimum rows per leaf (default {default})"),
+    "branch": dict(type=int, help="minimum rows to attempt a split (default {default})"),
+    "surrogates": dict(type=int, help="surrogate splits kept per node (default {default})"),
+    "hidden": dict(type=int, help="hidden neurons for network models (default {default})"),
+    "delays": dict(type=int, help="tapped delay order q for narx (default {default})"),
+    "patience": dict(type=int, help="validation increases tolerated before stopping "
+                                    "(default {default})"),
+    "epochs": dict(type=int, help="maximum training epochs for network models "
+                                  "(default {default})"),
+    "split": dict(help="train,validation,test fractions (default {default})"),
+    "u_column": dict(help="narx input series column (default: first continuous input)"),
+    "y_column": dict(help="narx output series column (default: the target column)"),
+    "fill": dict(type=int, help="moving-average fill radius for series gaps"),
+    "folds": dict(type=int, help="fold count K (default {default})"),
+    "iterations": dict(type=int, help="permutation repeats averaged (default {default})"),
+    "scaling": dict(choices=("std", "stderr"),
+                    help="permutation score denominator (default {default})"),
+    "keep": dict(help="comma-separated input columns to keep (default all)"),
+    "drop": dict(help="comma-separated input columns to exclude"),
+    "top": dict(type=int, help="rows in the cumulative-share summary (default {default})"),
+    "model_file": dict(required=True, help="saved model file"),
+    "horizon": dict(type=int, help="narx only: predict the last H points of the series"),
+    "mode": dict(choices=("open", "closed"),
+                 help="narx only: feedback mode (default: as trained)"),
+    "specimen": dict(required=True, help="specimen id column"),
+    "age": dict(required=True, help="age column"),
+    "ages": dict(required=True, help="comma-separated evaluation ages"),
+    "series": dict(required=True, help="CSV with header element,timestamp,t_celsius,rh"),
+    "kind": dict(choices=("all",) + durability.GRID_KINDS, help="grid kind (default {default})"),
+    "bin_width": dict(type=float, help="time bin width in days (default {default})"),
+    "scale": dict(type=int, help="pixels per grid cell (default {default})"),
+    "rh_percent": dict(action="store_true",
+                       help="humidity column is in percent, not a fraction"),
+}
+
+_HELP = {
+    "ingest": "validate a CSV against its schema and echo a clean copy",
+    "train": "fit a model and report test-split metrics",
+    "predict": "apply a saved model to a data file",
+    "crossval": "K-fold cross-validation error estimate",
+    "importance": "rank input variables by permutation and split-gain scores",
+    "baseline": "compare a saved model with the square-root-of-time law",
+    "risk": "build and render risk grids from hygrothermal histories",
+    "report": "score a saved model against a labeled data file",
+}
 
 
-def _mlpreg_lines(net, spec):
-    lines = ["mlpreg v1"]
-    lines.append("norm_x_min " + " ".join(fmt_float(v) for v in spec.x_min))
-    lines.append("norm_x_max " + " ".join(fmt_float(v) for v in spec.x_max))
-    lines.append("norm_y %s %s" % (fmt_float(spec.y_min), fmt_float(spec.y_max)))
-    return lines + neural.mlp_lines(net)
+def _knob_defaults(command):
+    """{knob: default} of a command and all its model kinds; a knob that
+    several kinds share shows the first kind's default."""
+    out = {}
+    for table in [KNOBS[command]] + list(MODEL_KNOBS.get(command, {}).values()):
+        for key, value in table.items():
+            out.setdefault(key, value)
+    return out
 
 
-def _mlpreg_from_lines(lines):
-    if not lines or lines[0].split() != ["mlpreg", "v1"]:
-        raise ParseError("not a tabular network file")
-    x_min = x_max = None
-    y_bounds = (-1.0, 1.0)
-    mlp_start = None
-    for i, line in enumerate(lines[1:], start=1):
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "mlp":
-            mlp_start = i
-            break
-        if parts[0] not in ("norm_x_min", "norm_x_max", "norm_y"):
-            raise ParseError("unknown line %r in tabular network file" % parts[0])
-        try:
-            if parts[0] == "norm_x_min":
-                x_min = np.array([float(v) for v in parts[1:]])
-            elif parts[0] == "norm_x_max":
-                x_max = np.array([float(v) for v in parts[1:]])
-            else:
-                y_bounds = (float(parts[1]), float(parts[2]))
-        except (ValueError, IndexError) as exc:
-            raise ParseError("bad tabular network line %r: %s" % (line, exc)) from None
-    if x_min is None or x_max is None or mlp_start is None:
-        raise ParseError("tabular network file is incomplete")
-    net = neural.mlp_from_lines(lines[mlp_start:])
-    spec = data.NormalizationSpec(x_min=x_min, x_max=x_max,
-                                  y_min=y_bounds[0], y_max=y_bounds[1])
-    return net, spec
+class _Parser(argparse.ArgumentParser):
+    """argparse that reports bad flags through the standard error channel."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
-def _network_matrices(enc, spec, rows):
-    scaled = data.apply_normalization(spec, enc.values)
-    inputs = list(enc.schema.input_indices)
-    target = enc.schema.target_index
-    rows = np.asarray(rows, dtype=int)
-    keep = rows[~enc.missing[rows].any(axis=1)]
-    dropped = rows.size - keep.size
-    return scaled[np.ix_(keep, inputs)], scaled[keep][:, target], keep, dropped
-
-
-def _mlpreg_predict(net, spec, ds):
-    enc = data.encode_one_of_n(ds)
-    inputs = list(enc.schema.input_indices)
-    if len(inputs) != net.n_in:
-        raise ShapeError(
-            "data encodes to %d inputs but the network expects %d"
-            % (len(inputs), net.n_in)
-        )
-    if enc.missing[:, inputs].any():
-        raise ShapeError("network prediction needs complete input rows")
-    scaled = data.apply_normalization(spec, enc.values)
-    out = neural.forward(net, scaled[:, inputs]).ravel()
-    y_spec = data.column_spec(spec, enc.schema.target_index)
-    return data.invert_normalization(y_spec, out)
+def _build_parser():
+    """One subparser per command, with --out, --seed and a flag per knob."""
+    parser = _Parser(prog="duracast", description=__doc__)
+    sub = parser.add_subparsers(dest="command", metavar="command")
+    for command, help_text in _HELP.items():
+        p = sub.add_parser(command, help=help_text, description=help_text)
+        defaults = _knob_defaults(command)
+        for key in ["out", "seed"] + [k for k in defaults if (command, k) not in _UNFLAGGED]:
+            kwargs = dict(_FLAGS[key])
+            kwargs["help"] = kwargs["help"].format(default=defaults.get(key))
+            if key == "model":
+                kwargs["choices"] = tuple(MODEL_KNOBS[command])
+            p.add_argument("--" + key.replace("_", "-"), **kwargs)
+    return parser
 
 
 # ---------------------------------------------------------------------------
-# model loading / prediction dispatch
+# shared steps
 
 
-def _load_model(path):
-    text = read_text(path)
-    first = text.splitlines()[0].strip() if text else ""
-    lines = text.splitlines()
-    if first == "tree v1":
-        return "tree", tree.from_text(text)
-    if first == "ensemble v1":
-        return "ensemble", ensemble.from_text(text)
-    if first == "mlpreg v1":
-        return "mlpreg", _mlpreg_from_lines(lines)
-    if first == "narx v1":
-        return "narx", neural.narx_from_lines(lines)
-    raise ParseError("unrecognized model file header %r" % first)
+def _load_dataset(cfg):
+    return data.ingest_csv(cfg["data"], data.read_schema(cfg["schema"]))
 
 
-def _predict_tabular(kind, model, ds):
-    if kind == "tree":
-        return tree.predict_batch(model, ds.input_matrix())
-    if kind == "ensemble":
-        return ensemble.predict_dataset(model, ds)
-    if kind == "mlpreg":
-        net, spec = model
-        return _mlpreg_predict(net, spec, ds)
-    raise ConfigError("model kind %r cannot score tabular rows" % kind)
+def _json_text(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _series_columns(ds, args):
+def _write_lines(path, lines):
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def _series(ds, cfg):
+    """The narx input and output series of ds; records the column names."""
     names = ds.schema.names
-    target = names[ds.schema.target_index]
-    y_name = args.y_column or target
-    if args.u_column:
-        u_name = args.u_column
-    else:
+    if not cfg["u_column"]:
         inputs = [names[j] for j in ds.schema.input_indices
                   if ds.schema.columns[j].kind == data.CONTINUOUS]
         if not inputs:
             raise ConfigError("no continuous input column available for the series")
-        u_name = inputs[0]
-    u_j = ds.schema.column_index(u_name)
-    y_j = ds.schema.column_index(y_name)
-    u = np.where(ds.missing[:, u_j], np.nan, ds.values[:, u_j].astype(float))
-    y = np.where(ds.missing[:, y_j], np.nan, ds.values[:, y_j].astype(float))
-    return u, y, u_name, y_name
+        cfg["u_column"] = inputs[0]
+    cfg["y_column"] = cfg["y_column"] or names[ds.schema.target_index]
+    columns = [ds.schema.column_index(cfg[key]) for key in ("u_column", "y_column")]
+    return [np.where(ds.missing[:, j], np.nan, ds.values[:, j].astype(float)) for j in columns]
+
+
+def _stop(cfg):
+    return tree.StoppingCriteria(min_leaf=cfg["leaf"], min_branch=cfg["branch"],
+                                 surrogates=cfg["surrogates"])
+
+
+def _fit_tree_family(cfg, ds, rows):
+    """(codec kind, model) of the tree, bag or boost model cfg names."""
+    if cfg["model"] == "tree":
+        return "tree", tree.grow(ds, rows=rows, stop=_stop(cfg), seed=cfg["seed"])
+    if cfg["model"] == "bag":
+        return "ensemble", ensemble.train_bagged(
+            ds, n_trees=cfg["trees"], stop=_stop(cfg), m=cfg["m"], seed=cfg["seed"],
+            rows=rows,
+        )
+    return "ensemble", ensemble.train_lsboost(
+        ds, n_trees=cfg["trees"], lam=cfg["rate"], stop=_stop(cfg), seed=cfg["seed"],
+        rows=rows,
+    )
+
+
+def _lm_state(cfg):
+    return neural.LmState(max_epochs=cfg["epochs"], patience=cfg["patience"])
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_ingest(args):
-    out = _ensure_out(args.out)
-    ds = _load_dataset(args)
-    data.write_csv(os.path.join(out, "clean.csv"), ds)
+def cmd_ingest(cfg):
+    ds = _load_dataset(cfg)
+    data.write_csv(os.path.join(cfg["out"], "clean.csv"), ds)
     summary = {
         "rows": ds.n_rows,
         "columns": ds.n_cols,
@@ -345,308 +297,142 @@ def cmd_ingest(args):
             for j, name in enumerate(ds.schema.names)
         },
     }
-    atomic_write_text(
-        os.path.join(out, "ingest.json"),
-        json.dumps(summary, sort_keys=True, indent=2) + "\n",
-    )
-    _write_config(out, {
-        "command": "ingest", "data": args.data, "schema": args.schema,
-        "out": args.out, "seed": _resolve_seed(args),
-    })
+    atomic_write_text(os.path.join(cfg["out"], "ingest.json"), _json_text(summary))
     print("ingested %d rows, %d columns (%d missing cells)"
           % (ds.n_rows, ds.n_cols, int(ds.missing.sum())))
     return 0
 
 
-def _stop_from(args, default_leaf=1, default_branch=10):
-    return tree.StoppingCriteria(
-        min_leaf=_resolve(args, "leaf", default_leaf),
-        min_branch=_resolve(args, "branch", default_branch),
-        surrogates=_resolve(args, "surrogates", 5),
-    )
-
-
-def _train_tree_family(model_kind, ds, rows, args, seed):
-    stop = _stop_from(args)
-    if model_kind == "tree":
-        grown = tree.grow(ds, rows=rows, stop=stop, seed=seed)
-        return "tree", grown, lambda d: tree.predict_batch(grown, d.input_matrix())
-    if model_kind == "bag":
-        model = ensemble.train_bagged(
-            ds, n_trees=_resolve(args, "trees", 150), stop=stop,
-            m=_resolve(args, "m", None), seed=seed, rows=rows,
-        )
-    else:
-        model = ensemble.train_lsboost(
-            ds, n_trees=_resolve(args, "trees", 150),
-            lam=_resolve(args, "rate", 0.1), stop=stop, seed=seed, rows=rows,
-        )
-    return "ensemble", model, lambda d: ensemble.predict_dataset(model, d)
-
-
-def cmd_train(args):
-    out = _ensure_out(args.out)
-    seed = _resolve_seed(args)
-    model_kind = _resolve(args, "model", "tree")
-    split = _parse_fractions(_resolve(args, "split", "0.7,0.15,0.15"))
-    ds = _load_dataset(args)
-    cfg = {
-        "command": "train", "data": args.data, "schema": args.schema,
-        "out": args.out, "seed": seed, "model": model_kind,
-        "preset": args.preset, "split": list(split),
-    }
-
-    if model_kind in ("tree", "bag", "boost"):
-        part = data.split_holdout(ds, split, seed=seed)
-        train_rows = sorted(part.train + part.validation)
-        kind, model, predict = _train_tree_family(model_kind, ds, train_rows, args, seed)
-        cfg.update({
-            "trees": _resolve(args, "trees", 150) if model_kind != "tree" else 1,
-            "rate": _resolve(args, "rate", 0.1) if model_kind == "boost" else None,
-            "m": _resolve(args, "m", None),
-            "leaf": _resolve(args, "leaf", 1),
-            "branch": _resolve(args, "branch", 10),
-            "surrogates": _resolve(args, "surrogates", 5),
-        })
-        model_path = os.path.join(out, "model.txt")
-        if kind == "tree":
-            tree.save_tree(model_path, model)
-        else:
-            ensemble.save_ensemble(model_path, model)
-        test_rows = np.asarray(part.test, dtype=int)
-        pred = predict(ds)[test_rows]
-        target = ds.target_vector(part.test)
-        report = metrics.evaluate(pred, target)
-
-    elif model_kind == "mlp":
-        hidden = _resolve(args, "hidden", 10)
-        state = neural.LmState(
-            max_epochs=_resolve(args, "epochs", 200),
-            patience=_resolve(args, "patience", 6),
-        )
-        cfg.update({"hidden": hidden, "epochs": state.max_epochs,
-                    "patience": state.patience})
-        enc = data.encode_one_of_n(ds)
-        part = data.split_holdout(enc, split, seed=seed)
-        spec = data.fit_normalization(enc, part.train)
-        x_tr, y_tr, _, dropped = _network_matrices(enc, spec, part.train)
-        if dropped:
-            warnings.warn("dropped %d incomplete training row(s)" % dropped)
-        if x_tr.shape[0] == 0:
-            raise ShapeError("no complete training rows for the network")
-        validation = None
-        if part.validation:
-            x_va, y_va, _, _ = _network_matrices(enc, spec, part.validation)
-            if x_va.shape[0]:
-                validation = (x_va, y_va)
-        net = neural.make_mlp((x_tr.shape[1], hidden, 1), seed=seed)
-        net, _history = neural.train_lm(net, (x_tr, y_tr), validation, state)
-        atomic_write_text(os.path.join(out, "model.txt"),
-                          "\n".join(_mlpreg_lines(net, spec)) + "\n")
-        x_te, y_te_scaled, kept, _ = _network_matrices(enc, spec, part.test)
-        if x_te.shape[0] == 0:
-            raise ShapeError("no complete test rows for the network")
-        y_spec = data.column_spec(spec, enc.schema.target_index)
-        pred = data.invert_normalization(y_spec, neural.forward(net, x_te).ravel())
-        target = enc.target_vector(list(kept))
-        report = metrics.evaluate(pred, target)
-
-    elif model_kind == "narx":
-        q = _resolve(args, "delays", 2)
-        hidden = _resolve(args, "hidden", 10)
-        state = neural.LmState(
-            max_epochs=_resolve(args, "epochs", 200),
-            patience=_resolve(args, "patience", 6),
-        )
-        cfg.update({"delays": q, "hidden": hidden, "epochs": state.max_epochs,
-                    "patience": state.patience,
-                    "u_column": None, "y_column": None})
-        u, y, u_name, y_name = _series_columns(ds, args)
-        cfg["u_column"] = u_name
-        cfg["y_column"] = y_name
-        fill = _resolve(args, "fill", None)
-        if fill is not None:
-            u = data.moving_average_fill(u, fill)
-            y = data.moving_average_fill(y, fill)
+def cmd_train(cfg):
+    seed, kind, split = cfg["seed"], cfg["model"], cfg["split"]
+    model_path = os.path.join(cfg["out"], "model.txt")
+    ds = _load_dataset(cfg)
+    if kind == "narx":
+        q = cfg["delays"]
+        u, y = _series(ds, cfg)
+        if cfg["fill"] is not None:
+            u = data.moving_average_fill(u, cfg["fill"])
+            y = data.moving_average_fill(y, cfg["fill"])
         model, _history, test_rows = neural.train_narx(
-            u, y, q=q, hidden=hidden, seed=seed,
-            fractions=split, state=state,
+            u, y, q=q, hidden=cfg["hidden"], seed=seed, fractions=split, state=_lm_state(cfg),
         )
-        neural.save_narx(os.path.join(out, "model.txt"), model)
-        _, y_sup = neural.narx_prepare(u, y, q)
+        neural.save_narx(model_path, model)
         xs, _ = neural.narx_prepare(
             neural._scale(u, model.u_bounds), neural._scale(y, model.y_bounds), q
         )
         test_idx = np.asarray(test_rows, dtype=int)
         pred_scaled = neural.forward(model.net, xs[test_idx]).ravel()
-        pred = neural._unscale(pred_scaled, model.y_bounds)
-        report = metrics.evaluate(pred, y_sup[test_idx])
+        # supervised row r predicts y[r + q]
+        pred, target = neural._unscale(pred_scaled, model.y_bounds), y[test_idx + q]
+    elif kind == "mlp":
+        enc = data.encode_one_of_n(ds)
+        part = data.split_holdout(enc, split, seed=seed)
+        net, spec = models.fit_mlp(enc, part.train, part.validation, cfg["hidden"],
+                                   _lm_state(cfg), seed)
+        atomic_write_text(model_path, models.mlpreg_text(net, spec))
+        pred, target = models.score_mlp(net, spec, enc, part.test)
     else:
-        raise ConfigError("unknown model kind %r" % model_kind)
-
-    metrics.write_report_csv(os.path.join(out, "report.csv"), report)
-    _write_config(out, cfg)
-    print("trained %s; test mse %s (n=%d)" % (model_kind, fmt_float(report.mse), report.n))
+        part = data.split_holdout(ds, split, seed=seed)
+        codec, model = _fit_tree_family(cfg, ds, sorted(part.train + part.validation))
+        (tree.save_tree if codec == "tree" else ensemble.save_ensemble)(model_path, model)
+        test_rows = np.asarray(part.test, dtype=int)
+        pred = models.predict_tabular(codec, model, ds)[test_rows]
+        target = ds.target_vector(part.test)
+    report = metrics.evaluate(pred, target)
+    metrics.write_report_csv(os.path.join(cfg["out"], "report.csv"), report)
+    print("trained %s; test mse %s (n=%d)" % (kind, fmt_float(report.mse), report.n))
     return 0
 
 
-def cmd_predict(args):
-    out = _ensure_out(args.out)
-    seed = _resolve_seed(args)
-    kind, model = _load_model(args.model_file)
-    ds = _load_dataset(args)
-    cfg = {
-        "command": "predict", "data": args.data, "schema": args.schema,
-        "out": args.out, "seed": seed, "model_file": args.model_file,
-        "model_kind": kind,
-    }
+def cmd_predict(cfg):
+    kind, model = models.load_model(cfg["model_file"])
+    ds = _load_dataset(cfg)
+    cfg["model_kind"] = kind
     if kind == "narx":
-        horizon = args.horizon
+        horizon = cfg["horizon"]
         if horizon is None:
             raise ConfigError("narx prediction needs --horizon")
-        mode = args.mode or model.mode
-        cfg.update({"horizon": horizon, "mode": mode})
-        u, y, u_name, y_name = _series_columns(ds, args)
-        cfg["u_column"] = u_name
-        cfg["y_column"] = y_name
-        preds = neural.narx_predict(model, u, y, horizon, mode=mode)
+        cfg["mode"] = cfg["mode"] or model.mode
+        u, y = _series(ds, cfg)
+        preds = neural.narx_predict(model, u, y, horizon, mode=cfg["mode"])
         start = len(y) - horizon
-        rows = ["row,prediction"]
-        rows += ["%d,%s" % (start + i, fmt_float(v)) for i, v in enumerate(preds)]
-        atomic_write_text(os.path.join(out, "predictions.csv"), "\n".join(rows) + "\n")
         measured = y[start:]
-        if np.all(np.isfinite(measured)):
-            report = metrics.evaluate(preds, measured)
-            metrics.write_report_csv(os.path.join(out, "report.csv"), report)
     else:
-        preds = _predict_tabular(kind, model, ds)
-        rows = ["row,prediction"]
-        rows += ["%d,%s" % (i, fmt_float(v)) for i, v in enumerate(preds)]
-        atomic_write_text(os.path.join(out, "predictions.csv"), "\n".join(rows) + "\n")
-        t_j = ds.schema.target_index
-        have_target = ~ds.missing[:, t_j]
-        if have_target.all():
-            report = metrics.evaluate(preds, ds.target_vector())
-            metrics.write_report_csv(os.path.join(out, "report.csv"), report)
-    _write_config(out, cfg)
+        for key in _NARX_PREDICT:
+            del cfg[key]
+        preds = models.predict_tabular(kind, model, ds)
+        start, measured = 0, ds.target_vector()
+    _write_lines(os.path.join(cfg["out"], "predictions.csv"),
+                 ["row,prediction"]
+                 + ["%d,%s" % (start + i, fmt_float(v)) for i, v in enumerate(preds)])
+    if np.all(np.isfinite(measured)):
+        metrics.write_report_csv(os.path.join(cfg["out"], "report.csv"),
+                                 metrics.evaluate(preds, measured))
     print("wrote %d prediction(s)" % len(preds))
     return 0
 
 
-def cmd_crossval(args):
-    out = _ensure_out(args.out)
-    seed = _resolve_seed(args)
-    model_kind = _resolve(args, "model", "tree")
-    k = _resolve(args, "folds", 10)
-    ds = _load_dataset(args)
+def cmd_crossval(cfg):
+    seed, k = cfg["seed"], cfg["folds"]
+    ds = _load_dataset(cfg)
     assign = np.asarray(data.kfold(ds, k, seed=seed).folds)
+    enc = data.encode_one_of_n(ds) if cfg["model"] == "mlp" else None
     fold_mse = []
     for fold in range(k):
-        test_rows = [int(i) for i in np.flatnonzero(assign == fold)]
+        test_rows = np.flatnonzero(assign == fold)
         train_rows = [int(i) for i in np.flatnonzero(assign != fold)]
-        if model_kind in ("tree", "bag", "boost"):
-            _, _, predict = _train_tree_family(model_kind, ds, train_rows, args, seed)
-            pred = predict(ds)[np.asarray(test_rows, dtype=int)]
-            target = ds.target_vector(test_rows)
+        if enc is not None:
+            state = neural.LmState(max_epochs=cfg["epochs"])
+            net, spec = models.fit_mlp(enc, train_rows, (), cfg["hidden"], state, seed)
+            pred, target = models.score_mlp(net, spec, enc, test_rows)
         else:
-            enc = data.encode_one_of_n(ds)
-            spec = data.fit_normalization(enc, train_rows)
-            x_tr, y_tr, _, _ = _network_matrices(enc, spec, train_rows)
-            state = neural.LmState(max_epochs=_resolve(args, "epochs", 200))
-            net = neural.make_mlp(
-                (x_tr.shape[1], _resolve(args, "hidden", 10), 1), seed=seed
-            )
-            net, _ = neural.train_lm(net, (x_tr, y_tr), None, state)
-            x_te, _, kept, _ = _network_matrices(enc, spec, test_rows)
-            if x_te.shape[0] == 0:
-                raise ShapeError("a fold has no complete test rows")
-            y_spec = data.column_spec(spec, enc.schema.target_index)
-            pred = data.invert_normalization(y_spec, neural.forward(net, x_te).ravel())
-            target = enc.target_vector(list(kept))
+            codec, model = _fit_tree_family(cfg, ds, train_rows)
+            pred = models.predict_tabular(codec, model, ds)[test_rows]
+            target = ds.target_vector(test_rows)
         residual = target - pred
         fold_mse.append(float(np.mean(residual * residual)))
     cv = float(np.mean(fold_mse))
-    lines = ["metric,value", "cv_mse,%s" % fmt_float(cv), "folds,%d" % len(fold_mse)]
-    for i, v in enumerate(fold_mse):
-        lines.append("fold_%d_mse,%s" % (i, fmt_float(v)))
-    atomic_write_text(os.path.join(out, "crossval.csv"), "\n".join(lines) + "\n")
-    _write_config(out, {
-        "command": "crossval", "data": args.data, "schema": args.schema,
-        "out": args.out, "seed": seed, "model": model_kind, "folds": k,
-        "preset": args.preset,
-        "trees": _resolve(args, "trees", 150),
-        "rate": _resolve(args, "rate", 0.1),
-        "leaf": _resolve(args, "leaf", 1),
-        "branch": _resolve(args, "branch", 10),
-        "hidden": _resolve(args, "hidden", 10),
-    })
+    _write_lines(os.path.join(cfg["out"], "crossval.csv"),
+                 ["metric,value", "cv_mse,%s" % fmt_float(cv), "folds,%d" % len(fold_mse)]
+                 + ["fold_%d_mse,%s" % (i, fmt_float(v)) for i, v in enumerate(fold_mse)])
     print("cv mse %s over %d folds" % (fmt_float(cv), len(fold_mse)))
     return 0
 
 
-def cmd_importance(args):
-    out = _ensure_out(args.out)
-    seed = _resolve_seed(args)
-    ds = _load_dataset(args)
-    keep = [s.strip() for s in args.keep.split(",")] if args.keep else None
-    drop = [s.strip() for s in args.drop.split(",")] if args.drop else []
+def cmd_importance(cfg):
+    ds = _load_dataset(cfg)
+    keep, drop = cfg["keep"], cfg["drop"]
     if keep is not None:
         for name in keep:
             ds.schema.column_index(name)
         inputs = {ds.schema.names[j] for j in ds.schema.input_indices}
         drop.extend(sorted(inputs - set(keep) - set(drop)))
-    scenario = ensemble.Scenario(drop=tuple(drop))
-    stop = _stop_from(args, default_leaf=_resolve(args, "leaf", 5))
-    n_trees = _resolve(args, "trees", 100)
-    iterations = _resolve(args, "iterations", 10)
-    scaling = _resolve(args, "scaling", "std")
     report = ensemble.scenario_importance(
-        ds, scenario, n_trees=n_trees, stop=stop,
-        m=_resolve(args, "m", None), iterations=iterations,
-        seed=seed, scaling=scaling,
+        ds, ensemble.Scenario(drop=tuple(drop)), n_trees=cfg["trees"], stop=_stop(cfg),
+        m=cfg["m"], iterations=cfg["iterations"], seed=cfg["seed"], scaling=cfg["scaling"],
     )
-    ensemble.write_importance_csv(os.path.join(out, "importance.csv"), report)
-    top = _resolve(args, "top", 5)
+    ensemble.write_importance_csv(os.path.join(cfg["out"], "importance.csv"), report)
     ranked = ensemble.ranked_rows(report)
     share = dict(zip(report.names, report.splitgain))
     lines = ["rank,variable,splitgain_share,cumulative_share"]
     total = 0.0
-    for name, _perm, _gain, rank in ranked[:top]:
+    for name, _perm, _gain, rank in ranked[:cfg["top"]]:
         total += share[name]
         lines.append("%d,%s,%s,%s" % (rank, name, fmt_float(share[name]), fmt_float(total)))
-    atomic_write_text(os.path.join(out, "summary.csv"), "\n".join(lines) + "\n")
-    _write_config(out, {
-        "command": "importance", "data": args.data, "schema": args.schema,
-        "out": args.out, "seed": seed, "preset": args.preset,
-        "trees": n_trees, "leaf": _resolve(args, "leaf", 5),
-        "branch": _resolve(args, "branch", 10),
-        "iterations": iterations, "scaling": scaling,
-        "keep": keep, "drop": list(drop), "top": top,
-    })
+    _write_lines(os.path.join(cfg["out"], "summary.csv"), lines)
     best = ranked[0][0] if ranked else "(none)"
     print("ranked %d variable(s); top: %s" % (len(ranked), best))
     return 0
 
 
-def cmd_baseline(args):
-    out = _ensure_out(args.out)
-    seed = _resolve_seed(args)
-    kind, model = _load_model(args.model_file)
-    ds = _load_dataset(args)
-    try:
-        ages = [float(a) for a in args.ages.split(",") if a.strip()]
-    except ValueError:
-        raise ConfigError("--ages must be comma-separated numbers") from None
+def cmd_baseline(cfg):
+    kind, model = models.load_model(cfg["model_file"])
+    ds = _load_dataset(cfg)
     rows = baselines.baseline_comparison(
-        ds, args.specimen, args.age, ages,
-        lambda d: _predict_tabular(kind, model, d),
+        ds, cfg["specimen"], cfg["age"], cfg["ages"],
+        lambda d: models.predict_tabular(kind, model, d),
     )
-    baselines.write_comparison_csv(os.path.join(out, "comparison.csv"), rows)
-    _write_config(out, {
-        "command": "baseline", "data": args.data, "schema": args.schema,
-        "out": args.out, "seed": seed, "model_file": args.model_file,
-        "specimen": args.specimen, "age": args.age, "ages": ages,
-    })
+    baselines.write_comparison_csv(os.path.join(cfg["out"], "comparison.csv"), rows)
     print("compared %d group(s)" % (len(rows) // 2))
     return 0
 
@@ -703,49 +489,31 @@ def _read_series_csv(path, rh_percent=False):
     return series
 
 
-def cmd_risk(args):
-    out = _ensure_out(args.out)
-    seed = _resolve_seed(args)
-    kind = args.kind or "all"
-    bin_width = args.bin_width if args.bin_width is not None else 1.0
-    scale = args.scale if args.scale is not None else 10
-    series = _read_series_csv(args.series, rh_percent=args.rh_percent)
-    kinds = durability.GRID_KINDS if kind == "all" else (kind,)
+def cmd_risk(cfg):
+    series = _read_series_csv(cfg["series"], rh_percent=cfg["rh_percent"])
+    kinds = durability.GRID_KINDS if cfg["kind"] == "all" else (cfg["kind"],)
     for k in kinds:
         grid = durability.build_risk_grid(
-            series, kind=k, bin_width=bin_width, fill_radius=args.fill
+            series, kind=k, bin_width=cfg["bin_width"], fill_radius=cfg["fill"]
         )
         durability.render_grid(
             grid,
-            os.path.join(out, "grid_%s.ppm" % k),
-            os.path.join(out, "grid_%s.csv" % k),
-            scale=scale,
+            os.path.join(cfg["out"], "grid_%s.ppm" % k),
+            os.path.join(cfg["out"], "grid_%s.csv" % k),
+            scale=cfg["scale"],
         )
-    _write_config(out, {
-        "command": "risk", "series": args.series, "out": args.out,
-        "seed": seed, "kind": kind, "bin_width": bin_width,
-        "fill": args.fill, "scale": scale, "rh_percent": bool(args.rh_percent),
-    })
     print("rendered %d grid(s) for %d element(s)" % (len(kinds), len(series)))
     return 0
 
 
-def cmd_report(args):
-    out = _ensure_out(args.out)
-    seed = _resolve_seed(args)
-    kind, model = _load_model(args.model_file)
-    if kind == "narx":
-        raise ConfigError("report scores tabular models; use predict for narx")
-    ds = _load_dataset(args)
+def cmd_report(cfg):
+    kind, model = models.load_model(cfg["model_file"])
+    ds = _load_dataset(cfg)
+    preds = models.predict_tabular(kind, model, ds)
     if ds.missing[:, ds.schema.target_index].any():
         raise ShapeError("report needs a target value in every row")
-    preds = _predict_tabular(kind, model, ds)
     report = metrics.evaluate(preds, ds.target_vector())
-    metrics.write_report_csv(os.path.join(out, "report.csv"), report)
-    _write_config(out, {
-        "command": "report", "data": args.data, "schema": args.schema,
-        "out": args.out, "seed": seed, "model_file": args.model_file,
-    })
+    metrics.write_report_csv(os.path.join(cfg["out"], "report.csv"), report)
     print("mse %s over %d row(s)" % (fmt_float(report.mse), report.n))
     return 0
 
@@ -763,13 +531,20 @@ _DISPATCH = {
 
 
 def run_cli(argv=None):
-    """Parse arguments and run one command; returns the process exit code."""
+    """Parse arguments and run one command; returns the process exit code.
+
+    A command that succeeds leaves its run configuration in config.json.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         if not args.command:
             raise ConfigError("no command given; see --help")
-        return _DISPATCH[args.command](args)
+        cfg = resolve(args)
+        os.makedirs(cfg["out"], exist_ok=True)
+        code = _DISPATCH[args.command](cfg)
+        atomic_write_text(os.path.join(cfg["out"], "config.json"), _json_text(cfg))
+        return code
     except DuracastError as exc:
         sys.stderr.write("error:%s:%s\n" % (exc.code, exc))
         return 1

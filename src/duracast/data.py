@@ -18,18 +18,16 @@ Conventions used throughout the package:
 
 import csv
 import io
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import atomic_write_text
+from ._io import atomic_write_text, read_text
 from .errors import (
     DegenerateSplit,
     DomainError,
     EmptySelection,
     InvalidK,
-    IoError,
     ParseError,
     SchemaViolation,
     ShapeError,
@@ -256,13 +254,8 @@ class NormalizationSpec:
 
 def read_schema(path):
     """Parse a line-oriented schema file (see module docstring)."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise IoError("cannot read schema %s: %s" % (path, exc)) from exc
     cols = []
-    for lineno, record in enumerate(csv.reader(io.StringIO(text)), start=1):
+    for lineno, record in enumerate(csv.reader(io.StringIO(read_text(path))), start=1):
         if not record or (len(record) == 1 and not record[0].strip()):
             continue
         if len(record) < 3:
@@ -305,18 +298,11 @@ def ingest_csv(path, sch):
     Returns:
         Dataset with the missing mask set for empty cells.
     """
-    if not os.path.exists(path):
-        raise IoError("no such file: %s" % path)
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ParseError("%s has no header row" % path) from None
-            records = list(reader)
-    except OSError as exc:
-        raise IoError("cannot read %s: %s" % (path, exc)) from exc
+    reader = csv.reader(io.StringIO(read_text(path)))
+    header = next(reader, None)
+    if header is None:
+        raise ParseError("%s has no header row" % path)
+    records = list(reader)
 
     header = [h.strip() for h in header]
     if tuple(header) != sch.names:
@@ -439,52 +425,36 @@ def fit_normalization(ds, train_rows=None, y_min=-1.0, y_max=1.0):
     return NormalizationSpec(x_min, x_max, y_min, y_max)
 
 
-def apply_normalization(spec, values):
-    """Rescale a matrix (or single column given 1-d input) into the range.
-
-    y = (y_max - y_min) * (x - x_min) / (x_max - x_min) + y_min per column;
-    degenerate columns pass through unchanged.
-    """
+def _map_active_columns(spec, values, fn):
+    """fn(column, j) over the active columns of a matrix (or of a single
+    column given 1-d input); degenerate columns pass through unchanged."""
     x = np.asarray(values, dtype=float)
-    out = x.astype(float).copy()
-    active = spec.active()
-    if x.ndim == 1:
+    squeeze = x.ndim == 1
+    if squeeze:
         x = x[:, None]
-        out = out[:, None]
-        squeeze = True
-    else:
-        squeeze = False
+    out = x.copy()
     if x.shape[1] != spec.x_min.size:
         raise ShapeError("matrix width %d does not match spec" % x.shape[1])
-    span = spec.y_max - spec.y_min
-    for j in np.nonzero(active)[0]:
-        out[:, j] = (
-            span * (x[:, j] - spec.x_min[j]) / (spec.x_max[j] - spec.x_min[j])
-            + spec.y_min
-        )
+    for j in np.nonzero(spec.active())[0]:
+        out[:, j] = fn(x[:, j], j)
     return out[:, 0] if squeeze else out
+
+
+def apply_normalization(spec, values):
+    """Rescale a matrix (or single column given 1-d input) into the range:
+    y = (y_max - y_min) * (x - x_min) / (x_max - x_min) + y_min per column."""
+    span = spec.y_max - spec.y_min
+    return _map_active_columns(spec, values, lambda x, j: (
+        span * (x - spec.x_min[j]) / (spec.x_max[j] - spec.x_min[j]) + spec.y_min
+    ))
 
 
 def invert_normalization(spec, values):
     """Inverse of apply_normalization on non-degenerate columns."""
-    y = np.asarray(values, dtype=float)
-    out = y.astype(float).copy()
-    active = spec.active()
-    if y.ndim == 1:
-        y = y[:, None]
-        out = out[:, None]
-        squeeze = True
-    else:
-        squeeze = False
-    if y.shape[1] != spec.x_min.size:
-        raise ShapeError("matrix width %d does not match spec" % y.shape[1])
     span = spec.y_max - spec.y_min
-    for j in np.nonzero(active)[0]:
-        out[:, j] = (
-            (y[:, j] - spec.y_min) * (spec.x_max[j] - spec.x_min[j]) / span
-            + spec.x_min[j]
-        )
-    return out[:, 0] if squeeze else out
+    return _map_active_columns(spec, values, lambda y, j: (
+        (y - spec.y_min) * (spec.x_max[j] - spec.x_min[j]) / span + spec.x_min[j]
+    ))
 
 
 def column_spec(spec, j):
@@ -492,13 +462,6 @@ def column_spec(spec, j):
     return NormalizationSpec(
         spec.x_min[j : j + 1], spec.x_max[j : j + 1], spec.y_min, spec.y_max
     )
-
-
-def normalize_dataset(ds, spec):
-    """Dataset with apply_normalization mapped over its value matrix."""
-    vals = apply_normalization(spec, ds.values)
-    vals[ds.missing] = 0.0
-    return Dataset(ds.schema, vals, ds.missing)
 
 
 # ---------------------------------------------------------------------------

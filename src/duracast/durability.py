@@ -56,7 +56,7 @@ GRID_KINDS = (CORROSION, FROST, CHEMICAL)
 class HygroSample:
     """One logger reading: timestamp in days, temperature in Celsius,
     relative humidity as a fraction. Missing readings keep their timestamp
-    and set the flag."""
+    and set the flag. Validated as a one-reading HygroSeries."""
 
     timestamp: float
     t_celsius: float = float("nan")
@@ -64,13 +64,7 @@ class HygroSample:
     missing: bool = False
 
     def __post_init__(self):
-        if not math.isfinite(self.timestamp):
-            raise DomainError("sample timestamp must be finite")
-        if not self.missing:
-            if not (math.isfinite(self.t_celsius) and math.isfinite(self.rh)):
-                raise DomainError("present sample needs finite temperature and humidity")
-            if not 0.0 <= self.rh <= 1.0:
-                raise DomainError("relative humidity must lie in [0, 1]")
+        HygroSeries([self.timestamp], [self.t_celsius], [self.rh], [self.missing])
 
 
 @dataclass(frozen=True)
@@ -170,33 +164,25 @@ def classify_corrosion(rate):
     return CorrosionStatus.High
 
 
-def _check_rh(rh):
+def _band_rh(rh, middle):
     rh = float(rh)
     if not math.isfinite(rh) or not 0.0 <= rh <= 1.0:
         raise DomainError("relative humidity must lie in [0, 1]")
-    return rh
+    if rh < 0.85:
+        return RiskLevel.Insignificant
+    return middle if rh < 0.98 else RiskLevel.High
 
 
 def classify_frost(rh):
     """Frost risk from humidity: dry is Insignificant, 0.85 up to but not
     including 0.98 is Medium, 0.98 and above is High."""
-    rh = _check_rh(rh)
-    if rh < 0.85:
-        return RiskLevel.Insignificant
-    if rh < 0.98:
-        return RiskLevel.Medium
-    return RiskLevel.High
+    return _band_rh(rh, RiskLevel.Medium)
 
 
 def classify_chemical(rh):
     """Chemical attack risk from humidity; same cut points as frost but the
     middle band is only Slight."""
-    rh = _check_rh(rh)
-    if rh < 0.85:
-        return RiskLevel.Insignificant
-    if rh < 0.98:
-        return RiskLevel.Slight
-    return RiskLevel.High
+    return _band_rh(rh, RiskLevel.Slight)
 
 
 # ---------------------------------------------------------------------------

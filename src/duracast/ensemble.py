@@ -11,13 +11,12 @@ Per-tree randomness derives from seed + tree index, so results do not depend
 on evaluation order and could be reproduced by a parallel scheduler.
 """
 
-import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tree as tree_mod
-from ._io import atomic_write_text, fmt_float, read_text
+from ._io import atomic_write_text, fmt_float, read_model, read_text, word
 from .errors import DomainError, NoCoverage, ParseError, ShapeError
 
 BAGGED = "bagged"
@@ -28,7 +27,6 @@ BOOSTED = "boosted"
 class EnsembleModel:
     kind: str
     trees: tuple
-    stop: tree_mod.StoppingCriteria
     seed: int
     in_bag: np.ndarray = None
     lam: float = None
@@ -56,27 +54,8 @@ class ImportanceReport:
     degenerate: tuple = ()
 
 
-def default_subspace(p):
-    """Default feature-subset size for random-subspace splits."""
-    return max(1, p // 3)
-
-
-def _resolve_stop(stop, m, p):
-    stop = stop or tree_mod.StoppingCriteria()
-    if m is not None:
-        if m == "auto":
-            m = default_subspace(p)
-        m = int(m)
-        if m > p:
-            raise DomainError("subset size m=%d exceeds feature count %d" % (m, p))
-        stop = tree_mod.StoppingCriteria(
-            max_splits=stop.max_splits,
-            min_leaf=stop.min_leaf,
-            min_branch=stop.min_branch,
-            m=m,
-            surrogates=stop.surrogates,
-        )
-    return stop
+def _input_names(ds):
+    return tuple(ds.schema.columns[i].name for i in ds.schema.input_indices)
 
 
 def train_bagged(ds, n_trees=150, stop=None, m=None, seed=0, rows=None):
@@ -86,8 +65,7 @@ def train_bagged(ds, n_trees=150, stop=None, m=None, seed=0, rows=None):
         ds: training dataset.
         n_trees: ensemble size (default mirrors the reference configuration).
         stop: StoppingCriteria shared by every tree.
-        m: feature-subset size per split; None considers all features,
-            "auto" uses max(1, p // 3).
+        m: feature-subset size per split; None considers all features.
         seed: base seed; tree t uses seed + t for its bootstrap and subsets.
         rows: training row indices (all rows when None).
 
@@ -98,8 +76,12 @@ def train_bagged(ds, n_trees=150, stop=None, m=None, seed=0, rows=None):
         raise DomainError("need at least one tree")
     rows = np.arange(ds.n_rows) if rows is None else np.asarray(rows, dtype=int)
     n = rows.size
-    p = len(ds.schema.input_indices)
-    stop = _resolve_stop(stop, m, p)
+    stop = stop or tree_mod.StoppingCriteria()
+    if m is not None:
+        m, p = int(m), len(ds.schema.input_indices)
+        if m > p:
+            raise DomainError("subset size m=%d exceeds feature count %d" % (m, p))
+        stop = replace(stop, m=m)
     trees = []
     in_bag = np.zeros((n_trees, ds.n_rows), dtype=bool)
     for t in range(n_trees):
@@ -111,12 +93,9 @@ def train_bagged(ds, n_trees=150, stop=None, m=None, seed=0, rows=None):
     return EnsembleModel(
         kind=BAGGED,
         trees=tuple(trees),
-        stop=stop,
         seed=seed,
         in_bag=in_bag,
-        feature_names=tuple(
-            ds.schema.columns[i].name for i in ds.schema.input_indices
-        ),
+        feature_names=_input_names(ds),
     )
 
 
@@ -132,8 +111,7 @@ def train_lsboost(ds, n_trees=150, lam=0.1, stop=None, seed=0, rows=None):
     if not 0.0 < lam <= 2.0:
         raise DomainError("shrinkage must be in (0, 2], got %r" % lam)
     rows = np.arange(ds.n_rows) if rows is None else np.asarray(rows, dtype=int)
-    p = len(ds.schema.input_indices)
-    stop = _resolve_stop(stop, None, p)
+    stop = stop or tree_mod.StoppingCriteria()
     y = ds.target_vector(rows)
     if np.any(np.isnan(y)):
         raise DomainError("target has missing values in the training rows")
@@ -150,32 +128,30 @@ def train_lsboost(ds, n_trees=150, lam=0.1, stop=None, seed=0, rows=None):
     return EnsembleModel(
         kind=BOOSTED,
         trees=tuple(trees),
-        stop=stop,
         seed=seed,
         lam=float(lam),
-        feature_names=tuple(
-            ds.schema.columns[i].name for i in ds.schema.input_indices
-        ),
+        feature_names=_input_names(ds),
     )
 
 
 def predict(model, x):
     """Aggregate the member trees on one input vector."""
     x = np.asarray(x, dtype=float)
-    per_tree = np.array([tree_mod.predict(t, x) for t in model.trees])
-    if model.kind == BAGGED:
-        return float(per_tree.mean())
-    return float(model.lam * per_tree.sum())
+    return float(_combine(model, np.array([tree_mod.predict(t, x) for t in model.trees])))
 
 
 def predict_batch(model, x_matrix):
     x_matrix = np.asarray(x_matrix, dtype=float)
     if x_matrix.ndim != 2:
         raise ShapeError("prediction input must be a matrix")
-    preds = np.array([tree_mod.predict_batch(t, x_matrix) for t in model.trees])
+    return _combine(model, np.array([tree_mod.predict_batch(t, x_matrix) for t in model.trees]))
+
+
+def _combine(model, per_tree):
+    """Bagged mean or boosted shrunken sum over the trees (axis 0)."""
     if model.kind == BAGGED:
-        return preds.mean(axis=0)
-    return model.lam * preds.sum(axis=0)
+        return per_tree.mean(axis=0)
+    return model.lam * per_tree.sum(axis=0)
 
 
 def predict_dataset(model, ds, rows=None):
@@ -318,9 +294,8 @@ def splitgain_importance(model, ds=None):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Row filter plus column drops applied before an importance run."""
+    """Column drops applied before an importance run."""
 
-    keep: object = None
     drop: tuple = ()
     name: str = ""
 
@@ -335,15 +310,12 @@ def scenario_importance(
     seed=0,
     scaling="std",
 ):
-    """Filter rows, drop columns, train a bagged model, rank the variables."""
+    """Drop columns, train a bagged model, rank the variables."""
     from . import data as data_mod
 
     work = ds
-    if scenario is not None:
-        if scenario.keep is not None:
-            work = data_mod.filter_rows(work, scenario.keep)
-        if scenario.drop:
-            work = data_mod.drop_columns(work, scenario.drop)
+    if scenario is not None and scenario.drop:
+        work = data_mod.drop_columns(work, scenario.drop)
     model = train_bagged(work, n_trees=n_trees, stop=stop, m=m, seed=seed)
     return permutation_importance(
         model, work, iterations=iterations, seed=seed, scaling=scaling
@@ -362,15 +334,14 @@ def ranked_rows(report):
     order = sorted(
         range(len(report.names)), key=lambda j: (-primary[j], report.names[j])
     )
-    rank = {j: k + 1 for k, j in enumerate(order)}
     rows = []
-    for j in order:
+    for rank, j in enumerate(order, start=1):
         rows.append(
             (
                 report.names[j],
                 None if report.permutation is None else float(report.permutation[j]),
                 None if report.splitgain is None else float(report.splitgain[j]),
-                rank[j],
+                rank,
             )
         )
     return rows
@@ -407,19 +378,18 @@ def write_importance_csv(path, report):
 
 
 def to_text(model):
-    out = io.StringIO()
-    out.write("ensemble v1\n")
-    out.write("kind %s\n" % model.kind)
-    out.write("T %d\n" % model.n_trees)
-    out.write("lambda %s\n" % ("-" if model.lam is None else fmt_float(model.lam)))
-    out.write("seed %d\n" % model.seed)
-    for j, name in enumerate(model.feature_names):
-        out.write("feature %d %s\n" % (j, name))
+    lines = [
+        "ensemble v1",
+        "kind %s" % model.kind,
+        "T %d" % model.n_trees,
+        "lambda %s" % ("-" if model.lam is None else fmt_float(model.lam)),
+        "seed %d" % model.seed,
+    ]
+    lines += ["feature %d %s" % (j, name) for j, name in enumerate(model.feature_names)]
     for t_idx, t in enumerate(model.trees):
-        out.write("tree %d\n" % t_idx)
-        for line in tree_mod.tree_lines(t):
-            out.write(line + "\n")
-    return out.getvalue()
+        lines.append("tree %d" % t_idx)
+        lines += tree_mod.tree_lines(t)
+    return "\n".join(lines) + "\n"
 
 
 def from_text(text):
@@ -429,36 +399,26 @@ def from_text(text):
     predict but do not support out-of-bag estimates; retrain with the stored
     seed to recover those.
     """
-    lines = text.splitlines()
-    if not lines or lines[0].split() != ["ensemble", "v1"]:
-        raise ParseError("not an ensemble file (missing 'ensemble v1' header)")
-    header = {}
-    features = {}
-    i = 1
-    while i < len(lines) and not lines[i].startswith("tree "):
-        parts = lines[i].split(None, 2)
-        if parts and parts[0] == "feature":
-            if len(parts) < 3 or not parts[1].isdigit():
-                raise ParseError("bad feature line %r" % lines[i])
-            features[int(parts[1])] = parts[2]
-        else:
-            kv = lines[i].split(None, 1)
-            if len(kv) == 2:
-                header[kv[0]] = kv[1]
-        i += 1
-    try:
-        kind = header["kind"]
-        n_trees = int(header["T"])
-        seed = int(header["seed"])
-        lam = None if header["lambda"] == "-" else float(header["lambda"])
-        names = tuple(features[j] for j in range(len(features)))
-    except (KeyError, ValueError) as exc:
-        raise ParseError("bad ensemble header: %s" % exc) from exc
+    return read_model(text.splitlines(), "ensemble v1", _ENSEMBLE_FIELDS, _build_ensemble,
+                      indexed=("feature",), body="tree")
+
+
+_ENSEMBLE_FIELDS = {
+    "kind": word,
+    "T": int,
+    "lambda": lambda text: None if text.strip() == "-" else float(text),
+    "seed": int,
+    "feature": str,
+}
+
+
+def _build_ensemble(v, body):
+    kind, n_trees, features = v["kind"], v["T"], v["feature"]
     if kind not in (BAGGED, BOOSTED):
         raise ParseError("unknown ensemble kind %r" % kind)
     blocks = []
     current = None
-    for line in lines[i:]:
+    for line in body:
         if line.startswith("tree "):
             current = []
             blocks.append(current)
@@ -466,14 +426,12 @@ def from_text(text):
             current.append(line)
     if len(blocks) != n_trees:
         raise ParseError("header says %d trees, file has %d" % (n_trees, len(blocks)))
-    trees = tuple(tree_mod.tree_from_lines(block) for block in blocks)
     return EnsembleModel(
         kind=kind,
-        trees=trees,
-        stop=tree_mod.StoppingCriteria(),
-        seed=seed,
-        lam=lam,
-        feature_names=names,
+        trees=tuple(tree_mod.tree_from_lines(block) for block in blocks),
+        seed=v["seed"],
+        lam=v["lambda"],
+        feature_names=tuple(features[j] for j in range(len(features))),
     )
 
 

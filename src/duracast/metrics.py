@@ -169,13 +169,9 @@ def report_rows(report):
     ]
 
 
-def write_report_csv(path, report, per_round=None):
-    """Write `metric,value` rows; per-round reports append suffixed rows."""
+def write_report_csv(path, report):
+    """Write the report as `metric,value` rows."""
     lines = ["metric,value"]
     for name, value in report_rows(report):
         lines.append("%s,%s" % (name, fmt_float(value)))
-    if per_round:
-        for i, rep in enumerate(per_round):
-            for name, value in report_rows(rep):
-                lines.append("%s_round_%d,%s" % (name, i, fmt_float(value)))
     atomic_write_text(path, "\n".join(lines) + "\n")

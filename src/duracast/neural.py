@@ -9,18 +9,24 @@ small gradient steps. Early stopping restores the weights from the epoch of
 minimum validation error.
 """
 
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import atomic_write_text, fmt_float, read_text
+from ._io import (
+    atomic_write_text,
+    float_array,
+    float_pair,
+    fmt_float,
+    read_model,
+    read_text,
+    word,
+)
 from .errors import (
     Divergence,
     DomainError,
     InsufficientHistory,
-    ParseError,
     ShapeError,
     TrainingFailure,
 )
@@ -200,11 +206,7 @@ def jacobian(net, x):
 
 @dataclass
 class LmState:
-    """Damping schedule and stopping limits for Levenberg-Marquardt.
-
-    learning_rate is carried as configuration metadata for parity with the
-    reference environment; the update itself is governed by mu alone.
-    """
+    """Damping schedule and stopping limits for Levenberg-Marquardt."""
 
     mu: float = 1e-3
     mu_inc: float = 10.0
@@ -212,9 +214,7 @@ class LmState:
     mu_max: float = 1e10
     max_epochs: int = 200
     patience: int = 6
-    learning_rate: float = 0.1
     step_tol: float = 1e-10
-    history: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -250,7 +250,7 @@ def train_lm(net, train, validation=None, state=None):
         train: (X, Y) arrays.
         validation: optional (X, Y); enables early stopping and decides the
             returned weights (epoch of minimum validation error).
-        state: LmState; its history list is filled as a side record.
+        state: LmState; its mu is left at the final damping.
 
     Returns:
         (trained network, history) where history is a list of EpochRecord
@@ -277,14 +277,13 @@ def train_lm(net, train, validation=None, state=None):
     def val_mse_of(network):
         if not has_val:
             return float("nan")
-        rv = (forward(network, xv) - yv).ravel()
-        return float(rv @ rv) / rv.size
+        rv, sse_v = sse_of(network, xv, yv)
+        return sse_v / rv.size
 
     mu = state.mu
     history = [EpochRecord(0, sse / n_train, val_mse_of(current), mu)]
     best_val = history[0].val_mse
     best_theta = theta.copy()
-    best_epoch = 0
     fails = 0
     prev_val = best_val
 
@@ -294,18 +293,12 @@ def train_lm(net, train, validation=None, state=None):
         a = j.T @ j
         identity = np.eye(theta.size)
         accepted = False
-        step = None
         while True:
             try:
                 step = np.linalg.solve(a + mu * identity, g)
             except np.linalg.LinAlgError:
-                mu *= state.mu_inc
-                if mu > state.mu_max:
-                    raise TrainingFailure(
-                        "normal equations stay singular after damping escalation"
-                    ) from None
-                continue
-            if not np.all(np.isfinite(step)):
+                step = None  # singular normal equations
+            if step is None or not np.all(np.isfinite(step)):
                 mu *= state.mu_inc
                 if mu > state.mu_max:
                     raise TrainingFailure("damping escalation produced no usable step")
@@ -332,7 +325,6 @@ def train_lm(net, train, validation=None, state=None):
             if val < best_val:
                 best_val = val
                 best_theta = theta.copy()
-                best_epoch = epoch
                 fails = 0
             elif val > prev_val:
                 fails += 1
@@ -345,12 +337,7 @@ def train_lm(net, train, validation=None, state=None):
             break
 
     state.mu = mu
-    state.history = [rec.train_mse for rec in history]
-    if has_val:
-        final = with_params(net, best_theta)
-    else:
-        final = current
-        best_epoch = history[-1].epoch
+    final = with_params(net, best_theta) if has_val else current
     return final, history
 
 
@@ -415,21 +402,19 @@ class NarxModel:
 
 
 def _scale(values, bounds):
-    if bounds is None:
-        return np.asarray(values, dtype=float)
+    v = np.asarray(values, dtype=float)
+    if bounds is None or bounds[0] == bounds[1]:
+        return v
     lo, hi = bounds
-    if hi == lo:
-        return np.asarray(values, dtype=float)
-    return 2.0 * (np.asarray(values, dtype=float) - lo) / (hi - lo) - 1.0
+    return 2.0 * (v - lo) / (hi - lo) - 1.0
 
 
 def _unscale(values, bounds):
-    if bounds is None:
-        return np.asarray(values, dtype=float)
+    v = np.asarray(values, dtype=float)
+    if bounds is None or bounds[0] == bounds[1]:
+        return v
     lo, hi = bounds
-    if hi == lo:
-        return np.asarray(values, dtype=float)
-    return (np.asarray(values, dtype=float) + 1.0) * (hi - lo) / 2.0 + lo
+    return (v + 1.0) * (hi - lo) / 2.0 + lo
 
 
 def narx_prepare(u, y, q):
@@ -447,13 +432,9 @@ def narx_prepare(u, y, q):
         raise InsufficientHistory(
             "series of length %d cannot support delay order %d" % (length, q)
         )
-    rows = []
-    targets = []
-    for n in range(q - 1, length - 1):
-        feats = [u[n - i] for i in range(q)] + [y[n - i] for i in range(q)]
-        rows.append(feats)
-        targets.append(y[n + 1])
-    return np.asarray(rows), np.asarray(targets)
+    # the row for time n gathers the indices n, n - 1, ..., n - q + 1
+    back = np.arange(q - 1, length - 1)[:, None] - np.arange(q)
+    return np.hstack([u[back], y[back]]), y[q:].copy()
 
 
 def train_narx(u, y, q=2, hidden=10, seed=0, fractions=(0.75, 0.15, 0.10),
@@ -560,43 +541,33 @@ def mlp_lines(net):
     return lines
 
 
+def _activation(text):
+    parts = text.split()
+    return Activation(parts[0], float(parts[1]) if len(parts) > 1 else 1.0)
+
+
+def _build_mlp(v, _body):
+    sizes = v["sizes"]
+    layers = range(len(sizes) - 1)
+    return MlpNetwork(
+        sizes,
+        tuple(v["weights"][l].reshape(sizes[l + 1], sizes[l]) for l in layers),
+        tuple(v["bias"][l] for l in layers),
+        tuple(v["activation"][l] for l in layers),
+    )
+
+
+_MLP_FIELDS = {
+    "sizes": lambda text: tuple(int(s) for s in text.split()),
+    "activation": _activation,
+    "weights": float_array,
+    "bias": float_array,
+}
+
+
 def mlp_from_lines(lines):
-    if not lines or lines[0].split() != ["mlp", "v1"]:
-        raise ParseError("not a network block (missing 'mlp v1' header)")
-    sizes = None
-    acts = {}
-    weights = {}
-    biases = {}
-    for line in lines[1:]:
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] not in ("sizes", "activation", "weights", "bias"):
-            raise ParseError("unknown network line %r" % parts[0])
-        try:
-            if parts[0] == "sizes":
-                sizes = tuple(int(v) for v in parts[1:])
-            elif parts[0] == "activation":
-                a = float(parts[3]) if len(parts) > 3 else 1.0
-                acts[int(parts[1])] = Activation(parts[2], a)
-            elif parts[0] == "weights":
-                weights[int(parts[1])] = np.array([float(v) for v in parts[2:]])
-            else:
-                biases[int(parts[1])] = np.array([float(v) for v in parts[2:]])
-        except (ValueError, IndexError) as exc:
-            raise ParseError("bad network line %r: %s" % (line, exc)) from None
-    if sizes is None:
-        raise ParseError("network block lacks a sizes line")
-    n_layers = len(sizes) - 1
-    try:
-        w = tuple(
-            weights[l].reshape(sizes[l + 1], sizes[l]) for l in range(n_layers)
-        )
-        b = tuple(biases[l] for l in range(n_layers))
-        a = tuple(acts[l] for l in range(n_layers))
-    except (KeyError, ValueError) as exc:
-        raise ParseError("incomplete network block: %s" % exc) from exc
-    return MlpNetwork(sizes, w, b, a)
+    return read_model(lines, "mlp v1", _MLP_FIELDS, _build_mlp,
+                      indexed=("activation", "weights", "bias"))
 
 
 def save_mlp(path, net):
@@ -616,38 +587,14 @@ def narx_lines(model):
     return lines + mlp_lines(model.net)
 
 
+def _build_narx(v, body):
+    return NarxModel(q=v["q"], net=mlp_from_lines(body), mode=v.get("mode", "closed"),
+                     u_bounds=v.get("norm_u"), y_bounds=v.get("norm_y"))
+
+
 def narx_from_lines(lines):
-    if not lines or lines[0].split() != ["narx", "v1"]:
-        raise ParseError("not a narx file (missing 'narx v1' header)")
-    q = None
-    mode = "closed"
-    u_bounds = None
-    y_bounds = None
-    mlp_start = None
-    for i, line in enumerate(lines[1:], start=1):
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "mlp":
-            mlp_start = i
-            break
-        if parts[0] not in ("q", "mode", "norm_u", "norm_y"):
-            raise ParseError("unknown narx line %r" % parts[0])
-        try:
-            if parts[0] == "q":
-                q = int(parts[1])
-            elif parts[0] == "mode":
-                mode = parts[1]
-            elif parts[0] == "norm_u":
-                u_bounds = (float(parts[1]), float(parts[2]))
-            else:
-                y_bounds = (float(parts[1]), float(parts[2]))
-        except (ValueError, IndexError) as exc:
-            raise ParseError("bad narx line %r: %s" % (line, exc)) from None
-    if q is None or mlp_start is None:
-        raise ParseError("narx file lacks q or the network block")
-    net = mlp_from_lines(lines[mlp_start:])
-    return NarxModel(q=q, net=net, mode=mode, u_bounds=u_bounds, y_bounds=y_bounds)
+    fields = {"q": int, "mode": word, "norm_u": float_pair, "norm_y": float_pair}
+    return read_model(lines, "narx v1", fields, _build_narx, body="mlp")
 
 
 def save_narx(path, model):

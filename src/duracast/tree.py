@@ -28,7 +28,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._io import atomic_write_text, fmt_float, read_text
+from ._io import atomic_write_text, fmt_float, read_model, read_text
 from .errors import DomainError, ParseError, ShapeError, UndefinedAssociation
 
 NOMINAL_EXHAUSTIVE_MAX = 10
@@ -112,22 +112,15 @@ def _ss(y):
     return q - s * s / n
 
 
-def _nominal_subsets(levels_sorted):
-    """Proper non-empty subsets containing the smallest level, in tuple order."""
-    first, rest = levels_sorted[0], levels_sorted[1:]
-    subsets = []
-    for r in range(0, len(rest)):
-        for combo in combinations(rest, r):
-            subsets.append((first,) + combo)
-    return sorted(subsets)
-
-
 @lru_cache(maxsize=256)
 def _nominal_candidates(levels_present):
-    """Candidate left-level subsets for a sorted tuple of present levels."""
-    if len(levels_present) <= NOMINAL_EXHAUSTIVE_MAX:
-        return tuple(_nominal_subsets(levels_present))
-    return tuple((lev,) for lev in levels_present)
+    """Candidate left-level subsets for a sorted tuple of present levels:
+    the proper subsets holding the smallest level, in tuple order, or each
+    level alone above NOMINAL_EXHAUSTIVE_MAX levels."""
+    if len(levels_present) > NOMINAL_EXHAUSTIVE_MAX:
+        return tuple((lev,) for lev in levels_present)
+    first, rest = levels_present[0], levels_present[1:]
+    return tuple(sorted((first,) + c for r in range(len(rest)) for c in combinations(rest, r)))
 
 
 def _best_nominal_split(xj, y, min_leaf):
@@ -217,19 +210,6 @@ def _best_continuous_splits(xt, y, parents, n_obs, min_leaf):
     with np.errstate(divide="ignore", invalid="ignore"):
         delta = parents[:, None] - (ql - sl * sl / nl) - (qr - sr * sr / nr)
     return _best_per_row(delta, valid, xs)
-
-
-def _association_from_masks(best_left, cand_left):
-    """Association between two left-membership masks over the same rows."""
-    n = best_left.size
-    p_l = float(np.count_nonzero(best_left)) / n
-    p_r = 1.0 - p_l
-    denom = min(p_l, p_r)
-    if denom == 0.0:
-        return None
-    p_ll = float(np.count_nonzero(best_left & cand_left)) / n
-    p_rr = float(np.count_nonzero(~best_left & ~cand_left)) / n
-    return (denom - (1.0 - p_ll - p_rr)) / denom
 
 
 def _best_nominal_surrogate(xk, best_left):
@@ -590,12 +570,16 @@ def association(ds, best_rule, candidate_rule, rows=None):
     incl = ~np.isnan(xb) & ~np.isnan(xc)
     if not np.any(incl):
         raise UndefinedAssociation("no rows observe both features")
-    xi = _association_from_masks(
-        best_rule.left_mask(xb[incl]), candidate_rule.left_mask(xc[incl])
-    )
-    if xi is None:
+    best_left = best_rule.left_mask(xb[incl])
+    cand_left = candidate_rule.left_mask(xc[incl])
+    n = best_left.size
+    p_l = float(np.count_nonzero(best_left)) / n
+    denom = min(p_l, 1.0 - p_l)
+    if denom == 0.0:
         raise UndefinedAssociation("the best rule does not divide the included rows")
-    return xi
+    p_ll = float(np.count_nonzero(best_left & cand_left)) / n
+    p_rr = float(np.count_nonzero(~best_left & ~cand_left)) / n
+    return (denom - (1.0 - p_ll - p_rr)) / denom
 
 
 def iter_nodes(tree):
@@ -760,10 +744,8 @@ def to_text(tree):
 
 
 def from_text(text):
-    lines = text.splitlines()
-    if not lines or lines[0].split() != ["tree", "v1"]:
-        raise ParseError("not a tree file (missing 'tree v1' header)")
-    return tree_from_lines(lines[1:])
+    return read_model(text.splitlines(), "tree v1", {},
+                      lambda _values, body: tree_from_lines(body), body="node")
 
 
 def save_tree(path, tree):

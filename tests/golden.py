@@ -14,6 +14,13 @@ below -30 C and days of constant humidity exactly on the 0.85, 0.98 and 1.0
 cut points. risk.<flags>.grid_<kind>.{csv,ppm} are the grids `duracast risk`
 wrote from it before the risk path became columnar.
 
+The CLI fixtures are a seeded carbonation table with missing input cells
+(cli.train.csv), a complete scoring table (cli.score.csv) and a first-order
+series pair with and without gaps (cli.series_gaps.csv, cli.series.csv).
+cli.<run>.<file> are the outputs, config.json aside, that each run in
+CLI_RUNS wrote before the run configuration was resolved in one place,
+including the `mlpreg v1` and `narx v1` model files.
+
 Regenerate the files (only when an output value is meant to change, and
 say which in CHANGES.md) with:
 
@@ -192,6 +199,120 @@ def risk_artifacts(logger_path):
     return out
 
 
+CLI_SCHEMA = (
+    "specimen,continuous,ignored\n"
+    "binder,nominal,input,opc;ggbs;fa\n"
+    "wc,continuous,input\n"
+    "cover,continuous,input\n"
+    "age,continuous,input\n"
+    "depth,continuous,target\n"
+)
+CLI_SERIES_SCHEMA = "u,continuous,input\ny,continuous,target\n"
+CLI_AGES = (0.5, 1.0, 2.0, 4.0)
+
+
+def carbonation_csv(seed, n_specimens, missing_share):
+    """depth = k sqrt(age) + noise per specimen and age; a share of the
+    binder, wc and cover cells is left empty."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    lines = ["specimen,binder,wc,cover,age,depth"]
+    for s in range(n_specimens):
+        binder = int(rng.integers(0, 3))
+        wc = rng.uniform(0.35, 0.7)
+        cover = 5.0 * int(rng.integers(2, 9))
+        k = 6.0 * wc + (0.0, 1.2, 0.7)[binder] - 0.03 * cover
+        for age in CLI_AGES:
+            depth = k * np.sqrt(age) + rng.normal(scale=0.2)
+            cells = ["opc;ggbs;fa".split(";")[binder], "%.4f" % wc, "%g" % cover]
+            gone = rng.uniform(size=3) < missing_share
+            cells = ["" if g else c for g, c in zip(gone, cells)]
+            lines.append("%d,%s,%g,%.6f" % (s, ",".join(cells), age, max(depth, 0.0)))
+    return "\n".join(lines) + "\n"
+
+
+def series_csv(seed, n, gaps):
+    """u,y of a noisy first-order system; `gaps` cells of each column empty."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    u = rng.uniform(0.0, 1.0, size=n)
+    y = np.zeros(n)
+    for t in range(n - 1):
+        y[t + 1] = 0.6 * y[t] + 0.4 * u[t] + rng.normal(scale=0.01)
+    cells = [["%.9f" % a, "%.9f" % b] for a, b in zip(u, y)]
+    for col in (0, 1):
+        for t in rng.choice(np.arange(5, n - 5), size=gaps, replace=False):
+            cells[t][col] = ""
+    return "u,y\n" + "\n".join(",".join(c) for c in cells) + "\n"
+
+
+CLI_INPUTS = {
+    "cli.schema.csv": lambda: CLI_SCHEMA,
+    "cli.train.csv": lambda: carbonation_csv(31, 30, 0.08),
+    "cli.score.csv": lambda: carbonation_csv(32, 10, 0.0),
+    "cli.series.schema.csv": lambda: CLI_SERIES_SCHEMA,
+    "cli.series_gaps.csv": lambda: series_csv(33, 160, 4),
+    "cli.series.csv": lambda: series_csv(34, 160, 0),
+}
+
+_TAB = ("--schema", "cli.schema.csv")
+_SER = ("--schema", "cli.series.schema.csv")
+# (run name, argv with input file names, train run whose model.txt it reads)
+CLI_RUNS = (
+    ("train_tree", ("train", "--data", "cli.train.csv", *_TAB, "--model", "tree",
+                    "--leaf", "2", "--branch", "6", "--surrogates", "2", "--seed", "3"), None),
+    ("train_bag", ("train", "--data", "cli.train.csv", *_TAB, "--model", "bag",
+                   "--trees", "4", "--m", "2", "--seed", "3"), None),
+    ("train_boost", ("train", "--data", "cli.train.csv", *_TAB, "--model", "boost",
+                     "--trees", "4", "--rate", "0.3", "--split", "0.6,0.2,0.2",
+                     "--seed", "3"), None),
+    ("train_mlp", ("train", "--data", "cli.train.csv", *_TAB, "--model", "mlp",
+                   "--hidden", "3", "--epochs", "15", "--patience", "4", "--seed", "3"), None),
+    ("train_narx", ("train", "--data", "cli.series_gaps.csv", *_SER, "--model", "narx",
+                    "--delays", "2", "--hidden", "3", "--epochs", "15", "--fill", "2",
+                    "--seed", "3"), None),
+    ("predict_tree", ("predict", "--data", "cli.score.csv", *_TAB), "train_tree"),
+    ("predict_bag", ("predict", "--data", "cli.score.csv", *_TAB), "train_bag"),
+    ("predict_mlp", ("predict", "--data", "cli.score.csv", *_TAB), "train_mlp"),
+    ("predict_narx", ("predict", "--data", "cli.series.csv", *_SER, "--mode", "closed",
+                      "--horizon", "30"), "train_narx"),
+    ("crossval_tree", ("crossval", "--data", "cli.train.csv", *_TAB, "--model", "tree",
+                       "--folds", "3", "--surrogates", "1", "--seed", "4"), None),
+    ("crossval_mlp", ("crossval", "--data", "cli.train.csv", *_TAB, "--model", "mlp",
+                      "--folds", "3", "--hidden", "2", "--epochs", "8", "--seed", "4"), None),
+    ("importance", ("importance", "--data", "cli.train.csv", *_TAB, "--trees", "5",
+                    "--iterations", "2", "--drop", "cover", "--top", "2", "--seed", "5"), None),
+    ("baseline", ("baseline", "--data", "cli.train.csv", *_TAB, "--specimen", "specimen",
+                  "--age", "age", "--ages", "2,4"), "train_bag"),
+    ("report", ("report", "--data", "cli.score.csv", *_TAB), "train_boost"),
+)
+
+
+def cli_artifacts(inputs_dir, model_dir=None):
+    """{file name: text} of every output but config.json of each CLI run.
+
+    Runs that read a model read cli.<train run>.model.txt from model_dir, or
+    the model.txt their train run just wrote when model_dir is None.
+    """
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv, model_run in CLI_RUNS:
+            argv = [os.path.join(inputs_dir, a) if a.startswith("cli.") else a
+                    for a in argv]
+            if model_run is not None:
+                if model_dir is None:
+                    model = os.path.join(tmp, model_run, "model.txt")
+                else:
+                    model = os.path.join(model_dir, "cli.%s.model.txt" % model_run)
+                argv += ["--model-file", model]
+            run_dir = os.path.join(tmp, name)
+            if run_cli(argv + ["--out", run_dir]) != 0:
+                raise RuntimeError("cli run %s failed" % name)
+            for file_name in sorted(os.listdir(run_dir)):
+                if file_name != "config.json":
+                    with open(os.path.join(run_dir, file_name), newline="") as fh:
+                        out["cli.%s.%s" % (name, file_name)] = fh.read()
+    return out
+
+
 def _write(name, text):
     with open(os.path.join(DATA_DIR, name), "w", newline="") as fh:
         fh.write(text)
@@ -204,6 +325,10 @@ def write_all():
             _write(name, text)
     _write(RISK_LOGGER, logger_csv())
     for name, text in risk_artifacts(os.path.join(DATA_DIR, RISK_LOGGER)).items():
+        _write(name, text)
+    for name, make in CLI_INPUTS.items():
+        _write(name, make())
+    for name, text in cli_artifacts(DATA_DIR).items():
         _write(name, text)
 
 

@@ -1,9 +1,11 @@
+import argparse
 import json
+import os
 
 import numpy as np
 import pytest
 
-from duracast.cli import run_cli
+from duracast.cli import _build_parser, run_cli
 from oracles import simulate_first_order
 
 
@@ -462,3 +464,177 @@ def test_bad_split_text_is_a_config_error(mix_files, tmp_path, capsys):
     ])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:config-error:")
+
+
+# ---------------------------------------------------------------------------
+# run configuration and flag surface
+
+DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+TAB = ["--data", os.path.join(DATA_DIR, "cli.train.csv"),
+       "--schema", os.path.join(DATA_DIR, "cli.schema.csv")]
+SERIES = ["--data", os.path.join(DATA_DIR, "cli.series.csv"),
+          "--schema", os.path.join(DATA_DIR, "cli.series.schema.csv")]
+
+
+def _model(run):
+    return ["--model-file", os.path.join(DATA_DIR, "cli.%s.model.txt" % run)]
+
+
+_TREE_KEYS = "model preset leaf branch surrogates"
+_DATA_KEYS = "command out data schema"
+# (argv, the keys config.json holds besides command, out and the inputs)
+CONFIG_KEYS = [
+    (["train", *TAB, "--model", "tree", "--m", "2"], "seed split " + _TREE_KEYS),
+    (["train", *TAB, "--model", "bag", "--trees", "2"], "seed split trees m " + _TREE_KEYS),
+    (["train", *TAB, "--model", "boost", "--trees", "2", "--m", "2"],
+     "seed split trees rate " + _TREE_KEYS),
+    (["train", *TAB, "--model", "mlp", "--hidden", "2", "--epochs", "2"],
+     "seed model preset split hidden epochs patience"),
+    (["train", *SERIES, "--model", "narx", "--hidden", "2", "--epochs", "2", "--fill", "3"],
+     "seed model preset split delays hidden epochs patience u_column y_column fill"),
+    (["crossval", *TAB, "--model", "tree", "--folds", "2", "--m", "2", "--surrogates", "1"],
+     "seed folds " + _TREE_KEYS),
+    (["crossval", *TAB, "--model", "bag", "--folds", "2", "--trees", "2"],
+     "seed folds trees m " + _TREE_KEYS),
+    (["crossval", *TAB, "--model", "mlp", "--folds", "2", "--hidden", "2", "--epochs", "2"],
+     "seed folds model preset hidden epochs"),
+    (["importance", *TAB, "--trees", "2", "--iterations", "1"],
+     "seed preset trees leaf branch surrogates m iterations scaling keep drop top"),
+    (["predict", *TAB, *_model("train_tree")], "model_file model_kind"),
+    (["predict", *SERIES, *_model("train_narx"), "--horizon", "5"],
+     "model_file model_kind horizon mode u_column y_column"),
+    (["baseline", *TAB, *_model("train_bag"), "--specimen", "specimen", "--age", "age",
+      "--ages", "2,4"], "model_file specimen age ages"),
+    (["report", *TAB, *_model("train_boost")], "model_file"),
+    (["ingest", *TAB], ""),
+]
+
+
+def _run_id(argv):
+    """command plus the model kind or the train run of the model file."""
+    for flag in ("--model", "--model-file"):
+        if flag in argv:
+            value = argv[argv.index(flag) + 1]
+            return "%s-%s" % (argv[0], os.path.basename(value).split(".")[1]
+                              if flag == "--model-file" else value)
+    return argv[0]
+
+
+@pytest.mark.parametrize("argv,keys", CONFIG_KEYS, ids=[_run_id(a) for a, _ in CONFIG_KEYS])
+def test_config_records_exactly_the_knobs_the_run_consumed(tmp_path, argv, keys):
+    out = tmp_path / "run"
+    assert run(argv + ["--out", str(out)]) == 0
+    cfg = json.loads((out / "config.json").read_text())
+    assert set(cfg) == set((_DATA_KEYS + " " + keys).split())
+    assert cfg["command"] == argv[0]
+
+
+def test_config_holds_the_resolved_values(tmp_path):
+    out = tmp_path / "run"
+    argv = ["crossval", *TAB, "--preset", "caprm-boost", "--folds", "2", "--trees", "3",
+            "--surrogates", "1", "--seed", "4", "--out", str(out)]
+    assert run(argv) == 0
+    cfg = json.loads((out / "config.json").read_text())
+    assert cfg == {
+        "command": "crossval", "out": str(out), "data": TAB[1], "schema": TAB[3],
+        "seed": 4, "model": "boost", "preset": "caprm-boost", "folds": 2,
+        "trees": 3, "rate": 0.1, "leaf": 1, "branch": 10, "surrogates": 1,
+    }
+    out = tmp_path / "narx"
+    assert run(["train", *SERIES, "--model", "narx", "--hidden", "2", "--epochs", "2",
+                "--fill", "3", "--out", str(out)]) == 0
+    cfg = json.loads((out / "config.json").read_text())
+    assert (cfg["fill"], cfg["u_column"], cfg["y_column"], cfg["split"]) == (
+        3, "u", "y", [0.7, 0.15, 0.15])
+
+
+@pytest.mark.parametrize("argv", [
+    ["crossval", "--preset", "hygro-narx"],
+    ["importance", "--preset", "caprm-boost"],
+])
+def test_a_preset_naming_a_model_the_command_cannot_run_is_a_config_error(
+        tmp_path, capsys, argv):
+    code = run(argv + TAB + ["--out", str(tmp_path / "run")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:config-error:")
+
+
+@pytest.mark.parametrize("command", ["ingest", "train", "predict", "crossval", "importance",
+                                     "baseline", "risk", "report"])
+def test_a_malformed_seed_variable_is_a_config_error_on_every_command(
+        tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setenv("DURACAST_SEED", "seven")
+    # the files do not exist: the seed is resolved before anything is read
+    required = {"data": "d.csv", "schema": "s.csv", "model_file": "m.txt", "specimen": "s",
+                "age": "a", "ages": "1", "series": "h.csv"}
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    argv = [command, "--out", str(tmp_path / "run")]
+    for action in sub.choices[command]._actions:
+        if action.required and action.dest in required:
+            value = required[action.dest]
+            if value.endswith((".csv", ".txt")):
+                value = str(tmp_path / value)
+            argv += [action.option_strings[0], value]
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("error:config-error:DURACAST_SEED")
+    assert not (tmp_path / "run").exists()
+
+
+# Each subcommand's options: "!" marks a required flag, ":type" a converted
+# value, "{...}" the choices and "?" a switch.
+FLAG_SURFACE = {
+    "ingest": "--data! --out! --schema! --seed:int",
+    "train": "--branch:int --data! --delays:int --epochs:int --fill:int --hidden:int "
+             "--leaf:int --m:int --model{tree,bag,boost,mlp,narx} --out! --patience:int "
+             "--preset{caprm-bag,caprm-boost,chloride-vi,hygro-narx} --rate:float --schema! "
+             "--seed:int --split --surrogates:int --trees:int --u-column --y-column",
+    "predict": "--data! --horizon:int --model-file! --mode{open,closed} --out! --schema! "
+               "--seed:int --u-column --y-column",
+    "crossval": "--branch:int --data! --epochs:int --folds:int --hidden:int --leaf:int "
+                "--m:int --model{tree,bag,boost,mlp} --out! "
+                "--preset{caprm-bag,caprm-boost,chloride-vi,hygro-narx} --rate:float "
+                "--schema! --seed:int --surrogates:int --trees:int",
+    "importance": "--branch:int --data! --drop --iterations:int --keep --leaf:int --m:int "
+                  "--out! --preset{caprm-bag,caprm-boost,chloride-vi,hygro-narx} "
+                  "--scaling{std,stderr} --schema! --seed:int --top:int --trees:int",
+    "baseline": "--age! --ages! --data! --model-file! --out! --schema! --seed:int "
+                "--specimen!",
+    "risk": "--bin-width:float --fill:int --kind{all,corrosion,frost,chemical} --out! "
+            "--rh-percent? --scale:int --seed:int --series!",
+    "report": "--data! --model-file! --out! --schema! --seed:int",
+}
+
+
+def _describe(action):
+    text = action.option_strings[0]
+    if action.required:
+        text += "!"
+    if action.type:
+        text += ":" + action.type.__name__
+    if action.choices:
+        text += "{%s}" % ",".join(action.choices)
+    if action.const is True:
+        text += "?"
+    return text
+
+
+def test_each_subcommand_keeps_its_flags():
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(FLAG_SURFACE)
+    for name, sp in sub.choices.items():
+        got = sorted(_describe(a) for a in sp._actions if a.dest != "help")
+        assert " ".join(got) == FLAG_SURFACE[name], name
+
+
+def test_a_crossval_fold_without_complete_training_rows_is_a_shape_error(tmp_path, capsys):
+    schema = tmp_path / "s.csv"
+    schema.write_text("a,continuous,input\nb,continuous,input\ny,continuous,target\n")
+    rows = ["a,b,y"] + ["%s,%d,%d" % ("1" if i == 4 else "", i, i % 3) for i in range(30)]
+    data = tmp_path / "d.csv"
+    data.write_text("\n".join(rows) + "\n")
+    code = run(["crossval", "--data", str(data), "--schema", str(schema), "--model", "mlp",
+                "--folds", "2", "--epochs", "3", "--seed", "0", "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:shape-error:")

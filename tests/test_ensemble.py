@@ -238,7 +238,6 @@ def test_splitgain_credits_surrogates_too():
     model = ensemble.EnsembleModel(
         kind=ensemble.BAGGED,
         trees=(t,),
-        stop=stop(),
         seed=0,
         in_bag=np.ones((1, n), dtype=bool),
         feature_names=("a", "mimic"),

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import duracast as dc
-from duracast import ensemble, tree
+from duracast import ensemble, models, neural, tree
+from duracast.errors import ParseError
 
 import golden
 
@@ -66,3 +67,74 @@ def test_risk_grids_match_the_golden_files():
     assert len(artifacts) == 6 * len(golden.RISK_RUNS)
     for name, text in artifacts.items():
         assert text == _read(name), name
+
+
+def test_cli_inputs_match_their_generators():
+    for name, make in golden.CLI_INPUTS.items():
+        assert make() == _read(name), name
+
+
+def test_cli_outputs_match_the_golden_files():
+    # Runs that read a model read the parent-written model files in tests/data.
+    artifacts = golden.cli_artifacts(golden.DATA_DIR, model_dir=golden.DATA_DIR)
+    assert len(artifacts) == 24
+    for name, text in artifacts.items():
+        assert text == _read(name), name
+
+
+TRAIN_RUNS = ("train_tree", "train_bag", "train_boost", "train_mlp", "train_narx")
+
+
+def _model_text(kind, model):
+    if kind == "tree":
+        return tree.to_text(model)
+    if kind == "ensemble":
+        return ensemble.to_text(model)
+    if kind == "mlpreg":
+        return models.mlpreg_text(*model)
+    return "\n".join(neural.narx_lines(model)) + "\n"
+
+
+@pytest.mark.parametrize("run", TRAIN_RUNS)
+def test_parent_written_model_files_reload_to_the_same_text(run):
+    name = "cli.%s.model.txt" % run
+    kind, model = models.load_model(os.path.join(golden.DATA_DIR, name))
+    assert _model_text(kind, model) == _read(name)
+
+
+_TOKENS = ["", "x", "-1", "0", "1", "2", "nan", "inf", "1e999", "3.5", "-", "in:", "in:0|",
+           "L", "R", "mlp", "tree", "v2", "q", "sizes", "feature", "node", "closed"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    run=st.sampled_from(TRAIN_RUNS),
+    edits=st.lists(
+        st.tuples(st.sampled_from(["token", "drop", "copy", "cut"]),
+                  # the header block is the first few lines of every format
+                  st.one_of(st.integers(0, 12), st.integers(0, 10**6)),
+                  st.integers(0, 10**6), st.sampled_from(_TOKENS)),
+        min_size=1, max_size=3,
+    ),
+)
+def test_a_mutated_model_file_loads_or_is_a_parse_error(run, edits):
+    text = _read("cli.%s.model.txt" % run)
+    parse = models.CODECS[text.splitlines()[0]].parse
+    lines = text.splitlines()
+    for op, a, b, token in edits:
+        i = a % len(lines)
+        if op == "token":
+            parts = lines[i].split(" ")
+            parts[b % len(parts)] = token
+            lines[i] = " ".join(parts)
+        elif op == "drop" and len(lines) > 1:
+            del lines[i]
+        elif op == "copy":
+            lines.insert(b % len(lines), lines[i])
+        elif op == "cut":
+            lines = lines[:i + 1]
+            lines[i] = lines[i][:b % (len(lines[i]) + 1)]
+    try:
+        parse("\n".join(lines) + "\n")
+    except ParseError:
+        pass
