@@ -4,11 +4,12 @@ Commands: ingest, train, predict, crossval, importance, baseline, risk,
 report. run_cli resolves a command's knobs once, into one plain dict: the
 defaults of the command (KNOBS) and, for train and crossval, of the model
 kind (MODEL_KNOBS), then the preset, then the explicit flags, then the
-DURACAST_SEED environment variable. The command reads its knobs from that
-dict only, and config.json is that dict as the run left it, so it records
-exactly the knobs the run consumed. Identical configuration, data and seed
-produce byte-identical artifacts. Errors exit nonzero with a single stderr
-line of the form error:<code>:<message>.
+DURACAST_SEED environment variable. An explicit flag that the chosen model
+kind does not use is left out with a warning. The command reads its knobs
+from that dict only, and config.json is that dict as the run left it, so it
+records exactly the knobs the run consumed. Identical configuration, data
+and seed produce byte-identical artifacts. Errors exit nonzero with a single
+stderr line of the form error:<code>:<message>.
 """
 
 import argparse
@@ -16,6 +17,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -119,7 +121,12 @@ def resolve(args):
         raise ConfigError("preset %s names a %s model, which %s cannot run"
                           % (args.preset, preset["model"], command))
     if command in MODEL_KNOBS:
-        knobs.update(MODEL_KNOBS[command][args.model or preset.get("model", knobs["model"])])
+        kind = args.model or preset.get("model", knobs["model"])
+        knobs.update(MODEL_KNOBS[command][kind])
+        ignored = ["--" + key.replace("_", "-") for key in _knob_defaults(command)
+                   if key not in knobs and getattr(args, key, None) is not None]
+        if ignored:
+            warnings.warn("a %s model ignores %s" % (kind, ", ".join(ignored)))
     cfg = {"command": command, "out": args.out}
     for key, default in knobs.items():
         value = getattr(args, key, None)

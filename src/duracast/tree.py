@@ -3,35 +3,42 @@
 Splits minimize squared error: at each node the chosen rule maximizes the
 risk reduction dR = R(node) - R(left) - R(right), where R is the sum of
 squared deviations from the node mean. Candidate thresholds for a continuous
-feature are midpoints between consecutive distinct observed values; nominal
-features split on level subsets (exhaustive up to 10 levels, one level
-versus the rest above that). Ties break toward the lowest feature index and
-then the smallest threshold or subset.
+feature are midpoints between consecutive distinct observed values.
 
-The split search works column-wise: a node gathers its rows once, then
-sorts all continuous candidate columns together (missing values last) and
-scores every boundary of every column from one pair of cumulative sums.
-Surrogate search scores the continuous columns the same way; nominal
-columns are searched one at a time over their level subsets.
+A nominal feature is searched as if it were continuous: at each node its
+present levels are ranked and every observed cell is replaced by its level's
+rank, so both kinds of feature go through one sort-and-scan. For a split the
+levels are ranked by mean target, lowest first, which makes the scan over
+rank boundaries exact for squared error (Fisher 1958; Breiman et al. 1984,
+section 9.4). For a surrogate they are ranked by the share of their rows the
+primary rule sends left, highest first, which makes it exact for the
+agreement count. Levels with equal means or shares rank by level index,
+lowest first. A boundary after rank r sends the levels of rank <= r left.
+With min_leaf above 1 the scan keeps to the boundaries that leave min_leaf
+rows on both sides. Ties between candidates break toward the lowest feature
+index and then the smallest threshold or rank boundary.
+
+The search works column-wise: a node gathers its rows once, then sorts all
+candidate columns together (missing values last) and scores every boundary
+of every column from one pair of cumulative sums. The sums run over targets
+centred on the node mean, so the chosen splits do not depend on the offset
+of the target, and a node of equal targets has a risk of exactly zero.
 
 Each internal node can carry surrogate rules ranked by their predictive
 association with the primary rule; rows with a missing primary feature are
 routed by the first evaluable surrogate, then by the majority direction.
-Batch prediction routes row sets, not rows: each node splits the index set
-that reached it with one vectorised rule test, and resolves its missing rows
-one surrogate at a time.
+Growth and prediction route row sets, not rows, through one helper: a node
+splits the index set that reached it with one vectorised rule test and
+resolves its missing rows one surrogate at a time. Growth keeps its own
+stack, so no input sets a recursion depth.
 """
 
-from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import combinations
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._io import atomic_write_text, fmt_float, read_model, read_text
 from .errors import DomainError, ParseError, ShapeError, UndefinedAssociation
-
-NOMINAL_EXHAUSTIVE_MAX = 10
 
 
 @dataclass(frozen=True)
@@ -45,18 +52,9 @@ class SplitRule:
     left_levels: tuple = ()
     nominal: bool = False
     missing_left: bool = True
-    _left_set: frozenset = field(default=frozenset(), repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_left_set", frozenset(self.left_levels))
-
-    def goes_left(self, value):
-        if self.nominal:
-            return int(value) in self._left_set
-        return value < self.threshold
 
     def left_mask(self, values):
-        """goes_left over an array of observed (non-nan) values."""
+        """Left mask of an array of observed (non-nan) values."""
         if self.nominal:
             return (values.astype(int)[:, None] == self.left_levels).any(axis=1)
         return values < self.threshold
@@ -102,61 +100,43 @@ class StoppingCriteria:
             raise DomainError("surrogate count must be >= 0")
 
 
-def _ss(y):
-    # sum of squared deviations via the sum/sum-of-squares identity
-    n = y.size
-    if n == 0:
+def _centred(y):
+    """y minus its mean. The mean is taken of y - y[0], so equal targets
+    centre to exact zeros."""
+    d = y - y[0]
+    return d - float(d.sum()) / y.size
+
+
+def _ss(d):
+    """Sum of squared deviations of d from its mean, by the sum/sum-of-
+    squares identity; d must be centred near its mean (see _centred), or
+    the identity cancels away the digits that matter."""
+    if d.size == 0:
         return 0.0
-    s = float(y.sum())
-    q = float((y * y).sum())
-    return q - s * s / n
+    s = float(d.sum())
+    return float((d * d).sum()) - s * s / d.size
 
 
-@lru_cache(maxsize=256)
-def _nominal_candidates(levels_present):
-    """Candidate left-level subsets for a sorted tuple of present levels:
-    the proper subsets holding the smallest level, in tuple order, or each
-    level alone above NOMINAL_EXHAUSTIVE_MAX levels."""
-    if len(levels_present) > NOMINAL_EXHAUSTIVE_MAX:
-        return tuple((lev,) for lev in levels_present)
-    first, rest = levels_present[0], levels_present[1:]
-    return tuple(sorted((first,) + c for r in range(len(rest)) for c in combinations(rest, r)))
+def _rank_levels(xt_row, weights, highest_first=False):
+    """Replace the observed level codes of xt_row, in place, by the ranks of
+    their levels' mean weight; equal means rank by level index. Returns the
+    levels in rank order, the absent ones (a nan mean) last."""
+    obs = ~np.isnan(xt_row)
+    codes = xt_row[obs].astype(int)
+    with np.errstate(invalid="ignore"):
+        key = np.bincount(codes, weights=weights[obs]) / np.bincount(codes)
+    levels = (-key if highest_first else key).argsort(kind="stable")
+    xt_row[obs] = levels.argsort()[codes]
+    return levels
 
 
-def _best_nominal_split(xj, y, min_leaf):
-    """Best (delta_r, left_levels) over one nominal feature's level subsets,
-    or None. Rows with missing xj must already be excluded."""
-    n = xj.size
-    if n < 2 * min_leaf:
-        return None
-    codes = xj.astype(int)
-    counts = np.bincount(codes)
-    levels = tuple(np.flatnonzero(counts).tolist())
-    if len(levels) < 2:
-        return None
-    yy = y * y
-    total_s, total_q = float(y.sum()), float(yy.sum())
-    parent = total_q - total_s * total_s / n  # _ss(y)
-    counts = counts.tolist()
-    sums = {}
-    sumsqs = {}
-    for lev in levels:
-        mask = codes == lev
-        sums[lev] = float(y[mask].sum())
-        sumsqs[lev] = float(yy[mask].sum())
-    best = None
-    for subset in _nominal_candidates(levels):
-        nl = sum(counts[lev] for lev in subset)
-        nr = n - nl
-        if nl < min_leaf or nr < min_leaf:
-            continue
-        sl = sum(sums[lev] for lev in subset)
-        ql = sum(sumsqs[lev] for lev in subset)
-        sr, qr = total_s - sl, total_q - ql
-        delta = parent - (ql - sl * sl / nl) - (qr - sr * sr / nr)
-        if best is None or delta > best[0]:
-            best = (delta, subset)
-    return best
+def _rule(feature, threshold, levels=None):
+    """The rule of a boundary found by the sort-and-scan; levels are a
+    nominal feature's levels in rank order."""
+    if levels is None:
+        return SplitRule(feature=feature, threshold=threshold)
+    left = tuple(sorted(levels[: int(threshold) + 1].tolist()))
+    return SplitRule(feature=feature, left_levels=left, nominal=True)
 
 
 def _sort_rows(xt):
@@ -177,15 +157,15 @@ def _best_per_row(score, valid, xs):
     return list(zip(rows.tolist(), score[rows, pos].tolist(), threshold.tolist()))
 
 
-def _best_continuous_splits(xt, y, parents, n_obs, min_leaf):
+def _best_splits(xt, y, parents, n_obs, min_leaf):
     """Best threshold split of every row of xt at once.
 
-    Row c of xt holds one continuous candidate feature over a node's rows,
-    nan where missing; n_obs[c] counts its observed values and parents[c]
-    is the risk of the rows that observe it. A stable sort puts the
-    observed values first, in the order a sort of them alone gives, so the
-    cumulative sums over that prefix, and every gain, are bit-identical to
-    a one-feature search.
+    Row c of xt holds one candidate feature over a node's rows, nan where
+    missing; y holds the node's centred targets, n_obs[c] counts the
+    feature's observed values and parents[c] is the risk of the rows that
+    observe it. A stable sort puts the observed values first, in the order
+    a sort of them alone gives, so the cumulative sums over that prefix,
+    and every gain, are bit-identical to a one-feature search.
 
     Returns [(c, delta, threshold)] for the rows that have a boundary
     leaving min_leaf rows on both sides.
@@ -212,78 +192,49 @@ def _best_continuous_splits(xt, y, parents, n_obs, min_leaf):
     return _best_per_row(delta, valid, xs)
 
 
-def _best_nominal_surrogate(xk, best_left):
-    """Best (xi, left_levels) subset of nominal feature k mimicking
-    best_left, or None. Rows with missing xk must already be excluded."""
-    n = xk.size
-    if n < 2:
-        return None
-    total_l = int(np.count_nonzero(best_left))
-    p_l = float(total_l) / n
-    p_r = 1.0 - p_l
-    denom = min(p_l, p_r)
-    if denom == 0.0:
-        return None
-    codes = xk.astype(int)
-    per_level_n = np.bincount(codes)
-    levels = tuple(np.flatnonzero(per_level_n).tolist())
-    if len(levels) < 2:
-        return None
-    per_level_n = per_level_n.tolist()
-    per_level_l = np.bincount(codes[best_left], minlength=len(per_level_n)).tolist()
-    best = None
-    for subset in _nominal_candidates(levels):
-        n_cand_left = sum(per_level_n[lev] for lev in subset)
-        if n_cand_left == 0 or n_cand_left == n:
-            continue
-        ll = sum(per_level_l[lev] for lev in subset)
-        p_ll = ll / n
-        p_rr = ((n - n_cand_left) - (total_l - ll)) / n
-        xi = (denom - (1.0 - p_ll - p_rr)) / denom
-        if best is None or xi > best[0]:
-            best = (xi, subset)
-    return best
-
-
-def _best_continuous_surrogates(xt, n_obs, best_left):
+def _best_surrogates(xt, n_obs, best_left):
     """Best threshold surrogate of every row of xt at once.
 
-    Row c of xt holds one continuous candidate feature over the rows that
-    observe the primary feature, nan where missing, and n_obs[c] counts its
-    observed values; best_left is the primary rule's direction per row.
-    Returns [(c, xi, threshold)] for the rows with two distinct observed
-    values over which the primary rule sends rows both ways.
+    Row c of xt holds one candidate feature over the rows that observe the
+    primary feature, nan where missing, and n_obs[c] counts its observed
+    values; best_left is the primary rule's direction per row. Returns
+    [(c, xi, threshold)] for the rows with two distinct observed values
+    over which the primary rule sends rows both ways.
     """
     order, xs, valid = _sort_rows(xt)
     if not valid.any():
         return []
-    # Left counts are integers, so every count and difference below is
-    # exact and the ratios match a float-count computation bit for bit.
+    # xi is a ratio of exact row counts (see association), so a rule that
+    # does no better than the majority direction scores exactly 0.
     cum_l = best_left[order].cumsum(axis=1)
     total_l = cum_l[np.arange(len(xt)), n_obs - 1][:, None]
     m = n_obs[:, None]
+    denom = np.minimum(total_l, m - total_l)
+    valid &= denom > 0
+    if not valid.any():
+        return []
+    ll = cum_l[:, :-1]
+    agree = ll + (m - np.arange(1, xt.shape[1])) - (total_l - ll)
     with np.errstate(divide="ignore", invalid="ignore"):
-        p_l = total_l / m
-        denom = np.minimum(p_l, 1.0 - p_l)
-        valid &= denom > 0.0
-        if not valid.any():
-            return []
-        ll = cum_l[:, :-1]
-        p_ll = ll / m
-        p_rr = ((m - np.arange(1.0, xt.shape[1])) - (total_l - ll)) / m
-        xi = (denom - (1.0 - p_ll - p_rr)) / denom
+        xi = (denom - (m - agree)) / denom
     return _best_per_row(xi, valid, xs)
 
 
-def _route_missing(x, rows, rule, surrogates):
-    """Left mask for the rows x[rows] that miss the rule's feature.
+def _route(x, rows, rule, surrogates):
+    """Left mask of the rows x[rows] at a node with this rule and surrogates.
 
-    Each row goes the way of the first surrogate whose feature it observes,
-    one vectorised step per surrogate, and then the majority direction
+    Rows that observe the rule's feature follow the rule. Each other row
+    goes the way of the first surrogate whose feature it observes, one
+    vectorised step per surrogate, and then the majority direction
     rule.missing_left.
     """
+    v = x[rows, rule.feature]
+    miss = np.isnan(v)
+    if not miss.any():
+        return rule.left_mask(v)
     left = np.full(rows.size, rule.missing_left)
-    pending = np.arange(rows.size)
+    left[~miss] = rule.left_mask(v[~miss])
+    pending = miss.nonzero()[0]
     for surr, _xi in surrogates:
         sv = x[rows[pending], surr.feature]
         seen = ~np.isnan(sv)
@@ -302,116 +253,87 @@ class _Grower:
         self.xt = np.ascontiguousarray(x.T)
         self.y = y
         self.nominal = [bool(v) for v in nominal]
-        self.continuous = [j for j, nom in enumerate(self.nominal) if not nom]
         self.stop = stop
         self.rng = rng
         self.p = x.shape[1]
         n = y.size
         self.budget = stop.max_splits if stop.max_splits is not None else max(n - 1, 0)
 
-    def build(self, idx):
+    def grow(self):
+        """The root of the tree over all rows. Nodes are grown in preorder,
+        left subtree first, so the split budget and the feature draws are
+        spent in that order."""
+        nodes = []
+        stack = [(np.arange(self.y.size), None, 0)]
+        while stack:
+            idx, parent, side = stack.pop()
+            if parent is not None:
+                nodes[parent][side] = len(nodes)
+            found = self._split(idx)
+            if isinstance(found, Leaf):
+                nodes.append(found)
+                continue
+            rule, surrogates, risk, left = found
+            self.budget -= 1
+            stack.append((idx[~left], len(nodes), 4))
+            stack.append((idx[left], len(nodes), 3))
+            nodes.append([rule, surrogates, risk, None, None])
+        return _link(nodes, range(len(nodes)))
+
+    def _split(self, idx):
+        """A Leaf for the rows idx, or (rule, surrogates, risk, left mask)."""
         y = self.y[idx]
         n = idx.size
-        risk = _ss(y)
-        value = float(y.sum()) / n  # == y.mean(), without its overhead
+        yc = _centred(y)
+        risk = _ss(yc)
+        leaf = Leaf(value=float(y.sum()) / n, n=int(n), risk=risk)
         if (
             n < self.stop.min_branch
             or n < 2 * self.stop.min_leaf
             or self.budget <= 0
             or risk <= 0.0
         ):
-            return Leaf(value=value, n=int(n), risk=risk)
+            return leaf
 
         node = _NodeRows(self.xt[:, idx])
-        found = self._best_split(node, y, risk)
-        if found is None:
-            return Leaf(value=value, n=int(n), risk=risk)
-
-        j, key = found
-        if self.nominal[j]:
-            rule_args = {"left_levels": key, "nominal": True}
-        else:
-            rule_args = {"threshold": key}
-        observed = node.observing(j)
-        left_obs = SplitRule(feature=j, **rule_args).left_mask(observed.xt[j])
-        n_left_obs = int(np.count_nonzero(left_obs))
-        n_right_obs = left_obs.size - n_left_obs
-        rule = SplitRule(feature=j, missing_left=n_left_obs >= n_right_obs, **rule_args)
-
+        rule = self._best_split(node, yc, risk)
+        if rule is None:
+            return leaf
+        observed = node.observing(rule.feature)
+        left_obs = rule.left_mask(observed.xt[rule.feature])
+        rule = replace(rule, missing_left=2 * np.count_nonzero(left_obs) >= left_obs.size)
         surrogates = self._find_surrogates(observed, rule, left_obs)
-        if observed is node:
-            goes_left = left_obs
-        else:
-            obs = ~node.miss[j]
-            goes_left = np.empty(n, dtype=bool)
-            goes_left[obs] = left_obs
-            goes_left[~obs] = _route_missing(
-                node.xt.T, np.flatnonzero(~obs), rule, surrogates
-            )
+        left = _route(self.xt.T, idx, rule, surrogates)
+        if left.all() or not left.any():
+            return leaf
+        return rule, surrogates, risk, left
 
-        left_idx = idx[goes_left]
-        right_idx = idx[~goes_left]
-        if left_idx.size == 0 or right_idx.size == 0:
-            return Leaf(value=value, n=int(n), risk=risk)
-
-        self.budget -= 1
-        left = self.build(left_idx)
-        right = self.build(right_idx)
-        return Internal(
-            rule=rule,
-            surrogates=surrogates,
-            left=left,
-            right=right,
-            risk=risk,
-            n=int(n),
-        )
-
-    def _best_split(self, node, y, risk):
-        """(feature, threshold or level subset) of the best split of a
-        node's rows, or None when no candidate reduces the risk."""
-        min_leaf = self.stop.min_leaf
-        candidates = self._candidate_features()
-        scored = []
-        cont = (
-            self.continuous
-            if len(candidates) == self.p
-            else [j for j in candidates if not self.nominal[j]]
-        )
-        if cont:
-            n_obs = node.n_obs[cont]
-            # A feature's parent risk is summed over its observed rows in
-            # row order; summing the sorted values instead changes the last
-            # bits of the gains and can flip exact ties between features.
-            parents = np.full(len(cont), risk)
-            if not node.complete:
-                for c in (n_obs < y.size).nonzero()[0]:
-                    parents[c] = _ss(y[~node.miss[cont[c]]])
-            scored = [
-                (cont[c], delta, threshold)
-                for c, delta, threshold in _best_continuous_splits(
-                    node.xt[cont], y, parents, n_obs, min_leaf
-                )
-            ]
-        for j in candidates:
-            if self.nominal[j]:
-                xj, yj = node.xt[j], y
-                if not node.complete:
-                    obs = ~node.miss[j]
-                    xj, yj = xj[obs], y[obs]
-                got = _best_nominal_split(xj, yj, min_leaf)
-                if got is not None:
-                    scored.append((j, got[0], got[1]))
+    def _best_split(self, node, yc, risk):
+        """The rule of the best split of a node's rows (yc its centred
+        targets, risk their risk), or None when no candidate reduces it."""
+        cand = self._candidate_features()
+        xt = node.xt[cand]
+        n_obs = node.n_obs[cand]
+        # A feature's parent risk is summed over its observed rows in row
+        # order; summing the sorted values instead changes the last bits of
+        # the gains and can flip exact ties between features.
+        parents = np.full(len(cand), risk)
+        if not node.complete:
+            for c in (n_obs < yc.size).nonzero()[0]:
+                parents[c] = _ss(yc[~node.miss[cand[c]]])
+        levels = {c: _rank_levels(xt[c], yc) for c, j in enumerate(cand) if self.nominal[j]}
         best = None
-        for j, delta, key in sorted(scored, key=lambda item: item[0]):
-            if delta <= 0.0:
-                continue
-            if best is None or delta > best[0]:
-                best = (delta, j, key)
-        return None if best is None else best[1:]
+        for c, delta, threshold in _best_splits(xt, yc, parents, n_obs, self.stop.min_leaf):
+            if delta > 0.0 and (best is None or delta > best[0]):
+                best = (delta, c, threshold)
+        if best is None:
+            return None
+        _delta, c, threshold = best
+        return _rule(cand[c], threshold, levels.get(c))
 
     def _candidate_features(self):
         if self.stop.m is None or self.stop.m >= self.p:
-            return range(self.p)
+            return list(range(self.p))
         chosen = self.rng.choice(self.p, size=self.stop.m, replace=False)
         return sorted(int(j) for j in chosen)
 
@@ -420,25 +342,16 @@ class _Grower:
         rule over node, the rows that observe its feature."""
         if self.stop.surrogates == 0 or self.p < 2:
             return ()
-        found = []
-        cont = [k for k in self.continuous if k != rule.feature]
-        for c, xi, threshold in _best_continuous_surrogates(
-            node.xt[cont], node.n_obs[cont], left_obs
-        ):
-            if xi > 0.0:
-                found.append((xi, cont[c], SplitRule(feature=cont[c], threshold=threshold)))
-        for k in range(self.p):
-            if k == rule.feature or not self.nominal[k]:
-                continue
-            xk, left_k = node.xt[k], left_obs
-            if not node.complete:
-                incl = ~node.miss[k]
-                xk, left_k = xk[incl], left_obs[incl]
-            got = _best_nominal_surrogate(xk, left_k)
-            if got is None or got[0] <= 0.0:
-                continue
-            surr = SplitRule(feature=k, left_levels=got[1], nominal=True)
-            found.append((got[0], k, surr))
+        others = [k for k in range(self.p) if k != rule.feature]
+        xt = node.xt[others]
+        share = left_obs.astype(float)
+        levels = {c: _rank_levels(xt[c], share, highest_first=True)
+                  for c, k in enumerate(others) if self.nominal[k]}
+        found = [
+            (xi, others[c], _rule(others[c], threshold, levels.get(c)))
+            for c, xi, threshold in _best_surrogates(xt, node.n_obs[others], left_obs)
+            if xi > 0.0
+        ]
         found.sort(key=lambda item: (-item[0], item[1]))
         return tuple((surr, xi) for xi, _k, surr in found[: self.stop.surrogates])
 
@@ -457,6 +370,24 @@ class _NodeRows:
         if self.n_obs[j] == self.xt.shape[1]:
             return self
         return _NodeRows(self.xt[:, ~self.miss[j]])
+
+
+def _link(nodes, order):
+    """The root of the Leaf/Internal graph of nodes, built bottom-up.
+
+    nodes maps an id to a Leaf or to (rule, surrogates, risk, left id,
+    right id); order lists the ids with every parent before its children.
+    """
+    built = {}
+    for node_id in reversed(order):
+        node = nodes[node_id]
+        if not isinstance(node, Leaf):
+            rule, surrogates, risk, left_id, right_id = node
+            left, right = built.pop(left_id), built.pop(right_id)
+            node = Internal(rule=rule, surrogates=surrogates, left=left, right=right,
+                            risk=risk, n=left.n + right.n)
+        built[node_id] = node
+    return built[order[0]]
 
 
 def grow(ds, rows=None, stop=None, seed=None, targets=None, rng=None):
@@ -494,28 +425,12 @@ def grow(ds, rows=None, stop=None, seed=None, targets=None, rng=None):
     nominal, _counts = ds.input_kinds()
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(0 if seed is None else seed))
-    grower = _Grower(x, y, nominal, stop, rng)
-    return grower.build(np.arange(rows.size))
+    return _Grower(x, y, nominal, stop, rng).grow()
 
 
 def predict(tree, x):
     """Route one input vector (nan marks missing) to its leaf value."""
-    x = np.asarray(x, dtype=float)
-    node = tree
-    while isinstance(node, Internal):
-        rule = node.rule
-        v = x[rule.feature]
-        if np.isnan(v):
-            left = rule.missing_left
-            for surr, _xi in node.surrogates:
-                sv = x[surr.feature]
-                if not np.isnan(sv):
-                    left = surr.goes_left(sv)
-                    break
-        else:
-            left = rule.goes_left(v)
-        node = node.left if left else node.right
-    return node.value
+    return predict_batch(tree, np.asarray(x, dtype=float)[None])[0]
 
 
 def predict_batch(tree, x_matrix):
@@ -541,15 +456,7 @@ def predict_batch(tree, x_matrix):
                 "tree splits on input column %d but the input has %d columns"
                 % (max(features), p)
             )
-        rule = node.rule
-        v = x[rows, rule.feature]
-        miss = np.isnan(v)
-        if miss.any():
-            left = np.empty(rows.size, dtype=bool)
-            left[~miss] = rule.left_mask(v[~miss])
-            left[miss] = _route_missing(x, rows[miss], rule, node.surrogates)
-        else:
-            left = rule.left_mask(v)
+        left = _route(x, rows, node.rule, node.surrogates)
         for child, sub in ((node.right, rows[~left]), (node.left, rows[left])):
             if sub.size:
                 stack.append((child, sub))
@@ -571,15 +478,14 @@ def association(ds, best_rule, candidate_rule, rows=None):
     if not np.any(incl):
         raise UndefinedAssociation("no rows observe both features")
     best_left = best_rule.left_mask(xb[incl])
-    cand_left = candidate_rule.left_mask(xc[incl])
+    agree = int(np.count_nonzero(best_left == candidate_rule.left_mask(xc[incl])))
     n = best_left.size
-    p_l = float(np.count_nonzero(best_left)) / n
-    denom = min(p_l, 1.0 - p_l)
-    if denom == 0.0:
+    n_left = int(np.count_nonzero(best_left))
+    # (min(P_L, P_R) - (1 - P_LL - P_RR)) / min(P_L, P_R), times n / n
+    denom = min(n_left, n - n_left)
+    if denom == 0:
         raise UndefinedAssociation("the best rule does not divide the included rows")
-    p_ll = float(np.count_nonzero(best_left & cand_left)) / n
-    p_rr = float(np.count_nonzero(~best_left & ~cand_left)) / n
-    return (denom - (1.0 - p_ll - p_rr)) / denom
+    return (denom - (n - agree)) / denom
 
 
 def iter_nodes(tree):
@@ -699,8 +605,7 @@ def tree_from_lines(lines):
         except (ValueError, IndexError) as exc:
             raise ParseError("bad tree line %r: %s" % (line, exc)) from None
 
-    # Walk down from the root; every child is reached after its parent, so
-    # the reversed order builds children before the nodes that hold them.
+    # Walk down from the root, so every child is listed after its parent.
     order = []
     seen = set()
     stack = [0]
@@ -714,29 +619,20 @@ def tree_from_lines(lines):
         order.append(node_id)
         if nodes[node_id][0] == "split":
             stack.extend(nodes[node_id][3:])
-    built = {}
-    for node_id in reversed(order):
+    linked = {}
+    for node_id in order:
         entry = nodes[node_id]
         risk, missing_left = infos.get(node_id, (float("nan"), True))
         if entry[0] == "leaf":
-            built[node_id] = Leaf(value=entry[1], n=entry[2], risk=risk)
+            linked[node_id] = Leaf(value=entry[1], n=entry[2], risk=risk)
             continue
         _tag, feature, token, left_id, right_id = entry
         try:
             rule = _parse_rule(feature, token, missing_left)
         except ValueError as exc:
             raise ParseError("bad split rule %r: %s" % (token, exc)) from None
-        left = built[left_id]
-        right = built[right_id]
-        built[node_id] = Internal(
-            rule=rule,
-            surrogates=tuple(surrogates.get(node_id, ())),
-            left=left,
-            right=right,
-            risk=risk,
-            n=left.n + right.n,
-        )
-    return built[0]
+        linked[node_id] = (rule, tuple(surrogates.get(node_id, ())), risk, left_id, right_id)
+    return _link(linked, order)
 
 
 def to_text(tree):

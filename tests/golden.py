@@ -1,12 +1,11 @@
 """Golden tree and forest artifacts on three seeded datasets.
 
 Each dataset mixes continuous columns (some on coarse grids, so values
-repeat), a 4-level and a 12-level nominal column (exhaustive subsets and
-one-level-versus-rest), and missing input cells, so growth exercises
-surrogate search and routing exercises every surrogate fallback. The files
-under tests/data/ hold the artifacts as the package wrote them before the
-tree hot path was vectorised; test_golden.py regenerates them and requires
-exact equality.
+repeat), a 4-level and a 12-level nominal column (levels ranked by mean
+target, so a split may group any of them), and missing input cells, so
+growth exercises surrogate search and routing exercises every surrogate
+fallback. The files under tests/data/ hold the artifacts as the package
+wrote them; test_golden.py regenerates them and requires exact equality.
 
 The risk fixture is a small hourly logger file (risk.logger.csv) with
 elements of different time spans, scattered and day-long gaps, cold spells
@@ -18,8 +17,12 @@ The CLI fixtures are a seeded carbonation table with missing input cells
 (cli.train.csv), a complete scoring table (cli.score.csv) and a first-order
 series pair with and without gaps (cli.series_gaps.csv, cli.series.csv).
 cli.<run>.<file> are the outputs, config.json aside, that each run in
-CLI_RUNS wrote before the run configuration was resolved in one place,
-including the `mlpreg v1` and `narx v1` model files.
+CLI_RUNS wrote, including the model files of all five kinds. The runs that
+read a model (predict, baseline, report) read the fixed model files in
+tests/data/models/ instead: the files `train` wrote before nominal levels
+were ranked by mean and sums were centred. They are inputs, so those runs
+keep scoring files an earlier version wrote, and their outputs move only
+when scoring does, not when training does.
 
 Regenerate the files (only when an output value is meant to change, and
 say which in CHANGES.md) with:
@@ -41,6 +44,7 @@ from helpers import make_ds
 
 SEEDS = (11, 12, 13)
 DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+MODELS_DIR = os.path.join(DATA_DIR, "models")
 
 COLUMNS = [
     ("w", "continuous", "input"),
@@ -286,11 +290,10 @@ CLI_RUNS = (
 )
 
 
-def cli_artifacts(inputs_dir, model_dir=None):
+def cli_artifacts(inputs_dir):
     """{file name: text} of every output but config.json of each CLI run.
 
-    Runs that read a model read cli.<train run>.model.txt from model_dir, or
-    the model.txt their train run just wrote when model_dir is None.
+    Runs that read a model read cli.<train run>.model.txt from MODELS_DIR.
     """
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -298,11 +301,8 @@ def cli_artifacts(inputs_dir, model_dir=None):
             argv = [os.path.join(inputs_dir, a) if a.startswith("cli.") else a
                     for a in argv]
             if model_run is not None:
-                if model_dir is None:
-                    model = os.path.join(tmp, model_run, "model.txt")
-                else:
-                    model = os.path.join(model_dir, "cli.%s.model.txt" % model_run)
-                argv += ["--model-file", model]
+                argv += ["--model-file",
+                         os.path.join(MODELS_DIR, "cli.%s.model.txt" % model_run)]
             run_dir = os.path.join(tmp, name)
             if run_cli(argv + ["--out", run_dir]) != 0:
                 raise RuntimeError("cli run %s failed" % name)

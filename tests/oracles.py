@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from duracast import durability, neural
+from duracast import durability, neural, tree
 from duracast.errors import DomainError, UnfillableGap
 
 
@@ -117,6 +117,63 @@ def predict_reference(node, row):
             goes_left = row[j] < payload
         node = left if goes_left else right
     return node[1]
+
+
+def best_level_split_gain(codes, y):
+    """Largest risk reduction over every split of the present levels into two
+    non-empty groups, with no cap on the level count."""
+    levels = sorted(set(codes))
+    parent = sse(y)
+    best = None
+    for r in range(len(levels) - 1):
+        for combo in itertools.combinations(levels[1:], r):
+            members = {levels[0], *combo}
+            left = [v for c, v in zip(codes, y) if c in members]
+            right = [v for c, v in zip(codes, y) if c not in members]
+            gain = parent - sse(left) - sse(right)
+            best = gain if best is None else max(best, gain)
+    return best
+
+
+def best_level_association(codes, best_left):
+    """Largest predictive association with the directions best_left over
+    every proper non-empty set of the present levels sent left, from row
+    counts: (min(n_L, n_R) - disagreements) / min(n_L, n_R)."""
+    levels = sorted(set(codes))
+    n = len(codes)
+    n_left = sum(best_left)
+    denom = min(n_left, n - n_left)
+    best = None
+    for r in range(1, len(levels)):
+        for combo in itertools.combinations(levels, r):
+            agree = sum(1 for c, b in zip(codes, best_left) if (c in combo) == b)
+            xi = (denom - (n - agree)) / denom
+            best = xi if best is None else max(best, xi)
+    return best
+
+
+def _rule_goes_left(rule, value):
+    if rule.nominal:
+        return int(value) in set(rule.left_levels)
+    return value < rule.threshold
+
+
+def predict_one_row(node, x):
+    """Leaf value of one input vector (nan marks missing), walking the tree
+    node by node: the rule when the row observes its feature, else the first
+    surrogate that the row observes, else the majority direction."""
+    while isinstance(node, tree.Internal):
+        rule = node.rule
+        left = rule.missing_left
+        if not math.isnan(x[rule.feature]):
+            left = _rule_goes_left(rule, x[rule.feature])
+        else:
+            for surr, _xi in node.surrogates:
+                if not math.isnan(x[surr.feature]):
+                    left = _rule_goes_left(surr, x[surr.feature])
+                    break
+        node = node.left if left else node.right
+    return node.value
 
 
 def erf_reference(x):

@@ -1,10 +1,13 @@
 import argparse
 import json
 import os
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from duracast import tree
 from duracast.cli import _build_parser, run_cli
 from oracles import simulate_first_order
 
@@ -527,6 +530,43 @@ def test_config_records_exactly_the_knobs_the_run_consumed(tmp_path, argv, keys)
     cfg = json.loads((out / "config.json").read_text())
     assert set(cfg) == set((_DATA_KEYS + " " + keys).split())
     assert cfg["command"] == argv[0]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["train", "--model", "boost", "--m", "2", "--trees", "2"], "--m"),
+    (["train", "--model", "tree", "--trees", "9"], "--trees"),
+    (["crossval", "--model", "tree", "--m", "2", "--folds", "2"], "--m"),
+])
+def test_a_flag_the_model_kind_does_not_use_warns(tmp_path, argv, flag):
+    kind = argv[argv.index("--model") + 1]
+    with pytest.warns(UserWarning, match="a %s model ignores %s$" % (kind, flag)):
+        assert run(argv + TAB + ["--out", str(tmp_path / "run")]) == 0
+    assert flag[2:] not in json.loads((tmp_path / "run" / "config.json").read_text())
+
+
+def test_a_flag_the_model_kind_uses_does_not_warn(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        argv = ["train", "--model", "bag", "--m", "2", "--trees", "2"]
+        assert run(argv + TAB + ["--out", str(tmp_path / "run")]) == 0
+
+
+def test_train_grows_a_tree_deeper_than_the_recursion_limit(tmp_path):
+    # y alternates along x, so every split peels off one or two rows.
+    data = tmp_path / "deep.csv"
+    data.write_text("x,y\n" + "".join("%d,%d\n" % (i, i % 2) for i in range(3000)))
+    schema = tmp_path / "deep.schema.csv"
+    schema.write_text("x,continuous,input\ny,continuous,target\n")
+    out = tmp_path / "run"
+    assert run(["train", "--data", str(data), "--schema", str(schema), "--model", "tree",
+                "--out", str(out)]) == 0
+    depth, stack = 0, [(tree.load_tree(str(out / "model.txt")), 1)]
+    while stack:
+        node, d = stack.pop()
+        depth = max(depth, d)
+        if isinstance(node, tree.Internal):
+            stack += [(node.left, d + 1), (node.right, d + 1)]
+    assert depth > sys.getrecursionlimit()
 
 
 def test_config_holds_the_resolved_values(tmp_path):

@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import duracast as dc
 from duracast import tree
 from duracast.errors import DuracastError, ParseError, ShapeError
 
 from helpers import continuous_ds, make_ds
-from oracles import grow_reference, predict_reference
+from oracles import (
+    best_level_association,
+    best_level_split_gain,
+    grow_reference,
+    predict_reference,
+)
 
 
 def small_stop(**kw):
@@ -127,6 +133,33 @@ def test_grow_rejects_zero_rows():
         dc.grow(ds, rows=[])
 
 
+@pytest.mark.parametrize("offset", [1e6, 1e8, 1e12])
+def test_splits_do_not_depend_on_the_target_offset(offset):
+    rng = np.random.Generator(np.random.PCG64(0))
+    x = rng.uniform(0.0, 1.0, size=(200, 1))
+    y = 2.0 * x[:, 0] + rng.normal(scale=0.1, size=200)
+    stop = dc.StoppingCriteria(min_leaf=1, min_branch=10, surrogates=0)
+    base = dc.grow(continuous_ds(x, y), stop=stop)
+    moved = dc.grow(continuous_ds(x, y + offset), stop=stop)
+    assert len(tree.iter_nodes(base)) > 50
+
+    def shape(t):
+        return [node.rule if isinstance(node, tree.Internal) else node.n
+                for _id, node in tree.iter_nodes(t)]
+
+    assert shape(moved) == shape(base)
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0 / 3, -2.2, 7.7, 123.456, 1e6 + 0.1, 1e12 + 0.3])
+def test_equal_targets_never_split(value):
+    rng = np.random.Generator(np.random.PCG64(1))
+    for n in range(2, 40):
+        t = dc.grow(continuous_ds(rng.uniform(size=(n, 2)), np.full(n, value)),
+                    stop=small_stop())
+        assert isinstance(t, tree.Leaf)
+        assert t.risk == 0.0
+
+
 # ---------------------------------------------------------------------------
 # oracle agreement (the full 50-dataset sweep runs in the acceptance suite)
 
@@ -169,6 +202,51 @@ def test_matches_brute_force_reference(seed):
     assert float(np.mean((ours - np.array(y)) ** 2)) == float(
         np.mean((theirs - np.array(y)) ** 2)
     )
+
+
+def _nominal_problem(seed, n_levels, n):
+    """A nominal column over n rows that uses at least two of its levels."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    codes = rng.integers(0, n_levels, size=n)
+    codes[:2] = rng.choice(n_levels, size=2, replace=False)
+    return rng, codes
+
+
+_LEVELS = st.one_of(st.integers(2, 8), st.just(12))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_levels=_LEVELS, n=st.integers(12, 60))
+def test_nominal_root_split_is_the_exhaustive_optimum(seed, n_levels, n):
+    rng, codes = _nominal_problem(seed, n_levels, n)
+    y = rng.normal(size=n) + rng.normal(scale=2.0, size=n_levels)[codes]
+    cols = [("c", "nominal", "input", tuple("v%d" % v for v in range(n_levels))),
+            ("y", "continuous", "target")]
+    t = dc.grow(make_ds(cols, np.column_stack([codes, y])), stop=small_stop(max_splits=1))
+    best = best_level_split_gain(codes.tolist(), y.tolist())
+    assert t.risk - t.left.risk - t.right.risk == pytest.approx(best, rel=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_levels=_LEVELS, n=st.integers(12, 60))
+def test_nominal_surrogate_is_the_best_level_set(seed, n_levels, n):
+    rng, codes = _nominal_problem(seed, n_levels, n)
+    # The target is the continuous column itself, so no level set beats its
+    # split; one that ties it to the last bit may still be chosen.
+    x0 = rng.uniform(size=n_levels)[codes] + rng.uniform(0.0, 1.0) * rng.normal(size=n)
+    cols = [("x", "continuous", "input"),
+            ("c", "nominal", "input", tuple("v%d" % v for v in range(n_levels))),
+            ("y", "continuous", "target")]
+    ds = make_ds(cols, np.column_stack([x0, codes, x0]))
+    t = dc.grow(ds, stop=small_stop(max_splits=1))
+    assume(t.rule.feature == 0)
+    best = best_level_association(codes.tolist(), (x0 < t.rule.threshold).tolist())
+    if best <= 0.0:
+        assert t.surrogates == ()
+        return
+    (surr, xi), = t.surrogates
+    assert surr.nominal and xi == pytest.approx(best, rel=1e-9)
+    assert xi == dc.association(ds, t.rule, surr)
 
 
 # ---------------------------------------------------------------------------
