@@ -1,10 +1,12 @@
-"""Deterministic file output helpers and the model-file header reader.
+"""Deterministic file output helpers, the UTF-8 file reader and the
+model-file header reader.
 
 All artifacts are written atomically (temporary file in the target directory,
 then rename) and floats are printed with 17 significant digits so that the
 decimal text round-trips to the exact same IEEE double.
 """
 
+import contextlib
 import os
 import tempfile
 
@@ -36,12 +38,22 @@ def atomic_write_text(path, text):
         raise IoError("cannot write %s: %s" % (path, exc)) from exc
 
 
-def read_text(path):
+@contextlib.contextmanager
+def open_text(path):
+    """A UTF-8 text file open for reading in a with block, newlines kept. An
+    unreadable file raises IoError and one not in UTF-8 ParseError."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            return fh.read()
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ParseError("%s is not UTF-8 text: %s" % (path, exc)) from None
     except OSError as exc:
         raise IoError("cannot read %s: %s" % (path, exc)) from exc
+
+
+def read_text(path):
+    with open_text(path) as fh:
+        return fh.read()
 
 
 def float_array(text):

@@ -5,15 +5,16 @@ report. run_cli resolves a command's knobs once, into one plain dict: the
 defaults of the command (KNOBS) and, for train and crossval, of the model
 kind (MODEL_KNOBS), then the preset, then the explicit flags, then the
 DURACAST_SEED environment variable. An explicit flag that the chosen model
-kind does not use is left out with a warning. The command reads its knobs
-from that dict only, and config.json is that dict as the run left it, so it
-records exactly the knobs the run consumed. Identical configuration, data
-and seed produce byte-identical artifacts. Errors exit nonzero with a single
-stderr line of the form error:<code>:<message>.
+kind (or, for predict, the model file) does not use is left out with a
+warning. The command reads its knobs from that dict only, and config.json is
+that dict as the run left it, so it records exactly the knobs the run
+consumed. Every model kind is fitted, scored, written, loaded and forecast
+through models; no command knows a kind's pipeline. Identical configuration,
+data and seed produce byte-identical artifacts. Errors exit nonzero with a
+single stderr line of the form error:<code>:<message>.
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -21,9 +22,9 @@ import warnings
 
 import numpy as np
 
-from . import baselines, data, durability, ensemble, metrics, models, neural, tree
+from . import baselines, data, durability, ensemble, metrics, models
 from ._io import atomic_write_text, fmt_float
-from .errors import ConfigError, DuracastError, IoError, ParseError, ShapeError
+from .errors import ConfigError, DuracastError, ShapeError
 
 PRESETS = {
     "caprm-bag": {"model": "bag", "trees": 150},
@@ -111,6 +112,12 @@ def _resolve_seed(args):
     return 0
 
 
+def _warn_ignored(kind, keys):
+    if keys:
+        warnings.warn("a %s model ignores %s"
+                      % (kind, ", ".join("--" + key.replace("_", "-") for key in keys)))
+
+
 def resolve(args):
     """The run configuration of a parsed command line (see the module doc)."""
     seed = _resolve_seed(args)
@@ -123,10 +130,8 @@ def resolve(args):
     if command in MODEL_KNOBS:
         kind = args.model or preset.get("model", knobs["model"])
         knobs.update(MODEL_KNOBS[command][kind])
-        ignored = ["--" + key.replace("_", "-") for key in _knob_defaults(command)
-                   if key not in knobs and getattr(args, key, None) is not None]
-        if ignored:
-            warnings.warn("a %s model ignores %s" % (kind, ", ".join(ignored)))
+        _warn_ignored(kind, [key for key in _knob_defaults(command)
+                             if key not in knobs and getattr(args, key, None) is not None])
     cfg = {"command": command, "out": args.out}
     for key, default in knobs.items():
         value = getattr(args, key, None)
@@ -250,44 +255,6 @@ def _write_lines(path, lines):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _series(ds, cfg):
-    """The narx input and output series of ds; records the column names."""
-    names = ds.schema.names
-    if not cfg["u_column"]:
-        inputs = [names[j] for j in ds.schema.input_indices
-                  if ds.schema.columns[j].kind == data.CONTINUOUS]
-        if not inputs:
-            raise ConfigError("no continuous input column available for the series")
-        cfg["u_column"] = inputs[0]
-    cfg["y_column"] = cfg["y_column"] or names[ds.schema.target_index]
-    columns = [ds.schema.column_index(cfg[key]) for key in ("u_column", "y_column")]
-    return [np.where(ds.missing[:, j], np.nan, ds.values[:, j].astype(float)) for j in columns]
-
-
-def _stop(cfg):
-    return tree.StoppingCriteria(min_leaf=cfg["leaf"], min_branch=cfg["branch"],
-                                 surrogates=cfg["surrogates"])
-
-
-def _fit_tree_family(cfg, ds, rows):
-    """(codec kind, model) of the tree, bag or boost model cfg names."""
-    if cfg["model"] == "tree":
-        return "tree", tree.grow(ds, rows=rows, stop=_stop(cfg), seed=cfg["seed"])
-    if cfg["model"] == "bag":
-        return "ensemble", ensemble.train_bagged(
-            ds, n_trees=cfg["trees"], stop=_stop(cfg), m=cfg["m"], seed=cfg["seed"],
-            rows=rows,
-        )
-    return "ensemble", ensemble.train_lsboost(
-        ds, n_trees=cfg["trees"], lam=cfg["rate"], stop=_stop(cfg), seed=cfg["seed"],
-        rows=rows,
-    )
-
-
-def _lm_state(cfg):
-    return neural.LmState(max_epochs=cfg["epochs"], patience=cfg["patience"])
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -311,43 +278,18 @@ def cmd_ingest(cfg):
 
 
 def cmd_train(cfg):
-    seed, kind, split = cfg["seed"], cfg["model"], cfg["split"]
-    model_path = os.path.join(cfg["out"], "model.txt")
     ds = _load_dataset(cfg)
-    if kind == "narx":
-        q = cfg["delays"]
-        u, y = _series(ds, cfg)
-        if cfg["fill"] is not None:
-            u = data.moving_average_fill(u, cfg["fill"])
-            y = data.moving_average_fill(y, cfg["fill"])
-        model, _history, test_rows = neural.train_narx(
-            u, y, q=q, hidden=cfg["hidden"], seed=seed, fractions=split, state=_lm_state(cfg),
-        )
-        neural.save_narx(model_path, model)
-        xs, _ = neural.narx_prepare(
-            neural._scale(u, model.u_bounds), neural._scale(y, model.y_bounds), q
-        )
-        test_idx = np.asarray(test_rows, dtype=int)
-        pred_scaled = neural.forward(model.net, xs[test_idx]).ravel()
-        # supervised row r predicts y[r + q]
-        pred, target = neural._unscale(pred_scaled, model.y_bounds), y[test_idx + q]
-    elif kind == "mlp":
-        enc = data.encode_one_of_n(ds)
-        part = data.split_holdout(enc, split, seed=seed)
-        net, spec = models.fit_mlp(enc, part.train, part.validation, cfg["hidden"],
-                                   _lm_state(cfg), seed)
-        atomic_write_text(model_path, models.mlpreg_text(net, spec))
-        pred, target = models.score_mlp(net, spec, enc, part.test)
+    if cfg["model"] == "narx":
+        kind = "narx"
+        model, pred, target = models.fit_narx(cfg, ds)
     else:
-        part = data.split_holdout(ds, split, seed=seed)
-        codec, model = _fit_tree_family(cfg, ds, sorted(part.train + part.validation))
-        (tree.save_tree if codec == "tree" else ensemble.save_ensemble)(model_path, model)
-        test_rows = np.asarray(part.test, dtype=int)
-        pred = models.predict_tabular(codec, model, ds)[test_rows]
-        target = ds.target_vector(part.test)
+        part = data.split_holdout(ds, cfg["split"], seed=cfg["seed"])
+        kind, model = models.fit(cfg, ds, part.train, part.validation)
+        pred, target = models.score(kind, model, ds, part.test)
+    atomic_write_text(os.path.join(cfg["out"], "model.txt"), models.to_text(kind, model))
     report = metrics.evaluate(pred, target)
     metrics.write_report_csv(os.path.join(cfg["out"], "report.csv"), report)
-    print("trained %s; test mse %s (n=%d)" % (kind, fmt_float(report.mse), report.n))
+    print("trained %s; test mse %s (n=%d)" % (cfg["model"], fmt_float(report.mse), report.n))
     return 0
 
 
@@ -356,19 +298,13 @@ def cmd_predict(cfg):
     ds = _load_dataset(cfg)
     cfg["model_kind"] = kind
     if kind == "narx":
-        horizon = cfg["horizon"]
-        if horizon is None:
+        if cfg["horizon"] is None:
             raise ConfigError("narx prediction needs --horizon")
-        cfg["mode"] = cfg["mode"] or model.mode
-        u, y = _series(ds, cfg)
-        preds = neural.narx_predict(model, u, y, horizon, mode=cfg["mode"])
-        start = len(y) - horizon
-        measured = y[start:]
+        preds, measured = models.forecast(cfg, model, ds)
     else:
-        for key in _NARX_PREDICT:
-            del cfg[key]
-        preds = models.predict_tabular(kind, model, ds)
-        start, measured = 0, ds.target_vector()
+        _warn_ignored(kind, [key for key in _NARX_PREDICT if cfg.pop(key) is not None])
+        preds, measured = models.predict_tabular(kind, model, ds), ds.target_vector()
+    start = ds.n_rows - len(preds)
     _write_lines(os.path.join(cfg["out"], "predictions.csv"),
                  ["row,prediction"]
                  + ["%d,%s" % (start + i, fmt_float(v)) for i, v in enumerate(preds)])
@@ -380,22 +316,13 @@ def cmd_predict(cfg):
 
 
 def cmd_crossval(cfg):
-    seed, k = cfg["seed"], cfg["folds"]
+    k = cfg["folds"]
     ds = _load_dataset(cfg)
-    assign = np.asarray(data.kfold(ds, k, seed=seed).folds)
-    enc = data.encode_one_of_n(ds) if cfg["model"] == "mlp" else None
+    assign = np.asarray(data.kfold(ds, k, seed=cfg["seed"]).folds)
     fold_mse = []
     for fold in range(k):
-        test_rows = np.flatnonzero(assign == fold)
-        train_rows = [int(i) for i in np.flatnonzero(assign != fold)]
-        if enc is not None:
-            state = neural.LmState(max_epochs=cfg["epochs"])
-            net, spec = models.fit_mlp(enc, train_rows, (), cfg["hidden"], state, seed)
-            pred, target = models.score_mlp(net, spec, enc, test_rows)
-        else:
-            codec, model = _fit_tree_family(cfg, ds, train_rows)
-            pred = models.predict_tabular(codec, model, ds)[test_rows]
-            target = ds.target_vector(test_rows)
+        kind, model = models.fit(cfg, ds, [int(i) for i in np.flatnonzero(assign != fold)], ())
+        pred, target = models.score(kind, model, ds, np.flatnonzero(assign == fold))
         residual = target - pred
         fold_mse.append(float(np.mean(residual * residual)))
     cv = float(np.mean(fold_mse))
@@ -415,7 +342,7 @@ def cmd_importance(cfg):
         inputs = {ds.schema.names[j] for j in ds.schema.input_indices}
         drop.extend(sorted(inputs - set(keep) - set(drop)))
     report = ensemble.scenario_importance(
-        ds, ensemble.Scenario(drop=tuple(drop)), n_trees=cfg["trees"], stop=_stop(cfg),
+        ds, ensemble.Scenario(drop=tuple(drop)), n_trees=cfg["trees"], stop=models.stopping(cfg),
         m=cfg["m"], iterations=cfg["iterations"], seed=cfg["seed"], scaling=cfg["scaling"],
     )
     ensemble.write_importance_csv(os.path.join(cfg["out"], "importance.csv"), report)
@@ -444,60 +371,8 @@ def cmd_baseline(cfg):
     return 0
 
 
-def _read_series_csv(path, rh_percent=False):
-    """Per-element HygroSeries from a logger CSV, in order of first
-    appearance. A reading with an empty temperature or humidity field is
-    missing."""
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise IoError("cannot read %s: %s" % (path, exc)) from exc
-    columns = {}
-    nan = float("nan")
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["element", "timestamp", "t_celsius", "rh"]:
-            raise ParseError(
-                "series file needs header element,timestamp,t_celsius,rh"
-            )
-        for ln, rec in enumerate(reader, start=2):
-            if len(rec) != 4:
-                raise ParseError("series row %d needs 4 fields" % ln)
-            name, ts, t_c, rh = rec
-            try:
-                ts = float(ts)
-            except ValueError:
-                raise ParseError("series row %d has a bad timestamp" % ln) from None
-            missing = t_c.strip() == "" or rh.strip() == ""
-            if missing:
-                t_val = rh_val = nan
-            else:
-                try:
-                    t_val = float(t_c)
-                    rh_val = float(rh)
-                except ValueError:
-                    raise ParseError("series row %d has a bad reading" % ln) from None
-            col = columns.get(name)
-            if col is None:
-                col = columns[name] = ([], [], [], [])
-            col[0].append(ts)
-            col[1].append(t_val)
-            col[2].append(rh_val)
-            col[3].append(missing)
-    if not columns:
-        raise ParseError("series file has no rows")
-    series = {}
-    for name, (ts, t_c, rh, missing) in columns.items():
-        rh = np.array(rh)
-        if rh_percent:
-            rh /= 100.0
-        series[name] = durability.HygroSeries(ts, t_c, rh, missing)
-    return series
-
-
 def cmd_risk(cfg):
-    series = _read_series_csv(cfg["series"], rh_percent=cfg["rh_percent"])
+    series = durability.read_series_csv(cfg["series"], rh_percent=cfg["rh_percent"])
     kinds = durability.GRID_KINDS if cfg["kind"] == "all" else (cfg["kind"],)
     for k in kinds:
         grid = durability.build_risk_grid(

@@ -406,8 +406,8 @@ def encode_one_of_n(ds):
 # normalization
 
 
-def fit_normalization(ds, train_rows=None, y_min=-1.0, y_max=1.0):
-    """Learn per-column min-max bounds from the given training rows only."""
+def fit_normalization(ds, train_rows=None):
+    """Learn per-column min-max bounds onto [-1, 1] from the training rows only."""
     rows = np.arange(ds.n_rows) if train_rows is None else np.asarray(train_rows, dtype=int)
     if rows.size == 0:
         raise EmptySelection("cannot fit normalization on zero rows")
@@ -422,7 +422,7 @@ def fit_normalization(ds, train_rows=None, y_min=-1.0, y_max=1.0):
             continue
         x_min[j] = ds.values[present, j].min()
         x_max[j] = ds.values[present, j].max()
-    return NormalizationSpec(x_min, x_max, y_min, y_max)
+    return NormalizationSpec(x_min, x_max)
 
 
 def _map_active_columns(spec, values, fn):

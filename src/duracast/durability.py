@@ -7,7 +7,8 @@ humidities map onto banded categories, and element histories become
 time-binned risk grids rendered as plain-text PPM images.
 
 An element history is a HygroSeries: one array each of timestamps,
-temperatures, humidities and missing flags. build_risk_grid works on those
+temperatures, humidities and missing flags; read_series_csv reads a logger
+CSV into one per element. build_risk_grid works on those
 columns (sequences of HygroSample are converted once on entry). Strictly
 increasing timestamps make every time bin a contiguous run of readings, and
 bins with the same number of readings are averaged together as the rows of
@@ -27,7 +28,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from ._io import atomic_write_text, fmt_float, read_text
+from ._io import atomic_write_text, fmt_float, open_text, read_text
 from .data import moving_average_fill, segment_means
 from .errors import DomainError, ParseError, ShapeError
 
@@ -368,3 +369,39 @@ def read_grid_csv(path):
             raise ParseError("grid CSV row %d has a bad bin_start" % ln) from None
         out.append((rec[0], start, rec[2]))
     return out
+
+
+def read_series_csv(path, rh_percent=False):
+    """Per-element HygroSeries, in order of first appearance, from a logger
+    CSV read line by line; rh_percent reads humidities in percent. A reading
+    with an empty temperature or humidity field is missing."""
+    columns = {}
+    nan = float("nan")
+    with open_text(path) as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != ["element", "timestamp", "t_celsius", "rh"]:
+            raise ParseError("series file needs header element,timestamp,t_celsius,rh")
+        for ln, rec in enumerate(reader, start=2):
+            if len(rec) != 4:
+                raise ParseError("series row %d needs 4 fields" % ln)
+            name, ts, t_c, rh = rec
+            try:
+                ts = float(ts)
+            except ValueError:
+                raise ParseError("series row %d has a bad timestamp" % ln) from None
+            missing = t_c.strip() == "" or rh.strip() == ""
+            try:
+                t_c, rh = (nan, nan) if missing else (float(t_c), float(rh))
+            except ValueError:
+                raise ParseError("series row %d has a bad reading" % ln) from None
+            col = columns.get(name)
+            if col is None:
+                col = columns[name] = ([], [], [], [])
+            col[0].append(ts)
+            col[1].append(t_c)
+            col[2].append(rh)
+            col[3].append(missing)
+    if not columns:
+        raise ParseError("series file has no rows")
+    return {name: HygroSeries(ts, t_c, np.array(rh) / 100.0 if rh_percent else rh, missing)
+            for name, (ts, t_c, rh, missing) in columns.items()}

@@ -154,8 +154,8 @@ def _combine(model, per_tree):
     return model.lam * per_tree.sum(axis=0)
 
 
-def predict_dataset(model, ds, rows=None):
-    x = ds.input_matrix(rows)
+def predict_dataset(model, ds):
+    x = ds.input_matrix()
     if model.feature_names and x.shape[1] != len(model.feature_names):
         raise ShapeError(
             "dataset has %d input columns, model expects %d"
@@ -171,19 +171,26 @@ class OobReport:
     n_uncovered: int
 
 
-def oob_error(model, ds, rows=None):
+def _out_of_bag(model, ds, what):
+    """Out-of-bag masks (trees x rows) of a bagged model over its training rows ds."""
+    if model.kind != BAGGED or model.in_bag is None:
+        raise DomainError("%s needs a bagged model with in-bag masks" % what)
+    if model.in_bag.shape[1] != ds.n_rows:
+        raise ShapeError("in-bag masks cover %d rows, the dataset has %d"
+                         % (model.in_bag.shape[1], ds.n_rows))
+    return ~model.in_bag
+
+
+def oob_error(model, ds):
     """Mean squared error using, per row, only the trees that did not see it.
 
     Rows that are in-bag for every tree are skipped and counted; when no row
     has coverage the estimate is undefined and NoCoverage is raised.
     """
-    if model.kind != BAGGED or model.in_bag is None:
-        raise DomainError("out-of-bag error needs a bagged model with in-bag masks")
-    rows = np.arange(ds.n_rows) if rows is None else np.asarray(rows, dtype=int)
-    x = ds.input_matrix(rows)
-    y = ds.target_vector(rows)
+    oob = _out_of_bag(model, ds, "out-of-bag error")
+    x = ds.input_matrix()
+    y = ds.target_vector()
     per_tree = np.array([tree_mod.predict_batch(t, x) for t in model.trees])
-    oob = ~model.in_bag[:, rows]
     covered = oob.any(axis=0)
     n_uncovered = int(np.count_nonzero(~covered))
     if not covered.any():
@@ -195,7 +202,7 @@ def oob_error(model, ds, rows=None):
     return OobReport(mse=mse, n_covered=int(np.count_nonzero(covered)), n_uncovered=n_uncovered)
 
 
-def permutation_importance(model, ds, iterations=10, seed=0, scaling="std", rows=None):
+def permutation_importance(model, ds, iterations=10, seed=0, scaling="std"):
     """Out-of-bag permutation importance, averaged over seeded iterations.
 
     For each tree and variable, the variable's values are permuted within the
@@ -210,20 +217,17 @@ def permutation_importance(model, ds, iterations=10, seed=0, scaling="std", rows
         scaling: "std" divides the mean by the standard deviation over trees;
             "stderr" divides by std / sqrt(T) instead.
     """
-    if model.kind != BAGGED or model.in_bag is None:
-        raise DomainError("permutation importance needs a bagged model")
+    oob_masks = _out_of_bag(model, ds, "permutation importance")
     if scaling not in ("std", "stderr"):
         raise DomainError("scaling must be 'std' or 'stderr'")
     if iterations < 1:
         raise DomainError("iterations must be >= 1")
-    rows = np.arange(ds.n_rows) if rows is None else np.asarray(rows, dtype=int)
-    x_all = ds.input_matrix(rows)
-    y_all = ds.target_vector(rows)
+    x_all = ds.input_matrix()
+    y_all = ds.target_vector()
     p = x_all.shape[1]
     n_trees = model.n_trees
 
     used = [tree_mod.tree_features(t) for t in model.trees]
-    oob_masks = [~model.in_bag[t_idx, rows] for t_idx in range(n_trees)]
 
     iter_scores = np.zeros((iterations, p))
     seeds = tuple(seed + i for i in range(iterations))

@@ -437,9 +437,8 @@ def narx_prepare(u, y, q):
     return np.hstack([u[back], y[back]]), y[q:].copy()
 
 
-def train_narx(u, y, q=2, hidden=10, seed=0, fractions=(0.75, 0.15, 0.10),
-               state=None, normalize=True, mode="closed"):
-    """Fit a NARX model on one aligned (input, output) series pair.
+def train_narx(u, y, q=2, hidden=10, seed=0, fractions=(0.75, 0.15, 0.10), state=None):
+    """Fit a closed-loop NARX model on one aligned (input, output) series pair.
 
     The supervised rows are split at random into train/validation/test parts,
     series values are rescaled to [-1, 1] (one shared scale for the output so
@@ -453,8 +452,8 @@ def train_narx(u, y, q=2, hidden=10, seed=0, fractions=(0.75, 0.15, 0.10),
 
     u = np.asarray(u, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
-    u_bounds = (float(u.min()), float(u.max())) if normalize else None
-    y_bounds = (float(y.min()), float(y.max())) if normalize else None
+    u_bounds = (float(u.min()), float(u.max()))
+    y_bounds = (float(y.min()), float(y.max()))
     x_sup, y_sup = narx_prepare(_scale(u, u_bounds), _scale(y, y_bounds), q)
     n = x_sup.shape[0]
     if n < 3:
@@ -467,8 +466,16 @@ def train_narx(u, y, q=2, hidden=10, seed=0, fractions=(0.75, 0.15, 0.10),
     trained, history = train_lm(
         net, (x_sup[train_idx], y_sup[train_idx]), validation, state or LmState()
     )
-    model = NarxModel(q=q, net=trained, mode=mode, u_bounds=u_bounds, y_bounds=y_bounds)
+    model = NarxModel(q=q, net=trained, u_bounds=u_bounds, y_bounds=y_bounds)
     return model, history, part.test
+
+
+def narx_one_step(model, u, y, rows):
+    """Batched one-step-ahead predictions of the supervised rows `rows` of
+    the series pair (see narx_prepare); row r predicts y[r + q]."""
+    xs, _ = narx_prepare(_scale(u, model.u_bounds), _scale(y, model.y_bounds), model.q)
+    pred = forward(model.net, xs[np.asarray(rows, dtype=int)]).ravel()
+    return _unscale(pred, model.y_bounds)
 
 
 def narx_predict(model, u, y, horizon, mode=None):
@@ -501,24 +508,16 @@ def narx_predict(model, u, y, horizon, mode=None):
     y_s = _scale(y, model.y_bounds)
     if np.any(np.isnan(y_s[:start])):
         raise InsufficientHistory("history contains missing output values")
-
+    if mode == "open" and np.any(np.isnan(y_s[start:length - 1])):
+        raise InsufficientHistory("open-loop prediction needs measured outputs across the span")
+    # Closed loop writes each prediction into the delay buffer of outputs.
+    buffer = y_s.copy()
     preds = np.empty(horizon)
-    buffer = list(y_s[:start])
-    for k in range(horizon):
-        t = start + k
-        u_feats = [u_s[t - 1 - i] for i in range(q)]
-        if mode == "open":
-            y_feats = [y_s[t - 1 - i] for i in range(q)]
-            if any(np.isnan(v) for v in y_feats):
-                raise InsufficientHistory(
-                    "open-loop prediction needs measured outputs across the span"
-                )
-        else:
-            y_feats = [buffer[t - 1 - i] for i in range(q)]
-        out = forward(model.net, np.asarray(u_feats + y_feats))
-        yhat = float(out[0])
-        preds[k] = yhat
-        buffer.append(yhat)
+    for k, t in enumerate(range(start, length)):
+        x = np.concatenate((u_s[t - q:t][::-1], buffer[t - q:t][::-1]))
+        preds[k] = forward(model.net, x)[0]
+        if mode == "closed":
+            buffer[t] = preds[k]
     return _unscale(preds, model.y_bounds)
 
 

@@ -463,15 +463,14 @@ def predict_batch(tree, x_matrix):
     return out
 
 
-def association(ds, best_rule, candidate_rule, rows=None):
-    """Predictive association between two split rules over dataset rows.
+def association(ds, best_rule, candidate_rule):
+    """Predictive association between two split rules over the dataset rows.
 
     Rows missing either feature are excluded from the proportions. Raises
     UndefinedAssociation when the best rule sends every included row to one
     side (min(P_L, P_R) = 0).
     """
-    rows = np.arange(ds.n_rows) if rows is None else np.asarray(rows, dtype=int)
-    x = ds.input_matrix(rows)
+    x = ds.input_matrix()
     xb = x[:, best_rule.feature]
     xc = x[:, candidate_rule.feature]
     incl = ~np.isnan(xb) & ~np.isnan(xc)

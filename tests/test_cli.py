@@ -551,6 +551,15 @@ def test_a_flag_the_model_kind_uses_does_not_warn(tmp_path):
         assert run(argv + TAB + ["--out", str(tmp_path / "run")]) == 0
 
 
+def test_predict_warns_on_narx_flags_a_tabular_model_ignores(tmp_path):
+    out = tmp_path / "run"
+    argv = ["predict", *TAB, *_model("train_tree"), "--horizon", "5", "--mode", "closed"]
+    with pytest.warns(UserWarning, match="a tree model ignores --horizon, --mode$"):
+        assert run(argv + ["--out", str(out)]) == 0
+    cfg = json.loads((out / "config.json").read_text())
+    assert set(cfg) == set((_DATA_KEYS + " model_file model_kind").split())
+
+
 def test_train_grows_a_tree_deeper_than_the_recursion_limit(tmp_path):
     # y alternates along x, so every split peels off one or two rows.
     data = tmp_path / "deep.csv"
@@ -678,3 +687,24 @@ def test_a_crossval_fold_without_complete_training_rows_is_a_shape_error(tmp_pat
                 "--folds", "2", "--epochs", "3", "--seed", "0", "--out", str(tmp_path / "run")])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:shape-error:")
+
+
+@pytest.mark.parametrize("kind", ["data", "schema", "series", "model"])
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, kind):
+    sources = {"data": "cli.train.csv", "schema": "cli.schema.csv",
+               "series": "risk.logger.csv", "model": "models/cli.train_tree.model.txt"}
+    with open(os.path.join(DATA_DIR, sources[kind]), "rb") as fh:
+        lines = fh.read().split(b"\n")
+    lines[1] = lines[1][:3] + b"\xff" + lines[1][3:]
+    bad = str(tmp_path / "bad.txt")
+    with open(bad, "wb") as fh:
+        fh.write(b"\n".join(lines))
+    argv = {
+        "data": ["ingest", "--data", bad, "--schema", TAB[3]],
+        "schema": ["ingest", "--data", TAB[1], "--schema", bad],
+        "series": ["risk", "--series", bad],
+        "model": ["predict", *TAB, "--model-file", bad],
+    }[kind]
+    assert run(argv + ["--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:parse-error:%s is not UTF-8 text" % bad)

@@ -148,6 +148,16 @@ def test_oob_requires_a_bagged_model():
         dc.oob_error(model, ds)
 
 
+@pytest.mark.parametrize("n", [15, 30])
+def test_out_of_bag_scores_need_the_training_rows(n):
+    model = dc.train_bagged(nonlinear_ds(n=20), n_trees=2, stop=stop())
+    other = nonlinear_ds(n=n)
+    with pytest.raises(dc.DuracastError, match="in-bag masks cover 20 rows"):
+        dc.oob_error(model, other)
+    with pytest.raises(dc.DuracastError, match="in-bag masks cover 20 rows"):
+        dc.permutation_importance(model, other)
+
+
 # ---------------------------------------------------------------------------
 # variable importance
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import duracast as dc
-from duracast import ensemble, models, neural, tree
+from duracast import ensemble, models, tree
 from duracast.errors import ParseError
 
 import golden
@@ -86,16 +86,6 @@ def test_cli_outputs_match_the_golden_files():
 TRAIN_RUNS = ("train_tree", "train_bag", "train_boost", "train_mlp", "train_narx")
 
 
-def _model_text(kind, model):
-    if kind == "tree":
-        return tree.to_text(model)
-    if kind == "ensemble":
-        return ensemble.to_text(model)
-    if kind == "mlpreg":
-        return models.mlpreg_text(*model)
-    return "\n".join(neural.narx_lines(model)) + "\n"
-
-
 @pytest.mark.parametrize("run", TRAIN_RUNS)
 def test_parent_written_model_files_reload_to_the_same_text(run):
     # Both the files an earlier version wrote and the current golden ones.
@@ -104,7 +94,7 @@ def test_parent_written_model_files_reload_to_the_same_text(run):
         path = os.path.join(directory, name)
         kind, model = models.load_model(path)
         with open(path, newline="") as fh:
-            assert _model_text(kind, model) == fh.read()
+            assert models.to_text(kind, model) == fh.read()
 
 
 _TOKENS = ["", "x", "-1", "0", "1", "2", "nan", "inf", "1e999", "3.5", "-", "in:", "in:0|",
