@@ -40,10 +40,12 @@ def atomic_write_text(path, text):
 
 @contextlib.contextmanager
 def open_text(path):
-    """A UTF-8 text file open for reading in a with block, newlines kept. An
-    unreadable file raises IoError and one not in UTF-8 ParseError."""
+    """A UTF-8 text file open for reading in a with block, newlines kept and
+    a leading byte-order mark (as spreadsheet "CSV UTF-8" exports write)
+    dropped. An unreadable file raises IoError and one not in UTF-8
+    ParseError."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise ParseError("%s is not UTF-8 text: %s" % (path, exc)) from None

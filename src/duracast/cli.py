@@ -104,12 +104,14 @@ def _resolve_seed(args):
     env = os.environ.get("DURACAST_SEED")
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ConfigError("DURACAST_SEED must be an integer") from None
-    if args.seed is not None:
-        return int(args.seed)
-    return 0
+    else:
+        seed = 0 if args.seed is None else int(args.seed)
+    if seed < 0:
+        raise ConfigError("the seed must be a non-negative integer, got %d" % seed)
+    return seed
 
 
 def _warn_ignored(kind, keys):

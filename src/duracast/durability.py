@@ -248,8 +248,8 @@ def build_risk_grid(series, kind=CORROSION, bin_width=1.0, fill_radius=None):
         raise DomainError("unknown grid kind %r" % kind)
     if not series:
         raise ShapeError("need at least one element history")
-    if bin_width <= 0:
-        raise DomainError("bin width must be positive")
+    if not 0.0 < bin_width < math.inf:
+        raise DomainError("bin width must be a positive finite number of days")
 
     elements = tuple(series.keys())
     columns = []

@@ -9,7 +9,8 @@ cli.resolve) and record any choice they make in it.
 A saved model is one of four text formats named by their first line:
 ``tree v1``, ``ensemble v1``, ``mlpreg v1`` (a tabular network with its
 scaling bounds) and ``narx v1``. CODECS maps that line to the codec kind, its
-parser, its writer and, for tabular models, the function scoring a dataset.
+parser, its writer and, for tabular models, the function scoring rows of a
+dataset.
 Each entry looks its functions up on their module at call time, so a
 function replaced on its module after import (a profiling shim) runs.
 
@@ -61,7 +62,7 @@ def score(kind, model, ds, rows):
     scores the complete rows among them."""
     if kind != "mlpreg":
         rows = np.asarray(rows, dtype=int)
-        return predict_tabular(kind, model, ds)[rows], ds.target_vector(rows)
+        return predict_tabular(kind, model, ds, rows), ds.target_vector(rows)
     enc = data.encode_one_of_n(ds)
     keep = _complete_rows(enc, rows)
     if keep.size == 0:
@@ -187,12 +188,14 @@ Codec = namedtuple("Codec", "kind parse text predict")
 CODECS = {
     "tree v1": Codec(
         "tree", lambda text: tree.from_text(text), lambda model: tree.to_text(model),
-        lambda model, ds: tree.predict_batch(model, ds.input_matrix())),
+        lambda model, ds, rows: tree.predict_batch(model, ds.input_matrix(rows))),
     "ensemble v1": Codec(
         "ensemble", lambda text: ensemble.from_text(text),
         lambda model: ensemble.to_text(model),
-        lambda model, ds: ensemble.predict_dataset(model, ds)),
-    "mlpreg v1": Codec("mlpreg", _parse_mlpreg, _mlpreg_text, _predict_mlpreg),
+        lambda model, ds, rows: ensemble.predict_dataset(model, ds, rows)),
+    "mlpreg v1": Codec("mlpreg", _parse_mlpreg, _mlpreg_text,
+                       lambda model, ds, rows: _predict_mlpreg(model, ds)[
+                           slice(None) if rows is None else rows]),
     "narx v1": Codec(
         "narx", lambda text: neural.narx_from_lines(text.splitlines()),
         lambda model: "\n".join(neural.narx_lines(model)) + "\n", None),
@@ -215,8 +218,9 @@ def to_text(kind, model):
     return _BY_KIND[kind].text(model)
 
 
-def predict_tabular(kind, model, ds):
-    """One prediction per dataset row from a tree, ensemble or mlpreg model."""
+def predict_tabular(kind, model, ds, rows=None):
+    """One prediction per dataset row (per row of rows, when given) from a
+    tree, ensemble or mlpreg model; a tree or ensemble routes only those."""
     if _BY_KIND[kind].predict is None:
         raise ConfigError("model kind %r cannot score tabular rows" % kind)
-    return _BY_KIND[kind].predict(model, ds)
+    return _BY_KIND[kind].predict(model, ds, rows)

@@ -113,6 +113,8 @@ def make_mlp(sizes, hidden=TANH, a=1.0, seed=0):
     [-1/sqrt(fan_in), +1/sqrt(fan_in)].
     """
     sizes = tuple(int(s) for s in sizes)
+    if min(sizes) < 1:
+        raise DomainError("every layer needs at least one neuron, got sizes %r" % (sizes,))
     rng = np.random.Generator(np.random.PCG64(seed))
     weights = []
     biases = []
@@ -427,6 +429,8 @@ def narx_prepare(u, y, q):
     y = np.asarray(y, dtype=float).ravel()
     if u.size != y.size:
         raise ShapeError("input and output series must have equal length")
+    if q < 1:
+        raise DomainError("delay order q must be >= 1")
     length = y.size
     if length <= q:
         raise InsufficientHistory(

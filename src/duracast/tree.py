@@ -3,37 +3,41 @@
 Splits minimize squared error: at each node the chosen rule maximizes the
 risk reduction dR = R(node) - R(left) - R(right), where R is the sum of
 squared deviations from the node mean. Candidate thresholds for a continuous
-feature are midpoints between consecutive distinct observed values.
+feature are midpoints between consecutive distinct observed values. Ties
+between candidates break toward the lowest feature index and then the
+smallest threshold or rank boundary.
 
 A nominal feature is searched as if it were continuous: at each node its
-present levels are ranked and every observed cell is replaced by its level's
-rank, so both kinds of feature go through one sort-and-scan. For a split the
-levels are ranked by mean target, lowest first, which makes the scan over
-rank boundaries exact for squared error (Fisher 1958; Breiman et al. 1984,
-section 9.4). For a surrogate they are ranked by the share of their rows the
-primary rule sends left, highest first, which makes it exact for the
-agreement count. Levels with equal means or shares rank by level index,
-lowest first. A boundary after rank r sends the levels of rank <= r left.
-With min_leaf above 1 the scan keeps to the boundaries that leave min_leaf
-rows on both sides. Ties between candidates break toward the lowest feature
-index and then the smallest threshold or rank boundary.
+present levels are ranked and each observed cell stands for its level's
+rank. For a split the levels rank by mean target, lowest first, which makes
+the scan over rank boundaries exact for squared error (Fisher 1958; Breiman
+et al. 1984, section 9.4). With min_leaf above 1 the search considers only
+these splits, contiguous in mean order, that leave min_leaf rows on both
+sides; the best split allowed by min_leaf need not be among them. For a
+surrogate the levels rank by the share of their rows the primary rule sends
+left, highest first, which makes the scan exact for the agreement count.
+Equal means or shares rank by level index, and a boundary after rank r
+sends the levels of rank <= r left.
 
-The search works column-wise: a node gathers its rows once, then sorts all
-candidate columns together (missing values last) and scores every boundary
-of every column from one pair of cumulative sums. The sums run over targets
-centred on the node mean, so the chosen splits do not depend on the offset
-of the target, and a node of equal targets has a risk of exactly zero.
+Each internal node keeps up to `surrogates` rules on other features, ranked
+by their predictive association with its rule; a row with a missing primary
+feature goes the way of the first surrogate it observes, then the majority
+direction.
 
-Each internal node can carry surrogate rules ranked by their predictive
-association with the primary rule; rows with a missing primary feature are
-routed by the first evaluable surrogate, then by the majority direction.
-Growth and prediction route row sets, not rows, through one helper: a node
-splits the index set that reached it with one vectorised rule test and
-resolves its missing rows one surrogate at a time. Growth keeps its own
-stack, so no input sets a recursion depth.
+Growth is level-wise (the exact greedy search of Chen & Guestrin 2016,
+section 3.1): one kernel scores every split of a frontier of nodes with one
+sort and one pair of cumulative sums per (feature, node), over targets
+centred on the node mean, so no split depends on the target offset. It runs
+on one of two schedules. With no split budget (max_splits) and no feature
+subsets (m), every node of a level of every tree being grown is one
+frontier, so a bagged ensemble grows all its trees at once. Otherwise the
+budget and the feature draws are spent in preorder (left subtree first), so
+each tree feeds the kernel one node at a time in that order, one node of
+each tree per frontier. The kernel's output is linked into Leaf/Internal
+nodes once at the end; no input sets a recursion depth.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,134 +104,10 @@ class StoppingCriteria:
             raise DomainError("surrogate count must be >= 0")
 
 
-def _centred(y):
-    """y minus its mean. The mean is taken of y - y[0], so equal targets
-    centre to exact zeros."""
-    d = y - y[0]
-    return d - float(d.sum()) / y.size
-
-
-def _ss(d):
-    """Sum of squared deviations of d from its mean, by the sum/sum-of-
-    squares identity; d must be centred near its mean (see _centred), or
-    the identity cancels away the digits that matter."""
-    if d.size == 0:
-        return 0.0
-    s = float(d.sum())
-    return float((d * d).sum()) - s * s / d.size
-
-
-def _rank_levels(xt_row, weights, highest_first=False):
-    """Replace the observed level codes of xt_row, in place, by the ranks of
-    their levels' mean weight; equal means rank by level index. Returns the
-    levels in rank order, the absent ones (a nan mean) last."""
-    obs = ~np.isnan(xt_row)
-    codes = xt_row[obs].astype(int)
-    with np.errstate(invalid="ignore"):
-        key = np.bincount(codes, weights=weights[obs]) / np.bincount(codes)
-    levels = (-key if highest_first else key).argsort(kind="stable")
-    xt_row[obs] = levels.argsort()[codes]
-    return levels
-
-
-def _rule(feature, threshold, levels=None):
-    """The rule of a boundary found by the sort-and-scan; levels are a
-    nominal feature's levels in rank order."""
-    if levels is None:
-        return SplitRule(feature=feature, threshold=threshold)
-    left = tuple(sorted(levels[: int(threshold) + 1].tolist()))
-    return SplitRule(feature=feature, left_levels=left, nominal=True)
-
-
-def _sort_rows(xt):
-    """Stable sort of each row of xt, nan last: the order, the sorted
-    values, and the boundaries between consecutive distinct values."""
-    order = xt.argsort(axis=1, kind="stable")
-    xs = xt[np.arange(xt.shape[0])[:, None], order]
-    return order, xs, xs[:, :-1] < xs[:, 1:]
-
-
-def _best_per_row(score, valid, xs):
-    """[(row, score, threshold)] at each row's first best valid boundary of
-    the sorted values xs, for the rows that have a valid boundary."""
-    pos = np.where(valid, score, -np.inf).argmax(axis=1)
-    rows = valid[np.arange(len(pos)), pos].nonzero()[0]
-    pos = pos[rows]
-    threshold = (xs[rows, pos] + xs[rows, pos + 1]) / 2.0
-    return list(zip(rows.tolist(), score[rows, pos].tolist(), threshold.tolist()))
-
-
-def _best_splits(xt, y, parents, n_obs, min_leaf):
-    """Best threshold split of every row of xt at once.
-
-    Row c of xt holds one candidate feature over a node's rows, nan where
-    missing; y holds the node's centred targets, n_obs[c] counts the
-    feature's observed values and parents[c] is the risk of the rows that
-    observe it. A stable sort puts the observed values first, in the order
-    a sort of them alone gives, so the cumulative sums over that prefix,
-    and every gain, are bit-identical to a one-feature search.
-
-    Returns [(c, delta, threshold)] for the rows that have a boundary
-    leaving min_leaf rows on both sides.
-    """
-    order, xs, valid = _sort_rows(xt)
-    # A boundary between distinct values lies inside the observed prefix,
-    # so it leaves at least one row on each side.
-    nl = np.arange(1.0, xt.shape[1])
-    nr = n_obs[:, None] - nl
-    if min_leaf > 1:
-        valid[:, : min_leaf - 1] = False
-        valid &= nr >= min_leaf
-    if not valid.any():
-        return []
-    ys = y[order]
-    cs = ys.cumsum(axis=1)
-    cq = (ys * ys).cumsum(axis=1)
-    last = np.arange(len(xt)), n_obs - 1
-    sl, ql = cs[:, :-1], cq[:, :-1]
-    sr = cs[last][:, None] - sl
-    qr = cq[last][:, None] - ql
-    with np.errstate(divide="ignore", invalid="ignore"):
-        delta = parents[:, None] - (ql - sl * sl / nl) - (qr - sr * sr / nr)
-    return _best_per_row(delta, valid, xs)
-
-
-def _best_surrogates(xt, n_obs, best_left):
-    """Best threshold surrogate of every row of xt at once.
-
-    Row c of xt holds one candidate feature over the rows that observe the
-    primary feature, nan where missing, and n_obs[c] counts its observed
-    values; best_left is the primary rule's direction per row. Returns
-    [(c, xi, threshold)] for the rows with two distinct observed values
-    over which the primary rule sends rows both ways.
-    """
-    order, xs, valid = _sort_rows(xt)
-    if not valid.any():
-        return []
-    # xi is a ratio of exact row counts (see association), so a rule that
-    # does no better than the majority direction scores exactly 0.
-    cum_l = best_left[order].cumsum(axis=1)
-    total_l = cum_l[np.arange(len(xt)), n_obs - 1][:, None]
-    m = n_obs[:, None]
-    denom = np.minimum(total_l, m - total_l)
-    valid &= denom > 0
-    if not valid.any():
-        return []
-    ll = cum_l[:, :-1]
-    agree = ll + (m - np.arange(1, xt.shape[1])) - (total_l - ll)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xi = (denom - (m - agree)) / denom
-    return _best_per_row(xi, valid, xs)
-
-
 def _route(x, rows, rule, surrogates):
-    """Left mask of the rows x[rows] at a node with this rule and surrogates.
-
-    Rows that observe the rule's feature follow the rule. Each other row
-    goes the way of the first surrogate whose feature it observes, one
-    vectorised step per surrogate, and then the majority direction
-    rule.missing_left.
-    """
+    """Left mask of the rows x[rows] at a node with this rule and surrogates:
+    the rule where a row observes its feature, else the first surrogate whose
+    feature it observes (one vectorised step each), else rule.missing_left."""
     v = x[rows, rule.feature]
     miss = np.isnan(v)
     if not miss.any():
@@ -245,139 +125,351 @@ def _route(x, rows, rule, surrogates):
     return left
 
 
+# Cells (features x nodes x rows) of a padded block; a larger node gets its own.
+_BLOCK_CELLS = 1 << 15
+
+
+def _blocks(sizes, nodes, features):
+    """(nodes, width) blocks of the nodes, largest first, each at most
+    _BLOCK_CELLS cells of features x width (its largest node). A block stops
+    before its first node under half its width when padding the rest would
+    cost more than a sixteenth of a full block."""
+    nodes = nodes[np.argsort(-sizes[nodes], kind="stable")]
+    while nodes.size:
+        width = int(sizes[nodes[0]])
+        cut = max(1, _BLOCK_CELLS // (features * width))
+        near = int(np.count_nonzero(sizes[nodes[:cut]] * 2 >= width))
+        if features * int((width - sizes[nodes[near:cut]]).sum()) > _BLOCK_CELLS // 16:
+            cut = near
+        yield nodes[:cut], width
+        nodes = nodes[cut:]
+
+
+def _segment_sums(values, lengths):
+    """Sums of the consecutive segments of the last axis of values, of the
+    given lengths, which are sorted. Each run of equal lengths is one
+    (segments x length) view summed along its rows, which keeps the bits of
+    each segment's own sum; a padded or reduceat sum would not."""
+    ends = (np.flatnonzero(lengths[1:] != lengths[:-1]) + 1).tolist() + [lengths.size]
+    out, at, i = np.empty(values.shape[:-1] + (lengths.size,)), 0, 0
+    for end in ends:
+        n, count = int(lengths[i]), end - i
+        block = values[..., at:at + n * count].reshape(values.shape[:-1] + (count, n))
+        out[..., i:end] = block.sum(axis=-1)
+        at, i = at + n * count, end
+    return out
+
+
+def _rank_levels(codes, weights, within, missing, highest_first=False):
+    """Replace the level codes of each row of codes (one node's rows on one
+    feature), in place, by the ranks of their levels' mean weight over the
+    observed cells (not missing) in within (None: all). Returns each row's
+    levels in rank order, the ones absent from those cells last. bincount
+    adds each level's weights in row order, as it does for a single row."""
+    obs = codes != missing
+    counted = obs if within is None else obs & within
+    row = np.nonzero(obs)[0]
+    level = codes[obs]
+    width = int(level.max()) + 1 if level.size else 1
+    cell = (row * width + level)[counted[obs]]
+    size = codes.shape[0] * width
+    with np.errstate(invalid="ignore"):
+        key = np.bincount(cell, weights[counted], size) / np.bincount(cell, minlength=size)
+    levels = (-key if highest_first else key).reshape(-1, width).argsort(axis=1, kind="stable")
+    codes[obs] = levels.argsort(axis=1)[row, level]
+    return levels
+
+
+def _flat(at, width):
+    """Flat indices of positions at along the last axis of width."""
+    return at + np.arange(0, at.size * width, width).reshape(at.shape)
+
+
+def _scan(ranks, missing, score):
+    """Sort each row of ranks (missing last, ties in row order) and return
+    per row the score of its first best valid boundary (-inf if none) and
+    the ranks on both sides of it. A boundary is valid between distinct
+    observed ranks; score(order, valid) scores every boundary and may narrow
+    valid in place. A key packs a rank above its position, so an unstable
+    sort of the keys is a stable sort of the ranks; 32-bit keys sort faster.
+    """
+    shift = ranks.shape[-1].bit_length()
+    key = ranks.astype(np.int32 if missing < 1 << (31 - shift) else np.int64)
+    key <<= shift
+    key |= np.arange(ranks.shape[-1], dtype=key.dtype)
+    key.sort(axis=-1)
+    order = key & ((1 << shift) - 1)
+    key >>= shift
+    valid = key[..., :-1] < key[..., 1:]
+    valid &= key[..., 1:] != missing
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = np.where(valid, score(order, valid), -np.inf)
+    pos = scores.argmax(axis=-1)
+    at = _flat(pos, key.shape[-1])
+    return scores.ravel()[_flat(pos, scores.shape[-1])], key.ravel()[at], key.ravel()[at + 1]
+
+
+def _rule(feature, threshold, levels=None, missing_left=True):
+    """The rule of a boundary of the scan; levels are a nominal feature's
+    levels in rank order and threshold the rank of the last left one."""
+    if levels is None:
+        return SplitRule(feature, threshold, missing_left=missing_left)
+    left = tuple(sorted(levels[: int(threshold) + 1].tolist()))
+    return SplitRule(feature, left_levels=left, nominal=True, missing_left=missing_left)
+
+
 class _Grower:
-    """Greedy growth over a features x rows copy of the inputs, so that
-    each feature's values at a node are one contiguous row."""
+    """The split kernel over one dataset's rows, and its two schedules.
 
-    def __init__(self, x, y, nominal, stop, rng):
-        self.xt = np.ascontiguousarray(x.T)
-        self.y = y
-        self.nominal = [bool(v) for v in nominal]
-        self.stop = stop
-        self.rng = rng
-        self.p = x.shape[1]
-        n = y.size
-        self.budget = stop.max_splits if stop.max_splits is not None else max(n - 1, 0)
+    Each input column is ranked once (a nominal one keeps its level codes;
+    a missing cell ranks last), and the ranks of each node's rows go into a
+    padded (features x nodes x rows) block (see _blocks). A cumulative sum
+    along a padded row equals the unpadded one but a sum does not, so each
+    node's value, centring and risk, and each feature's parent risk, are
+    summed over segments of equal length (see _segment_sums).
+    """
 
-    def grow(self):
-        """The root of the tree over all rows. Nodes are grown in preorder,
-        left subtree first, so the split budget and the feature draws are
-        spent in that order."""
-        nodes = []
-        stack = [(np.arange(self.y.size), None, 0)]
-        while stack:
-            idx, parent, side = stack.pop()
-            if parent is not None:
-                nodes[parent][side] = len(nodes)
-            found = self._split(idx)
-            if isinstance(found, Leaf):
-                nodes.append(found)
+    def __init__(self, x, y, nominal, stop):
+        (n, self.p), self.y, self.pad, self.stop = x.shape, y, x.shape[0], stop
+        self.xt = np.vstack([x, np.full(self.p, np.nan)]).T.copy()
+        self.nominal = np.asarray(nominal, dtype=bool)
+        self.missing = max(n, int(np.nanmax(self.xt[self.nominal], initial=0))) + 1
+        self.ranks = np.full(self.xt.shape, self.missing,
+                             dtype=np.int32 if self.missing < 1 << 31 else np.int64)
+        # The distinct values of each continuous column, one after another.
+        tables, self.offset = [np.zeros(1)], np.zeros(self.p, dtype=np.intp)
+        for j, col in enumerate(self.xt):
+            obs = ~np.isnan(col)
+            if self.nominal[j]:
+                self.ranks[j, obs] = col[obs]
                 continue
-            rule, surrogates, risk, left = found
-            self.budget -= 1
-            stack.append((idx[~left], len(nodes), 4))
-            stack.append((idx[left], len(nodes), 3))
-            nodes.append([rule, surrogates, risk, None, None])
-        return _link(nodes, range(len(nodes)))
+            self.offset[j] = sum(t.size for t in tables)
+            table, self.ranks[j, obs] = np.unique(col[obs], return_inverse=True)
+            tables.append(table)
+        self.values = np.concatenate(tables)
 
-    def _split(self, idx):
-        """A Leaf for the rows idx, or (rule, surrogates, risk, left mask)."""
-        y = self.y[idx]
-        n = idx.size
-        yc = _centred(y)
-        risk = _ss(yc)
-        leaf = Leaf(value=float(y.sum()) / n, n=int(n), risk=risk)
-        if (
-            n < self.stop.min_branch
-            or n < 2 * self.stop.min_leaf
-            or self.budget <= 0
-            or risk <= 0.0
-        ):
-            return leaf
+    def grow(self, samples, rngs):
+        """The root of a tree over each sample of dataset rows (see the
+        module doc for the schedules)."""
+        stop = self.stop
+        draw = stop.m is not None and stop.m < self.p
+        preorder = draw or stop.max_splits is not None
+        budget = np.array([max(s.size - 1, 0) if stop.max_splits is None else stop.max_splits
+                           for s in samples])
+        nodes, roots = [], []
+        stacks = [[(s, None, 0)] for s in samples]
+        while any(stacks):
+            if preorder:
+                frontier = [(t, stack.pop()) for t, stack in enumerate(stacks) if stack]
+            else:
+                frontier = [(t, node) for t, stack in enumerate(stacks) for node in stack]
+                stacks = [[] for _ in stacks]
+            trees = [t for t, _node in frontier]
+            rows = np.concatenate([node[0] for _t, node in frontier])
+            sizes = np.array([node[0].size for _t, node in frontier])
+            value, risk, yc = self._stats(rows, sizes)
+            open_ = np.flatnonzero((sizes >= stop.min_branch) & (sizes >= 2 * stop.min_leaf)
+                                   & (risk > 0.0) & (budget[trees] > 0))
+            cand = None
+            if draw:
+                cand = np.zeros((sizes.size, stop.m), dtype=np.intp)
+                for i in open_.tolist():
+                    cand[i] = np.sort(rngs[trees[i]].choice(self.p, size=stop.m, replace=False))
+            found = self._search(rows, sizes, yc, risk, open_, cand)
+            for i, ((t, (_rows, parent, side)), v, n, r) in enumerate(
+                    zip(frontier, value.tolist(), sizes.tolist(), risk.tolist())):
+                if parent is None:
+                    roots.append(len(nodes))
+                else:
+                    nodes[parent][side] = len(nodes)
+                if i not in found:
+                    nodes.append(Leaf(value=v, n=n, risk=r))
+                    continue
+                rule, surrogates, left, right = found[i]
+                budget[t] -= 1
+                stacks[t] += [(right, len(nodes), 4), (left, len(nodes), 3)]
+                nodes.append([rule, surrogates, r, None, None])
+        built = _link(nodes, range(len(nodes)))
+        return [built[r] for r in roots]
 
-        node = _NodeRows(self.xt[:, idx])
-        rule = self._best_split(node, yc, risk)
-        if rule is None:
-            return leaf
-        observed = node.observing(rule.feature)
-        left_obs = rule.left_mask(observed.xt[rule.feature])
-        rule = replace(rule, missing_left=2 * np.count_nonzero(left_obs) >= left_obs.size)
-        surrogates = self._find_surrogates(observed, rule, left_obs)
-        left = _route(self.xt.T, idx, rule, surrogates)
-        if left.all() or not left.any():
-            return leaf
-        return rule, surrogates, risk, left
+    def _stats(self, rows, sizes):
+        """(value, risk, centred targets) of each node of a frontier, its
+        rows listed one node after another. Targets are centred as y - y[0]
+        minus its mean, so equal targets centre to exact zeros."""
+        order = np.argsort(sizes, kind="stable")
+        n = sizes[order]
+        first = np.cumsum(n) - n
+        # The rows of each node, smallest node first.
+        at = np.repeat((np.cumsum(sizes) - sizes)[order] - first, n) + np.arange(rows.size)
+        y = self.y[rows[at]]
+        d = y - np.repeat(y[first], n)
+        total, s = _segment_sums(np.stack([y, d]), n)
+        d -= np.repeat(s / n, n)
+        s, q = _segment_sums(np.stack([d, d * d]), n)
+        value, risk, yc = np.empty(sizes.size), np.empty(sizes.size), np.empty(rows.size)
+        value[order], risk[order], yc[at] = total / n, q - s * s / n, d
+        return value, risk, yc
 
-    def _best_split(self, node, yc, risk):
-        """The rule of the best split of a node's rows (yc its centred
-        targets, risk their risk), or None when no candidate reduces it."""
-        cand = self._candidate_features()
-        xt = node.xt[cand]
-        n_obs = node.n_obs[cand]
-        # A feature's parent risk is summed over its observed rows in row
-        # order; summing the sorted values instead changes the last bits of
-        # the gains and can flip exact ties between features.
-        parents = np.full(len(cand), risk)
-        if not node.complete:
-            for c in (n_obs < yc.size).nonzero()[0]:
-                parents[c] = _ss(yc[~node.miss[cand[c]]])
-        levels = {c: _rank_levels(xt[c], yc) for c, j in enumerate(cand) if self.nominal[j]}
-        best = None
-        for c, delta, threshold in _best_splits(xt, yc, parents, n_obs, self.stop.min_leaf):
-            if delta > 0.0 and (best is None or delta > best[0]):
-                best = (delta, c, threshold)
-        if best is None:
-            return None
-        _delta, c, threshold = best
-        return _rule(cand[c], threshold, levels.get(c))
+    def _search(self, rows, sizes, yc, risk, open_, cand):
+        """{node: (rule, surrogates, left rows, right rows)} of the open
+        nodes of a frontier that split; cand[node] lists its candidate
+        features (None: all)."""
+        starts = np.cumsum(sizes) - sizes
+        found = {}
+        for block, width in _blocks(sizes, open_, self.p):
+            real = np.arange(width) < sizes[block, None]
+            at = np.where(real, starts[block, None] + np.arange(width), 0)
+            found.update(self._split_block(
+                np.where(real, rows[at], self.pad), real, np.where(real, yc[at], 0.0),
+                risk[block], None if cand is None else cand[block], block.tolist()))
+        return found
 
-    def _candidate_features(self):
-        if self.stop.m is None or self.stop.m >= self.p:
-            return list(range(self.p))
-        chosen = self.rng.choice(self.p, size=self.stop.m, replace=False)
-        return sorted(int(j) for j in chosen)
+    def _threshold(self, feature, lo, hi):
+        """The midpoints between the values of ranks lo and hi of continuous
+        features, and lo, the last left rank, of nominal ones."""
+        at, values = self.offset[feature], self.values
+        mid = (values.take(at + lo, mode="clip") + values.take(at + hi, mode="clip")) / 2.0
+        return np.where(self.nominal[feature], lo, mid)
 
-    def _find_surrogates(self, node, rule, left_obs):
-        """Up to stop.surrogates rules on other features that best mimic
-        rule over node, the rows that observe its feature."""
-        if self.stop.surrogates == 0 or self.p < 2:
-            return ()
-        others = [k for k in range(self.p) if k != rule.feature]
-        xt = node.xt[others]
-        share = left_obs.astype(float)
-        levels = {c: _rank_levels(xt[c], share, highest_first=True)
-                  for c, k in enumerate(others) if self.nominal[k]}
-        found = [
-            (xi, others[c], _rule(others[c], threshold, levels.get(c)))
-            for c, xi, threshold in _best_surrogates(xt, node.n_obs[others], left_obs)
-            if xi > 0.0
-        ]
-        found.sort(key=lambda item: (-item[0], item[1]))
-        return tuple((surr, xi) for xi, _k, surr in found[: self.stop.surrogates])
+    def _goes_left(self, feature, ranks, rows, threshold):
+        """Whether the dataset rows, of these ranks on feature, go left under
+        the rule on feature with threshold."""
+        return np.where(self.nominal[feature], ranks <= threshold,
+                        self.xt[feature, rows] < threshold)
 
+    def _rank_nominal(self, x, feature, weights, within=None, highest_first=False):
+        """Rank the levels of each row x[c, k] on a nominal feature[c, k] in
+        place by weights[k]; {(c, k): its levels in rank order}."""
+        c, k = np.nonzero(self.nominal[feature])
+        if c.size == 0:
+            return {}
+        codes = x[c, k]
+        levels = _rank_levels(codes, weights[k], None if within is None else within[k],
+                              self.missing, highest_first)
+        x[c, k] = codes
+        return dict(zip(zip(c.tolist(), k.tolist()), levels))
 
-class _NodeRows:
-    """A node's rows as a features x rows matrix, with its missing cells."""
+    def _split_block(self, r, real, yc, risk, cand, ids):
+        """{ids[k]: (rule, surrogates, left rows, right rows)} of the nodes
+        k of a block that split. r holds their dataset rows, padded with the
+        all-missing row, yc the rows' centred targets (0 in the padding),
+        and cand[k] the node's candidate features (None: all)."""
+        stop, (k, width) = self.stop, r.shape
+        feature = (np.broadcast_to(np.arange(self.p)[:, None], (self.p, k)) if cand is None
+                   else cand.T)
+        x = self.ranks[:, r] if cand is None else self.ranks[feature[..., None], r]
+        miss = x == self.missing
+        n_obs = width - miss.sum(axis=2)
+        # A feature's parent risk is summed over the rows that observe it, in
+        # row order; another order changes the last bits of the gains and can
+        # flip exact ties between features.
+        parents = np.broadcast_to(risk, n_obs.shape).copy()
+        c, j = np.nonzero((n_obs < real.sum(axis=1)) & (n_obs > 0))
+        if c.size:
+            by = np.argsort(n_obs[c, j], kind="stable")
+            c, j = c[by], j[by]
+            d = yc[j][~miss[c, j]]
+            s, q = _segment_sums(np.stack([d, d * d]), n_obs[c, j])
+            parents[c, j] = q - s * s / n_obs[c, j]
+        levels = self._rank_nominal(x, feature, yc)
 
-    def __init__(self, xt):
-        self.xt = xt
-        self.miss = np.isnan(xt)
-        self.n_obs = xt.shape[1] - self.miss.sum(axis=1)
-        self.complete = bool(self.n_obs.min() == xt.shape[1])
+        def gain(order, valid):
+            nl = np.arange(1.0, width)
+            nr = n_obs[..., None] - nl
+            if stop.min_leaf > 1:
+                valid[..., : stop.min_leaf - 1] = False
+                valid &= nr >= stop.min_leaf
+            cs = yc.ravel()[order + (np.arange(k, dtype=order.dtype) * width)[:, None]]
+            cq = cs * cs
+            np.cumsum(cq, axis=2, out=cq)
+            np.cumsum(cs, axis=2, out=cs)
+            last = _flat(n_obs - 1, width)[..., None]
+            sl, ql = cs[..., :-1], cq[..., :-1]
+            # parent - (ql - sl^2 / nl) - (qr - sr^2 / nr), operation by operation.
+            sr, qr = cs.ravel()[last] - sl, cq.ravel()[last] - ql
+            sl *= sl
+            sl /= nl
+            np.subtract(ql, sl, out=sl)
+            sr *= sr
+            sr /= nr
+            np.subtract(qr, sr, out=sr)
+            np.subtract(parents[..., None], sl, out=qr)
+            qr -= sr
+            return qr
 
-    def observing(self, j):
-        """The rows that observe feature j (self when all of them do)."""
-        if self.n_obs[j] == self.xt.shape[1]:
-            return self
-        return _NodeRows(self.xt[:, ~self.miss[j]])
+        score, lo, hi = _scan(x, self.missing, gain)
+        score = np.where(score > 0.0, score, -np.inf)
+        c = score.argmax(axis=0)
+        ks = np.flatnonzero(score[c, np.arange(k)] > 0.0)
+        c, f, rows = c[ks], feature[c[ks], ks], r[ks]
+        thr = self._threshold(f, lo[c, ks], hi[c, ks])
+        left = self._goes_left(f[:, None], x[c, ks], rows, thr[:, None])
+        seen = ~miss[c, ks]
+        missing_left = 2 * left.sum(axis=1) >= seen.sum(axis=1)
+        rules = [_rule(fi, t, levels.get((ci, kk)), ml) for fi, ci, t, kk, ml
+                 in zip(f.tolist(), c.tolist(), thr.tolist(), ks.tolist(), missing_left.tolist())]
+        go = np.where(seen, left, missing_left[:, None])
+        surrogates = [()] * ks.size
+        if stop.surrogates and self.p > 1 and ks.size:
+            surrogates = self._surrogates(self.ranks[:, rows], rows, f, seen, left, go)
+        sides = []
+        for g in (go & real[ks], ~go & real[ks]):
+            ends = np.cumsum(np.count_nonzero(g, axis=1)).tolist()
+            flat = rows[g]
+            sides.append([flat[a:b] for a, b in zip([0] + ends, ends)])
+        return {ids[kk]: (rules[i], surrogates[i], left, right) for i, (kk, left, right)
+                in enumerate(zip(ks.tolist(), *sides)) if left.size and right.size}
+
+    def _surrogates(self, xb, rows, primary, seen, left, go):
+        """Up to stop.surrogates rules per node on other features that best
+        mimic its rule over the rows that observe the rule's feature. Routes
+        the rows that do not through them, in go, in place."""
+        k, width = seen.shape
+        nodes = np.arange(k)
+        feature = np.broadcast_to(np.arange(self.p)[:, None], (self.p, k))
+        levels = self._rank_nominal(xb, feature, left.astype(float), seen, highest_first=True)
+        xv = np.where(seen, xb, self.missing)
+        xv[primary, nodes] = self.missing
+        n_obs = width - (xv == self.missing).sum(axis=2)
+
+        def association(order, valid):
+            # xi is a ratio of exact row counts (see association), so a rule
+            # no better than the majority direction scores 0. Its numerator,
+            # min(n_L, n_R) minus the disagreements, is an integer, the same
+            # in any order of integer sums.
+            at = order + (nodes.astype(order.dtype) * width)[:, None]
+            cum_l = left.ravel()[at].cumsum(axis=2, dtype=order.dtype)
+            total = cum_l.ravel()[_flat(n_obs - 1, width)[..., None]]
+            denom = np.minimum(total, n_obs[..., None] - total)
+            valid &= denom > 0
+            return (2 * cum_l[..., :-1] + (denom - total) - np.arange(1, width)) / denom
+
+        xi, lo, hi = _scan(xv, self.missing, association)
+        xi = np.where(xi > 0.0, xi, -np.inf)
+        top = np.argsort(-xi, axis=0, kind="stable")[: self.stop.surrogates]
+        score = xi[top, nodes]
+        thr = self._threshold(top, lo[top, nodes], hi[top, nodes])
+        # A row missing the rule's feature follows the first surrogate it observes.
+        i, w = np.nonzero(~seen & (rows != self.pad))
+        for j, s, t in zip(top, score, thr):
+            if i.size == 0:
+                break
+            ranks = xb[j[i], i, w]
+            hit = (ranks != self.missing) & (s[i] > 0.0)
+            at = i[hit], w[hit]
+            go[at] = self._goes_left(j[at[0]], ranks[hit], rows[at], t[at[0]])
+            i, w = i[~hit], w[~hit]
+        nominal = self.nominal.tolist()
+        return [tuple((_rule(f, t, levels[f, i]) if nominal[f] else SplitRule(f, t), x)
+                      for f, t, x in zip(fs, ts, xs) if x > 0.0)
+                for i, (fs, ts, xs) in enumerate(zip(top.T.tolist(), thr.T.tolist(),
+                                                     score.T.tolist()))]
 
 
 def _link(nodes, order):
-    """The root of the Leaf/Internal graph of nodes, built bottom-up.
-
-    nodes maps an id to a Leaf or to (rule, surrogates, risk, left id,
-    right id); order lists the ids with every parent before its children.
-    """
+    """{root id: root} of the Leaf/Internal graph of nodes, built bottom-up.
+    nodes maps an id to a Leaf or to (rule, surrogates, risk, left id, right
+    id); order lists the ids with every parent before its children."""
     built = {}
     for node_id in reversed(order):
         node = nodes[node_id]
@@ -387,7 +479,7 @@ def _link(nodes, order):
             node = Internal(rule=rule, surrogates=surrogates, left=left, right=right,
                             risk=risk, n=left.n + right.n)
         built[node_id] = node
-    return built[order[0]]
+    return built
 
 
 def grow(ds, rows=None, stop=None, seed=None, targets=None, rng=None):
@@ -408,24 +500,26 @@ def grow(ds, rows=None, stop=None, seed=None, targets=None, rng=None):
     Returns:
         Root node (Internal or Leaf).
     """
-    stop = stop or StoppingCriteria()
-    rows = np.arange(ds.n_rows) if rows is None else np.asarray(rows, dtype=int)
-    if rows.size == 0:
-        raise ShapeError("cannot grow a tree on zero rows")
-    x = ds.input_matrix(rows)
-    if targets is None:
-        y = ds.target_vector(rows)
-    else:
-        targets = np.asarray(targets, dtype=float)
-        if targets.size != ds.n_rows:
-            raise ShapeError("targets override must have one value per dataset row")
-        y = targets[rows]
-    if np.any(np.isnan(y)):
-        raise DomainError("target has missing values in the training rows")
-    nominal, _counts = ds.input_kinds()
+    rows = np.arange(ds.n_rows) if rows is None else rows
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(0 if seed is None else seed))
-    return _Grower(x, y, nominal, stop, rng).grow()
+    return grow_trees(ds, [rows], stop, [rng], targets)[0]
+
+
+def grow_trees(ds, samples, stop=None, rngs=None, targets=None):
+    """The roots of one tree per sample of dataset rows, grown together as
+    grow grows one; rngs[t] draws tree t's feature subsets."""
+    stop = stop or StoppingCriteria()
+    samples = [np.asarray(s, dtype=int) for s in samples]
+    if any(s.size == 0 for s in samples):
+        raise ShapeError("cannot grow a tree on zero rows")
+    y = ds.target_vector() if targets is None else np.asarray(targets, dtype=float)
+    if y.size != ds.n_rows:
+        raise ShapeError("targets override must have one value per dataset row")
+    if any(np.isnan(y[s]).any() for s in samples):
+        raise DomainError("target has missing values in the training rows")
+    nominal, _counts = ds.input_kinds()
+    return _Grower(ds.input_matrix(), y, nominal, stop).grow(samples, rngs)
 
 
 def predict(tree, x):
@@ -450,12 +544,10 @@ def predict_batch(tree, x_matrix):
         if isinstance(node, Leaf):
             out[rows] = node.value
             continue
-        features = [node.rule.feature] + [s.feature for s, _xi in node.surrogates]
-        if max(features) >= p:
-            raise ShapeError(
-                "tree splits on input column %d but the input has %d columns"
-                % (max(features), p)
-            )
+        widest = max([node.rule.feature] + [s.feature for s, _xi in node.surrogates])
+        if widest >= p:
+            raise ShapeError("tree splits on input column %d but the input has %d columns"
+                             % (widest, p))
         left = _route(x, rows, node.rule, node.surrogates)
         for child, sub in ((node.right, rows[~left]), (node.left, rows[left])):
             if sub.size:
@@ -489,24 +581,18 @@ def association(ds, best_rule, candidate_rule):
 
 def iter_nodes(tree):
     """Preorder (id, node) pairs; ids match the serialized form."""
-    out = []
-    stack = [tree]
+    out, stack = [], [tree]
     while stack:
         node = stack.pop()
         out.append((len(out), node))
         if isinstance(node, Internal):
-            stack.append(node.right)
-            stack.append(node.left)
+            stack += [node.right, node.left]
     return out
 
 
 def tree_features(tree):
     """Set of feature indices used by primary splits."""
-    return {
-        node.rule.feature
-        for _id, node in iter_nodes(tree)
-        if isinstance(node, Internal)
-    }
+    return {node.rule.feature for _id, node in iter_nodes(tree) if isinstance(node, Internal)}
 
 
 # ---------------------------------------------------------------------------
@@ -529,10 +615,8 @@ def _parse_feature(token):
 def _parse_rule(feature, token, missing_left=True):
     if token.startswith("in:"):
         levels = tuple(int(v) for v in token[3:].split("|") if v != "")
-        return SplitRule(
-            feature=feature, left_levels=levels, nominal=True, missing_left=missing_left
-        )
-    return SplitRule(feature=feature, threshold=float(token), missing_left=missing_left)
+        return SplitRule(feature, left_levels=levels, nominal=True, missing_left=missing_left)
+    return SplitRule(feature, float(token), missing_left=missing_left)
 
 
 def tree_lines(tree):
@@ -540,32 +624,18 @@ def tree_lines(tree):
     ordered = iter_nodes(tree)
     ids = {id(node): node_id for node_id, node in ordered}
     lines = []
-    for node_id, node in ordered:
+    for i, node in ordered:
         if isinstance(node, Leaf):
-            lines.append(
-                "node %d leaf %s %d" % (node_id, fmt_float(node.value), node.n)
-            )
-            lines.append("info %d risk %s" % (node_id, fmt_float(node.risk)))
-        else:
-            lines.append(
-                "node %d split %d %s left %d right %d"
-                % (
-                    node_id,
-                    node.rule.feature,
-                    _threshold_token(node.rule),
-                    ids[id(node.left)],
-                    ids[id(node.right)],
-                )
-            )
-            lines.append(
-                "info %d risk %s missing %s"
-                % (node_id, fmt_float(node.risk), "L" if node.rule.missing_left else "R")
-            )
-            for surr, xi in node.surrogates:
-                lines.append(
-                    "surrogate %d %d %s %s"
-                    % (node_id, surr.feature, _threshold_token(surr), fmt_float(xi))
-                )
+            lines += ["node %d leaf %s %d" % (i, fmt_float(node.value), node.n),
+                      "info %d risk %s" % (i, fmt_float(node.risk))]
+            continue
+        rule, left, right = node.rule, ids[id(node.left)], ids[id(node.right)]
+        lines += ["node %d split %d %s left %d right %d"
+                  % (i, rule.feature, _threshold_token(rule), left, right),
+                  "info %d risk %s missing %s"
+                  % (i, fmt_float(node.risk), "L" if rule.missing_left else "R")]
+        lines += ["surrogate %d %d %s %s" % (i, surr.feature, _threshold_token(surr), fmt_float(xi))
+                  for surr, xi in node.surrogates]
     return lines
 
 
@@ -575,39 +645,30 @@ def tree_from_lines(lines):
     Raises ParseError for a malformed line, a missing root or child, and a
     node reached twice from the root (a cycle or a shared child).
     """
-    nodes = {}
-    infos = {}
-    surrogates = {}
+    nodes, infos, surrogates = {}, {}, {}
     for line in lines:
         parts = line.split()
         if not parts:
             continue
-        kind = parts[0]
         try:
-            node_id = int(parts[1])
+            kind, node_id = parts[0], int(parts[1])
             if kind == "node" and parts[2] == "leaf":
                 nodes[node_id] = ("leaf", float(parts[3]), int(parts[4]))
             elif kind == "node" and parts[2] == "split":
-                feature = _parse_feature(parts[3])
-                nodes[node_id] = ("split", feature, parts[4], int(parts[6]), int(parts[8]))
+                nodes[node_id] = ("split", _parse_feature(parts[3]), parts[4], int(parts[6]),
+                                  int(parts[8]))
             elif kind == "info":
-                missing_left = True
-                if len(parts) >= 6 and parts[4] == "missing":
-                    missing_left = parts[5] == "L"
-                infos[node_id] = (float(parts[3]), missing_left)
+                missing = parts[5] == "L" if len(parts) >= 6 and parts[4] == "missing" else True
+                infos[node_id] = (float(parts[3]), missing)
             elif kind == "surrogate":
                 surrogates.setdefault(node_id, []).append(
-                    (_parse_rule(_parse_feature(parts[2]), parts[3]), float(parts[4]))
-                )
+                    (_parse_rule(_parse_feature(parts[2]), parts[3]), float(parts[4])))
             else:
                 raise ValueError("unrecognised line")
         except (ValueError, IndexError) as exc:
             raise ParseError("bad tree line %r: %s" % (line, exc)) from None
-
     # Walk down from the root, so every child is listed after its parent.
-    order = []
-    seen = set()
-    stack = [0]
+    order, seen, stack = [], set(), [0]
     while stack:
         node_id = stack.pop()
         if node_id not in nodes:
@@ -631,7 +692,7 @@ def tree_from_lines(lines):
         except ValueError as exc:
             raise ParseError("bad split rule %r: %s" % (token, exc)) from None
         linked[node_id] = (rule, tuple(surrogates.get(node_id, ())), risk, left_id, right_id)
-    return _link(linked, order)
+    return _link(linked, order)[order[0]]
 
 
 def to_text(tree):

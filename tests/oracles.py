@@ -7,6 +7,7 @@ library code is meaningful.
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -135,6 +136,27 @@ def best_level_split_gain(codes, y):
     return best
 
 
+def best_mean_ordered_split_gain(codes, y, min_leaf):
+    """Largest risk reduction over the splits of the present levels that are
+    contiguous in mean order (levels ranked by mean target, ties by level)
+    and leave min_leaf rows on both sides; None when there is none."""
+    levels = sorted(set(codes))
+    means = {lev: sum(v for c, v in zip(codes, y) if c == lev) / codes.count(lev)
+             for lev in levels}
+    ranked = sorted(levels, key=lambda lev: (means[lev], lev))
+    parent = sse(y)
+    best = None
+    for r in range(1, len(ranked)):
+        members = set(ranked[:r])
+        left = [v for c, v in zip(codes, y) if c in members]
+        right = [v for c, v in zip(codes, y) if c not in members]
+        if len(left) < min_leaf or len(right) < min_leaf:
+            continue
+        gain = parent - sse(left) - sse(right)
+        best = gain if best is None else max(best, gain)
+    return best
+
+
 def best_level_association(codes, best_left):
     """Largest predictive association with the directions best_left over
     every proper non-empty set of the present levels sent left, from row
@@ -174,6 +196,270 @@ def predict_one_row(node, x):
                     break
         node = node.left if left else node.right
     return node.value
+
+
+# ---------------------------------------------------------------------------
+# preorder reference grower
+
+
+def grow_preorder(ds, rows=None, stop=None, seed=None, targets=None, rng=None):
+    """tree.grow through PreorderGrower: the same arguments and checks, one
+    node at a time."""
+    stop = stop or tree.StoppingCriteria()
+    rows = np.arange(ds.n_rows) if rows is None else np.asarray(rows, dtype=int)
+    y = ds.target_vector(rows) if targets is None else np.asarray(targets, dtype=float)[rows]
+    nominal, _counts = ds.input_kinds()
+    if rng is None:
+        rng = np.random.Generator(np.random.PCG64(0 if seed is None else seed))
+    return PreorderGrower(ds.input_matrix(rows), y, nominal, stop, rng).grow()
+
+
+def _centred(y):
+    """y minus its mean. The mean is taken of y - y[0], so equal targets
+    centre to exact zeros."""
+    d = y - y[0]
+    return d - float(d.sum()) / y.size
+
+
+def _ss(d):
+    """Sum of squared deviations of d from its mean, by the sum/sum-of-
+    squares identity; d must be centred near its mean (see _centred), or
+    the identity cancels away the digits that matter."""
+    if d.size == 0:
+        return 0.0
+    s = float(d.sum())
+    return float((d * d).sum()) - s * s / d.size
+
+
+def _rank_levels(xt_row, weights, highest_first=False):
+    """Replace the observed level codes of xt_row, in place, by the ranks of
+    their levels' mean weight; equal means rank by level index. Returns the
+    levels in rank order, the absent ones (a nan mean) last."""
+    obs = ~np.isnan(xt_row)
+    codes = xt_row[obs].astype(int)
+    with np.errstate(invalid="ignore"):
+        key = np.bincount(codes, weights=weights[obs]) / np.bincount(codes)
+    levels = (-key if highest_first else key).argsort(kind="stable")
+    xt_row[obs] = levels.argsort()[codes]
+    return levels
+
+
+def _rule(feature, threshold, levels=None):
+    """The rule of a boundary found by the sort-and-scan; levels are a
+    nominal feature's levels in rank order."""
+    if levels is None:
+        return tree.SplitRule(feature=feature, threshold=threshold)
+    left = tuple(sorted(levels[: int(threshold) + 1].tolist()))
+    return tree.SplitRule(feature=feature, left_levels=left, nominal=True)
+
+
+def _sort_rows(xt):
+    """Stable sort of each row of xt, nan last: the order, the sorted
+    values, and the boundaries between consecutive distinct values."""
+    order = xt.argsort(axis=1, kind="stable")
+    xs = xt[np.arange(xt.shape[0])[:, None], order]
+    return order, xs, xs[:, :-1] < xs[:, 1:]
+
+
+def _best_per_row(score, valid, xs):
+    """[(row, score, threshold)] at each row's first best valid boundary of
+    the sorted values xs, for the rows that have a valid boundary."""
+    pos = np.where(valid, score, -np.inf).argmax(axis=1)
+    rows = valid[np.arange(len(pos)), pos].nonzero()[0]
+    pos = pos[rows]
+    threshold = (xs[rows, pos] + xs[rows, pos + 1]) / 2.0
+    return list(zip(rows.tolist(), score[rows, pos].tolist(), threshold.tolist()))
+
+
+def _best_splits(xt, y, parents, n_obs, min_leaf):
+    """Best threshold split of every row of xt at once.
+
+    Row c of xt holds one candidate feature over a node's rows, nan where
+    missing; y holds the node's centred targets, n_obs[c] counts the
+    feature's observed values and parents[c] is the risk of the rows that
+    observe it. A stable sort puts the observed values first, in the order
+    a sort of them alone gives, so the cumulative sums over that prefix,
+    and every gain, are bit-identical to a one-feature search.
+
+    Returns [(c, delta, threshold)] for the rows that have a boundary
+    leaving min_leaf rows on both sides.
+    """
+    order, xs, valid = _sort_rows(xt)
+    # A boundary between distinct values lies inside the observed prefix,
+    # so it leaves at least one row on each side.
+    nl = np.arange(1.0, xt.shape[1])
+    nr = n_obs[:, None] - nl
+    if min_leaf > 1:
+        valid[:, : min_leaf - 1] = False
+        valid &= nr >= min_leaf
+    if not valid.any():
+        return []
+    ys = y[order]
+    cs = ys.cumsum(axis=1)
+    cq = (ys * ys).cumsum(axis=1)
+    last = np.arange(len(xt)), n_obs - 1
+    sl, ql = cs[:, :-1], cq[:, :-1]
+    sr = cs[last][:, None] - sl
+    qr = cq[last][:, None] - ql
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = parents[:, None] - (ql - sl * sl / nl) - (qr - sr * sr / nr)
+    return _best_per_row(delta, valid, xs)
+
+
+def _best_surrogates(xt, n_obs, best_left):
+    """Best threshold surrogate of every row of xt at once.
+
+    Row c of xt holds one candidate feature over the rows that observe the
+    primary feature, nan where missing, and n_obs[c] counts its observed
+    values; best_left is the primary rule's direction per row. Returns
+    [(c, xi, threshold)] for the rows with two distinct observed values
+    over which the primary rule sends rows both ways.
+    """
+    order, xs, valid = _sort_rows(xt)
+    if not valid.any():
+        return []
+    # xi is a ratio of exact row counts (see association), so a rule that
+    # does no better than the majority direction scores exactly 0.
+    cum_l = best_left[order].cumsum(axis=1)
+    total_l = cum_l[np.arange(len(xt)), n_obs - 1][:, None]
+    m = n_obs[:, None]
+    denom = np.minimum(total_l, m - total_l)
+    valid &= denom > 0
+    if not valid.any():
+        return []
+    ll = cum_l[:, :-1]
+    agree = ll + (m - np.arange(1, xt.shape[1])) - (total_l - ll)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xi = (denom - (m - agree)) / denom
+    return _best_per_row(xi, valid, xs)
+
+
+class PreorderGrower:
+    """The node-at-a-time greedy grower the package used before its level-wise
+    kernel: each node gathers its rows into a features x rows matrix, and
+    nodes are grown in preorder, left subtree first."""
+
+    def __init__(self, x, y, nominal, stop, rng):
+        self.xt = np.ascontiguousarray(x.T)
+        self.y = y
+        self.nominal = [bool(v) for v in nominal]
+        self.stop = stop
+        self.rng = rng
+        self.p = x.shape[1]
+        n = y.size
+        self.budget = stop.max_splits if stop.max_splits is not None else max(n - 1, 0)
+
+    def grow(self):
+        """The root of the tree over all rows. Nodes are grown in preorder,
+        left subtree first, so the split budget and the feature draws are
+        spent in that order."""
+        nodes = []
+        stack = [(np.arange(self.y.size), None, 0)]
+        while stack:
+            idx, parent, side = stack.pop()
+            if parent is not None:
+                nodes[parent][side] = len(nodes)
+            found = self._split(idx)
+            if isinstance(found, tree.Leaf):
+                nodes.append(found)
+                continue
+            rule, surrogates, risk, left = found
+            self.budget -= 1
+            stack.append((idx[~left], len(nodes), 4))
+            stack.append((idx[left], len(nodes), 3))
+            nodes.append([rule, surrogates, risk, None, None])
+        return tree._link(nodes, range(len(nodes)))[0]
+
+    def _split(self, idx):
+        """A Leaf for the rows idx, or (rule, surrogates, risk, left mask)."""
+        y = self.y[idx]
+        n = idx.size
+        yc = _centred(y)
+        risk = _ss(yc)
+        leaf = tree.Leaf(value=float(y.sum()) / n, n=int(n), risk=risk)
+        if (
+            n < self.stop.min_branch
+            or n < 2 * self.stop.min_leaf
+            or self.budget <= 0
+            or risk <= 0.0
+        ):
+            return leaf
+
+        node = NodeRows(self.xt[:, idx])
+        rule = self._best_split(node, yc, risk)
+        if rule is None:
+            return leaf
+        observed = node.observing(rule.feature)
+        left_obs = rule.left_mask(observed.xt[rule.feature])
+        rule = replace(rule, missing_left=2 * np.count_nonzero(left_obs) >= left_obs.size)
+        surrogates = self._find_surrogates(observed, rule, left_obs)
+        left = tree._route(self.xt.T, idx, rule, surrogates)
+        if left.all() or not left.any():
+            return leaf
+        return rule, surrogates, risk, left
+
+    def _best_split(self, node, yc, risk):
+        """The rule of the best split of a node's rows (yc its centred
+        targets, risk their risk), or None when no candidate reduces it."""
+        cand = self._candidate_features()
+        xt = node.xt[cand]
+        n_obs = node.n_obs[cand]
+        # A feature's parent risk is summed over its observed rows in row
+        # order; summing the sorted values instead changes the last bits of
+        # the gains and can flip exact ties between features.
+        parents = np.full(len(cand), risk)
+        if not node.complete:
+            for c in (n_obs < yc.size).nonzero()[0]:
+                parents[c] = _ss(yc[~node.miss[cand[c]]])
+        levels = {c: _rank_levels(xt[c], yc) for c, j in enumerate(cand) if self.nominal[j]}
+        best = None
+        for c, delta, threshold in _best_splits(xt, yc, parents, n_obs, self.stop.min_leaf):
+            if delta > 0.0 and (best is None or delta > best[0]):
+                best = (delta, c, threshold)
+        if best is None:
+            return None
+        _delta, c, threshold = best
+        return _rule(cand[c], threshold, levels.get(c))
+
+    def _candidate_features(self):
+        if self.stop.m is None or self.stop.m >= self.p:
+            return list(range(self.p))
+        chosen = self.rng.choice(self.p, size=self.stop.m, replace=False)
+        return sorted(int(j) for j in chosen)
+
+    def _find_surrogates(self, node, rule, left_obs):
+        """Up to stop.surrogates rules on other features that best mimic
+        rule over node, the rows that observe its feature."""
+        if self.stop.surrogates == 0 or self.p < 2:
+            return ()
+        others = [k for k in range(self.p) if k != rule.feature]
+        xt = node.xt[others]
+        share = left_obs.astype(float)
+        levels = {c: _rank_levels(xt[c], share, highest_first=True)
+                  for c, k in enumerate(others) if self.nominal[k]}
+        found = [
+            (xi, others[c], _rule(others[c], threshold, levels.get(c)))
+            for c, xi, threshold in _best_surrogates(xt, node.n_obs[others], left_obs)
+            if xi > 0.0
+        ]
+        found.sort(key=lambda item: (-item[0], item[1]))
+        return tuple((surr, xi) for xi, _k, surr in found[: self.stop.surrogates])
+
+
+class NodeRows:
+    """A node's rows as a features x rows matrix, with its missing cells."""
+
+    def __init__(self, xt):
+        self.xt = xt
+        self.miss = np.isnan(xt)
+        self.n_obs = xt.shape[1] - self.miss.sum(axis=1)
+        self.complete = bool(self.n_obs.min() == xt.shape[1])
+
+    def observing(self, j):
+        """The rows that observe feature j (self when all of them do)."""
+        if self.n_obs[j] == self.xt.shape[1]:
+            return self
+        return NodeRows(self.xt[:, ~self.miss[j]])
 
 
 def erf_reference(x):

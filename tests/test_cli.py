@@ -708,3 +708,46 @@ def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, kind):
     assert run(argv + ["--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:parse-error:%s is not UTF-8 text" % bad)
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(["train", *TAB, "--model", "mlp", "--hidden", "0"], "domain-error",
+                 id="mlp-hidden-0"),
+    pytest.param(["train", *SERIES, "--model", "narx", "--delays", "0"], "domain-error",
+                 id="narx-delays-0"),
+    pytest.param(["train", *TAB, "--seed", "-1"], "config-error", id="seed-minus-1"),
+    pytest.param(["risk", "--series", os.path.join(DATA_DIR, "risk.logger.csv"),
+                  "--bin-width", "nan"], "domain-error", id="bin-width-nan"),
+])
+def test_a_knob_outside_its_domain_ends_in_one_typed_error(tmp_path, capsys, argv, code):
+    assert run(argv + ["--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error:%s:" % code), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, marked", [
+    pytest.param(["train", "--data", "cli.train.csv", "--schema", "cli.schema.csv",
+                  "--model", "bag", "--trees", "3"], "cli.train.csv", id="train-data"),
+    pytest.param(["train", "--data", "cli.train.csv", "--schema", "cli.schema.csv",
+                  "--model", "bag", "--trees", "3"], "cli.schema.csv", id="train-schema"),
+    pytest.param(["risk", "--series", "risk.logger.csv", "--fill", "2"], "risk.logger.csv",
+                 id="risk"),
+])
+def test_a_byte_order_mark_gives_the_same_artifacts(tmp_path, argv, marked):
+    """A file saved with a UTF-8 byte-order mark, as spreadsheets export CSV,
+    reads as the same file without one."""
+    outputs = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        args = [os.path.join(DATA_DIR, a) if a.endswith(".csv") else a for a in argv]
+        with open(os.path.join(DATA_DIR, marked), "rb") as fh:
+            copy = tmp_path / ("%d.%s" % (len(bom), marked))
+            copy.write_bytes(bom + fh.read())
+        args[argv.index(marked)] = str(copy)
+        out = tmp_path / ("run%d" % len(bom))
+        assert run(args + ["--out", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+                        if p.name != "config.json"})
+    assert len(outputs[0]) >= 2
+    assert outputs[0] == outputs[1]

@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -55,6 +58,46 @@ def test_in_bag_matches_the_seeded_draw():
         expect = np.zeros(30, dtype=bool)
         expect[np.unique(draw)] = True
         assert np.array_equal(model.in_bag[t], expect)
+
+
+def forest_ds(n=400, seed=0):
+    """Forest-sized data: 7 continuous and 2 nominal inputs, 5% cells empty."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    cols = [("x%d" % j, "continuous", "input") for j in range(7)]
+    cols += [("b", "nominal", "input", ("p", "q", "r")),
+             ("e", "nominal", "input", ("s", "t", "u", "v"))]
+    x = np.column_stack([rng.normal(size=(n, 7)), rng.integers(0, 3, n), rng.integers(0, 4, n)])
+    y = x[:, 0] + np.sin(x[:, 1]) + x[:, 7] + rng.normal(scale=0.3, size=n)
+    missing = np.zeros((n, 10), dtype=bool)
+    missing[:, :9] = rng.uniform(size=(n, 9)) < 0.05
+    return make_ds(cols + [("y", "continuous", "target")], np.column_stack([x, y]), missing)
+
+
+@pytest.mark.parametrize("m, max_splits", [(None, None), (3, None), (None, 9)])
+def test_a_bag_grown_at_once_equals_its_trees_grown_one_by_one(m, max_splits):
+    ds = forest_ds(n=120)
+    limits = stop(max_splits=max_splits, surrogates=3)
+    model = dc.train_bagged(ds, n_trees=6, stop=limits, m=m, seed=5)
+    trees = []
+    for t in range(6):
+        rng = np.random.Generator(np.random.PCG64(5 + t))
+        sample = rng.integers(0, ds.n_rows, size=ds.n_rows)
+        trees.append(dc.grow(ds, rows=sample, stop=replace(limits, m=m), rng=rng))
+    assert ensemble.to_text(model) == ensemble.to_text(replace(model, trees=tuple(trees)))
+
+
+def test_growing_a_forest_sized_bag_stays_within_the_block_cap():
+    # Beyond the trees it returns, growth holds one padded block and the
+    # level it came from at a time: under 80 bytes per cell of a block.
+    ds = forest_ds()
+    tracemalloc.start()
+    try:
+        model = dc.train_bagged(ds, n_trees=12, seed=1)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.n_trees == 12
+    assert peak - kept < 80 * tree._BLOCK_CELLS
 
 
 def test_boosted_prediction_is_the_shrunk_stage_sum():

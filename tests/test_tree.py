@@ -10,6 +10,8 @@ from helpers import continuous_ds, make_ds
 from oracles import (
     best_level_association,
     best_level_split_gain,
+    best_mean_ordered_split_gain,
+    grow_preorder,
     grow_reference,
     predict_reference,
 )
@@ -247,6 +249,69 @@ def test_nominal_surrogate_is_the_best_level_set(seed, n_levels, n):
     (surr, xi), = t.surrogates
     assert surr.nominal and xi == pytest.approx(best, rel=1e-9)
     assert xi == dc.association(ds, t.rule, surr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_levels=st.integers(3, 6), n=st.integers(10, 29),
+       min_leaf=st.integers(2, 4))
+def test_with_min_leaf_a_nominal_split_is_the_best_contiguous_in_mean_order(
+        seed, n_levels, n, min_leaf):
+    # With min_leaf above 1 the best allowed split need not be contiguous in
+    # mean order; the search keeps to those that are (see the module doc).
+    rng, codes = _nominal_problem(seed, n_levels, n)
+    y = rng.normal(size=n) + rng.normal(scale=2.0, size=n_levels)[codes]
+    cols = [("c", "nominal", "input", tuple("v%d" % v for v in range(n_levels))),
+            ("y", "continuous", "target")]
+    stop = dc.StoppingCriteria(min_leaf=min_leaf, min_branch=2 * min_leaf, max_splits=1)
+    t = dc.grow(make_ds(cols, np.column_stack([codes, y])), stop=stop)
+    best = best_mean_ordered_split_gain(codes.tolist(), y.tolist(), min_leaf)
+    if best is None or best <= 0.0:
+        assert isinstance(t, tree.Leaf)
+    else:
+        assert t.risk - t.left.risk - t.right.risk == pytest.approx(best, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the level-wise kernel against the preorder reference grower
+
+
+@st.composite
+def growth_problems(draw):
+    """A dataset with nan cells and nominal columns of 2-6 levels, training
+    rows (all, or a bootstrap draw with duplicates), limits and a seed."""
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    n, p = draw(st.integers(2, 40)), draw(st.integers(1, 4))
+    cols, xcols = [], []
+    for j in range(p):
+        n_levels = draw(st.sampled_from([0, 2, 3, 4, 5, 6]))
+        if n_levels:
+            cols.append(("c%d" % j, "nominal", "input",
+                         tuple("v%d" % v for v in range(n_levels))))
+            xcols.append(rng.integers(0, n_levels, size=n).astype(float))
+        else:
+            cols.append(("x%d" % j, "continuous", "input"))
+            xcols.append(rng.integers(0, draw(st.integers(2, 12)), size=n) / 2.0)
+    y = rng.normal(size=n).round(draw(st.sampled_from([1, 8])))
+    values = np.column_stack(xcols + [y])
+    missing = np.zeros(values.shape, dtype=bool)
+    missing[:, :-1] = rng.uniform(size=(n, p)) < draw(st.sampled_from([0.0, 0.1, 0.3]))
+    ds = make_ds(cols + [("y", "continuous", "target")], values, missing)
+    rows = rng.integers(0, n, size=n) if draw(st.booleans()) else None
+    min_leaf = draw(st.integers(1, 4))
+    stop = dc.StoppingCriteria(
+        min_leaf=min_leaf, min_branch=draw(st.integers(2 * min_leaf, 2 * min_leaf + 8)),
+        surrogates=draw(st.integers(0, 5)), m=draw(st.one_of(st.none(), st.integers(1, p))),
+        max_splits=draw(st.one_of(st.none(), st.integers(0, 8))))
+    return ds, rows, stop, draw(st.integers(0, 1000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(growth_problems())
+def test_the_kernel_grows_the_preorder_reference_tree(problem):
+    ds, rows, stop, seed = problem
+    grown = tree.grow(ds, rows=rows, stop=stop, seed=seed)
+    reference = grow_preorder(ds, rows=rows, stop=stop, seed=seed)
+    assert tree.tree_lines(grown) == tree.tree_lines(reference)
 
 
 # ---------------------------------------------------------------------------
