@@ -88,8 +88,13 @@ def train_bagged(ds, n_trees=150, stop=None, m=None, seed=0, rows=None):
     in_bag = np.zeros((n_trees, ds.n_rows), dtype=bool)
     for t, sample in enumerate(samples):
         in_bag[t, sample] = True
-    return EnsembleModel(kind=BAGGED, trees=tuple(tree_mod.grow_trees(ds, samples, stop, rngs)),
-                         seed=seed, in_bag=in_bag, feature_names=_input_names(ds))
+    return EnsembleModel(
+        kind=BAGGED,
+        trees=tuple(tree_mod.grower(ds)(samples, stop, rngs)),
+        seed=seed,
+        in_bag=in_bag,
+        feature_names=_input_names(ds),
+    )
 
 
 def train_lsboost(ds, n_trees=150, lam=0.1, stop=None, seed=0, rows=None):
@@ -111,15 +116,21 @@ def train_lsboost(ds, n_trees=150, lam=0.1, stop=None, seed=0, rows=None):
     residual = np.zeros(ds.n_rows)
     residual[rows] = y
     x = ds.input_matrix(rows)
+    grow_trees = tree_mod.grower(ds)
     trees = []
     for t in range(n_trees):
         rng = np.random.Generator(np.random.PCG64(seed + t))
-        fitted = tree_mod.grow(ds, rows=rows, stop=stop, targets=residual, rng=rng)
+        fitted = grow_trees([rows], stop, [rng], residual)[0]
         step = tree_mod.predict_batch(fitted, x)
         residual[rows] -= lam * step
         trees.append(fitted)
-    return EnsembleModel(kind=BOOSTED, trees=tuple(trees), seed=seed, lam=float(lam),
-                         feature_names=_input_names(ds))
+    return EnsembleModel(
+        kind=BOOSTED,
+        trees=tuple(trees),
+        seed=seed,
+        lam=float(lam),
+        feature_names=_input_names(ds),
+    )
 
 
 def predict(model, x):
@@ -148,8 +159,10 @@ def predict_dataset(model, ds, rows=None):
     """Predictions for the dataset rows (all rows when None)."""
     x = ds.input_matrix(rows)
     if model.feature_names and x.shape[1] != len(model.feature_names):
-        raise ShapeError("dataset has %d input columns, model expects %d"
-                         % (x.shape[1], len(model.feature_names)))
+        raise ShapeError(
+            "dataset has %d input columns, model expects %d"
+            % (x.shape[1], len(model.feature_names))
+        )
     return predict_batch(model, x)
 
 
@@ -177,13 +190,16 @@ def oob_error(model, ds):
     has coverage the estimate is undefined and NoCoverage is raised.
     """
     oob = _out_of_bag(model, ds, "out-of-bag error")
-    x, y = ds.input_matrix(), ds.target_vector()
+    x = ds.input_matrix()
+    y = ds.target_vector()
     per_tree = np.array([tree_mod.predict_batch(t, x) for t in model.trees])
     covered = oob.any(axis=0)
     n_uncovered = int(np.count_nonzero(~covered))
     if not covered.any():
         raise NoCoverage("no row is out-of-bag for any tree")
-    preds = (per_tree * oob)[:, covered].sum(axis=0) / oob.sum(axis=0)[covered]
+    counts = oob.sum(axis=0)[covered]
+    sums = (per_tree * oob)[:, covered].sum(axis=0)
+    preds = sums / counts
     mse = float(np.mean((y[covered] - preds) ** 2))
     return OobReport(mse=mse, n_covered=int(np.count_nonzero(covered)), n_uncovered=n_uncovered)
 
@@ -208,9 +224,13 @@ def permutation_importance(model, ds, iterations=10, seed=0, scaling="std"):
         raise DomainError("scaling must be 'std' or 'stderr'")
     if iterations < 1:
         raise DomainError("iterations must be >= 1")
-    x_all, y_all = ds.input_matrix(), ds.target_vector()
-    p, n_trees = x_all.shape[1], model.n_trees
+    x_all = ds.input_matrix()
+    y_all = ds.target_vector()
+    p = x_all.shape[1]
+    n_trees = model.n_trees
+
     used = [tree_mod.tree_features(t) for t in model.trees]
+
     iter_scores = np.zeros((iterations, p))
     seeds = tuple(seed + i for i in range(iterations))
     degenerate = set()
@@ -221,7 +241,8 @@ def permutation_importance(model, ds, iterations=10, seed=0, scaling="std"):
             oob = oob_masks[t_idx]
             if not oob.any():
                 continue
-            x_oob, y_oob = x_all[oob], y_all[oob]
+            x_oob = x_all[oob]
+            y_oob = y_all[oob]
             n_oob = x_oob.shape[0]
             # One routed matrix per tree: the OOB block, then one copy per
             # used variable with that column permuted (drawn in column order).
@@ -245,10 +266,15 @@ def permutation_importance(model, ds, iterations=10, seed=0, scaling="std"):
                 scores[j] = mean[j]
                 degenerate.add(j)
         iter_scores[i] = scores
-    return ImportanceReport(names=model.feature_names, permutation=iter_scores.mean(axis=0),
-                            splitgain=splitgain_importance(model, ds).splitgain,
-                            iterations=iterations, seeds=seeds,
-                            degenerate=tuple(sorted(degenerate)))
+
+    return ImportanceReport(
+        names=model.feature_names,
+        permutation=iter_scores.mean(axis=0),
+        splitgain=splitgain_importance(model, ds).splitgain,
+        iterations=iterations,
+        seeds=seeds,
+        degenerate=tuple(sorted(degenerate)),
+    )
 
 
 def splitgain_importance(model, ds=None):
@@ -266,8 +292,9 @@ def splitgain_importance(model, ds=None):
             for surr, xi in node.surrogates:
                 credits[t_idx, surr.feature] += delta * max(xi, 0.0)
     mean = credits.mean(axis=0)
-    if mean.sum() > 0.0:
-        mean = mean / mean.sum()
+    total = mean.sum()
+    if total > 0.0:
+        mean = mean / total
     return ImportanceReport(names=model.feature_names, splitgain=mean)
 
 
@@ -279,8 +306,16 @@ class Scenario:
     name: str = ""
 
 
-def scenario_importance(ds, scenario=None, n_trees=100, stop=None, m=None, iterations=10,
-                        seed=0, scaling="std"):
+def scenario_importance(
+    ds,
+    scenario=None,
+    n_trees=100,
+    stop=None,
+    m=None,
+    iterations=10,
+    seed=0,
+    scaling="std",
+):
     """Drop columns, train a bagged model, rank the variables."""
     from . import data as data_mod
 
@@ -288,7 +323,9 @@ def scenario_importance(ds, scenario=None, n_trees=100, stop=None, m=None, itera
     if scenario is not None and scenario.drop:
         work = data_mod.drop_columns(work, scenario.drop)
     model = train_bagged(work, n_trees=n_trees, stop=stop, m=m, seed=seed)
-    return permutation_importance(model, work, iterations=iterations, seed=seed, scaling=scaling)
+    return permutation_importance(
+        model, work, iterations=iterations, seed=seed, scaling=scaling
+    )
 
 
 def ranked_rows(report):
@@ -300,11 +337,20 @@ def ranked_rows(report):
     primary = report.permutation if report.permutation is not None else report.splitgain
     if primary is None:
         raise DomainError("report carries no scores")
-    order = sorted(range(len(report.names)), key=lambda j: (-primary[j], report.names[j]))
-    return [(report.names[j],
-             None if report.permutation is None else float(report.permutation[j]),
-             None if report.splitgain is None else float(report.splitgain[j]),
-             rank) for rank, j in enumerate(order, start=1)]
+    order = sorted(
+        range(len(report.names)), key=lambda j: (-primary[j], report.names[j])
+    )
+    rows = []
+    for rank, j in enumerate(order, start=1):
+        rows.append(
+            (
+                report.names[j],
+                None if report.permutation is None else float(report.permutation[j]),
+                None if report.splitgain is None else float(report.splitgain[j]),
+                rank,
+            )
+        )
+    return rows
 
 
 def top_k_share(report, k):
@@ -321,8 +367,15 @@ def top_k_share(report, k):
 def write_importance_csv(path, report):
     lines = ["variable,permutation_score,splitgain_score,rank"]
     for name, perm, gain, rank in ranked_rows(report):
-        lines.append("%s,%s,%s,%d" % (name, "" if perm is None else fmt_float(perm),
-                                      "" if gain is None else fmt_float(gain), rank))
+        lines.append(
+            "%s,%s,%s,%d"
+            % (
+                name,
+                "" if perm is None else fmt_float(perm),
+                "" if gain is None else fmt_float(gain),
+                rank,
+            )
+        )
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -356,15 +409,21 @@ def from_text(text):
                       indexed=("feature",), body="tree")
 
 
-_ENSEMBLE_FIELDS = {"kind": word, "T": int, "seed": int, "feature": str,
-                    "lambda": lambda text: None if text.strip() == "-" else float(text)}
+_ENSEMBLE_FIELDS = {
+    "kind": word,
+    "T": int,
+    "lambda": lambda text: None if text.strip() == "-" else float(text),
+    "seed": int,
+    "feature": str,
+}
 
 
 def _build_ensemble(v, body):
     kind, n_trees, features = v["kind"], v["T"], v["feature"]
     if kind not in (BAGGED, BOOSTED):
         raise ParseError("unknown ensemble kind %r" % kind)
-    blocks, current = [], None
+    blocks = []
+    current = None
     for line in body:
         if line.startswith("tree "):
             current = []
@@ -373,9 +432,13 @@ def _build_ensemble(v, body):
             current.append(line)
     if len(blocks) != n_trees:
         raise ParseError("header says %d trees, file has %d" % (n_trees, len(blocks)))
-    return EnsembleModel(kind=kind, trees=tuple(tree_mod.tree_from_lines(b) for b in blocks),
-                         seed=v["seed"], lam=v["lambda"],
-                         feature_names=tuple(features[j] for j in range(len(features))))
+    return EnsembleModel(
+        kind=kind,
+        trees=tuple(tree_mod.tree_from_lines(block) for block in blocks),
+        seed=v["seed"],
+        lam=v["lambda"],
+        feature_names=tuple(features[j] for j in range(len(features))),
+    )
 
 
 def save_ensemble(path, model):

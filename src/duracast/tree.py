@@ -105,9 +105,13 @@ class StoppingCriteria:
 
 
 def _route(x, rows, rule, surrogates):
-    """Left mask of the rows x[rows] at a node with this rule and surrogates:
-    the rule where a row observes its feature, else the first surrogate whose
-    feature it observes (one vectorised step each), else rule.missing_left."""
+    """Left mask of the rows x[rows] at a node with this rule and surrogates.
+
+    Rows that observe the rule's feature follow the rule. Each other row
+    goes the way of the first surrogate whose feature it observes, one
+    vectorised step per surrogate, and then the majority direction
+    rule.missing_left.
+    """
     v = x[rows, rule.feature]
     miss = np.isnan(v)
     if not miss.any():
@@ -229,8 +233,9 @@ class _Grower:
     summed over segments of equal length (see _segment_sums).
     """
 
-    def __init__(self, x, y, nominal, stop):
-        (n, self.p), self.y, self.pad, self.stop = x.shape, y, x.shape[0], stop
+    def __init__(self, x, nominal):
+        n, self.p = x.shape
+        self.pad = n
         self.xt = np.vstack([x, np.full(self.p, np.nan)]).T.copy()
         self.nominal = np.asarray(nominal, dtype=bool)
         self.missing = max(n, int(np.nanmax(self.xt[self.nominal], initial=0))) + 1
@@ -248,10 +253,11 @@ class _Grower:
             tables.append(table)
         self.values = np.concatenate(tables)
 
-    def grow(self, samples, rngs):
-        """The root of a tree over each sample of dataset rows (see the
-        module doc for the schedules)."""
-        stop = self.stop
+    def grow(self, y, samples, stop, rngs):
+        """The root of a tree fitting the targets y over each sample of
+        dataset rows (see the module doc for the schedules)."""
+        # The targets and limits of this call, read by the kernel.
+        self.y, self.stop = y, stop
         draw = stop.m is not None and stop.m < self.p
         preorder = draw or stop.max_splits is not None
         budget = np.array([max(s.size - 1, 0) if stop.max_splits is None else stop.max_splits
@@ -467,9 +473,12 @@ class _Grower:
 
 
 def _link(nodes, order):
-    """{root id: root} of the Leaf/Internal graph of nodes, built bottom-up.
-    nodes maps an id to a Leaf or to (rule, surrogates, risk, left id, right
-    id); order lists the ids with every parent before its children."""
+    """{id: node} of the roots of the Leaf/Internal graph of nodes, built
+    bottom-up.
+
+    nodes maps an id to a Leaf or to (rule, surrogates, risk, left id,
+    right id); order lists the ids with every parent before its children.
+    """
     built = {}
     for node_id in reversed(order):
         node = nodes[node_id]
@@ -503,23 +512,31 @@ def grow(ds, rows=None, stop=None, seed=None, targets=None, rng=None):
     rows = np.arange(ds.n_rows) if rows is None else rows
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(0 if seed is None else seed))
-    return grow_trees(ds, [rows], stop, [rng], targets)[0]
+    return grower(ds)([rows], stop, [rng], targets)[0]
 
 
-def grow_trees(ds, samples, stop=None, rngs=None, targets=None):
-    """The roots of one tree per sample of dataset rows, grown together as
-    grow grows one; rngs[t] draws tree t's feature subsets."""
-    stop = stop or StoppingCriteria()
-    samples = [np.asarray(s, dtype=int) for s in samples]
-    if any(s.size == 0 for s in samples):
-        raise ShapeError("cannot grow a tree on zero rows")
-    y = ds.target_vector() if targets is None else np.asarray(targets, dtype=float)
-    if y.size != ds.n_rows:
-        raise ShapeError("targets override must have one value per dataset row")
-    if any(np.isnan(y[s]).any() for s in samples):
-        raise DomainError("target has missing values in the training rows")
+def grower(ds):
+    """A function grow_trees(samples, stop, rngs, targets=None) returning the
+    roots of one tree per sample of rows of ds, grown together as grow grows
+    one; rngs[t] draws tree t's feature subsets. The input columns are ranked
+    once, for every call."""
     nominal, _counts = ds.input_kinds()
-    return _Grower(ds.input_matrix(), y, nominal, stop).grow(samples, rngs)
+    kernel = _Grower(ds.input_matrix(), nominal)
+
+    def grow_trees(samples, stop, rngs, targets=None):
+        samples = [np.asarray(s, dtype=int) for s in samples]
+        if any(s.size == 0 for s in samples):
+            raise ShapeError("cannot grow a tree on zero rows")
+        if len(rngs) != len(samples):
+            raise ShapeError("need one generator per sample of rows")
+        y = ds.target_vector() if targets is None else np.asarray(targets, dtype=float)
+        if y.size != ds.n_rows:
+            raise ShapeError("targets override must have one value per dataset row")
+        if any(np.isnan(y[s]).any() for s in samples):
+            raise DomainError("target has missing values in the training rows")
+        return kernel.grow(y, samples, stop or StoppingCriteria(), rngs)
+
+    return grow_trees
 
 
 def predict(tree, x):
@@ -544,10 +561,12 @@ def predict_batch(tree, x_matrix):
         if isinstance(node, Leaf):
             out[rows] = node.value
             continue
-        widest = max([node.rule.feature] + [s.feature for s, _xi in node.surrogates])
-        if widest >= p:
-            raise ShapeError("tree splits on input column %d but the input has %d columns"
-                             % (widest, p))
+        features = [node.rule.feature] + [s.feature for s, _xi in node.surrogates]
+        if max(features) >= p:
+            raise ShapeError(
+                "tree splits on input column %d but the input has %d columns"
+                % (max(features), p)
+            )
         left = _route(x, rows, node.rule, node.surrogates)
         for child, sub in ((node.right, rows[~left]), (node.left, rows[left])):
             if sub.size:
@@ -581,18 +600,24 @@ def association(ds, best_rule, candidate_rule):
 
 def iter_nodes(tree):
     """Preorder (id, node) pairs; ids match the serialized form."""
-    out, stack = [], [tree]
+    out = []
+    stack = [tree]
     while stack:
         node = stack.pop()
         out.append((len(out), node))
         if isinstance(node, Internal):
-            stack += [node.right, node.left]
+            stack.append(node.right)
+            stack.append(node.left)
     return out
 
 
 def tree_features(tree):
     """Set of feature indices used by primary splits."""
-    return {node.rule.feature for _id, node in iter_nodes(tree) if isinstance(node, Internal)}
+    return {
+        node.rule.feature
+        for _id, node in iter_nodes(tree)
+        if isinstance(node, Internal)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +640,10 @@ def _parse_feature(token):
 def _parse_rule(feature, token, missing_left=True):
     if token.startswith("in:"):
         levels = tuple(int(v) for v in token[3:].split("|") if v != "")
-        return SplitRule(feature, left_levels=levels, nominal=True, missing_left=missing_left)
-    return SplitRule(feature, float(token), missing_left=missing_left)
+        return SplitRule(
+            feature=feature, left_levels=levels, nominal=True, missing_left=missing_left
+        )
+    return SplitRule(feature=feature, threshold=float(token), missing_left=missing_left)
 
 
 def tree_lines(tree):
@@ -624,18 +651,32 @@ def tree_lines(tree):
     ordered = iter_nodes(tree)
     ids = {id(node): node_id for node_id, node in ordered}
     lines = []
-    for i, node in ordered:
+    for node_id, node in ordered:
         if isinstance(node, Leaf):
-            lines += ["node %d leaf %s %d" % (i, fmt_float(node.value), node.n),
-                      "info %d risk %s" % (i, fmt_float(node.risk))]
-            continue
-        rule, left, right = node.rule, ids[id(node.left)], ids[id(node.right)]
-        lines += ["node %d split %d %s left %d right %d"
-                  % (i, rule.feature, _threshold_token(rule), left, right),
-                  "info %d risk %s missing %s"
-                  % (i, fmt_float(node.risk), "L" if rule.missing_left else "R")]
-        lines += ["surrogate %d %d %s %s" % (i, surr.feature, _threshold_token(surr), fmt_float(xi))
-                  for surr, xi in node.surrogates]
+            lines.append(
+                "node %d leaf %s %d" % (node_id, fmt_float(node.value), node.n)
+            )
+            lines.append("info %d risk %s" % (node_id, fmt_float(node.risk)))
+        else:
+            lines.append(
+                "node %d split %d %s left %d right %d"
+                % (
+                    node_id,
+                    node.rule.feature,
+                    _threshold_token(node.rule),
+                    ids[id(node.left)],
+                    ids[id(node.right)],
+                )
+            )
+            lines.append(
+                "info %d risk %s missing %s"
+                % (node_id, fmt_float(node.risk), "L" if node.rule.missing_left else "R")
+            )
+            for surr, xi in node.surrogates:
+                lines.append(
+                    "surrogate %d %d %s %s"
+                    % (node_id, surr.feature, _threshold_token(surr), fmt_float(xi))
+                )
     return lines
 
 
@@ -645,30 +686,39 @@ def tree_from_lines(lines):
     Raises ParseError for a malformed line, a missing root or child, and a
     node reached twice from the root (a cycle or a shared child).
     """
-    nodes, infos, surrogates = {}, {}, {}
+    nodes = {}
+    infos = {}
+    surrogates = {}
     for line in lines:
         parts = line.split()
         if not parts:
             continue
+        kind = parts[0]
         try:
-            kind, node_id = parts[0], int(parts[1])
+            node_id = int(parts[1])
             if kind == "node" and parts[2] == "leaf":
                 nodes[node_id] = ("leaf", float(parts[3]), int(parts[4]))
             elif kind == "node" and parts[2] == "split":
-                nodes[node_id] = ("split", _parse_feature(parts[3]), parts[4], int(parts[6]),
-                                  int(parts[8]))
+                feature = _parse_feature(parts[3])
+                nodes[node_id] = ("split", feature, parts[4], int(parts[6]), int(parts[8]))
             elif kind == "info":
-                missing = parts[5] == "L" if len(parts) >= 6 and parts[4] == "missing" else True
-                infos[node_id] = (float(parts[3]), missing)
+                missing_left = True
+                if len(parts) >= 6 and parts[4] == "missing":
+                    missing_left = parts[5] == "L"
+                infos[node_id] = (float(parts[3]), missing_left)
             elif kind == "surrogate":
                 surrogates.setdefault(node_id, []).append(
-                    (_parse_rule(_parse_feature(parts[2]), parts[3]), float(parts[4])))
+                    (_parse_rule(_parse_feature(parts[2]), parts[3]), float(parts[4]))
+                )
             else:
                 raise ValueError("unrecognised line")
         except (ValueError, IndexError) as exc:
             raise ParseError("bad tree line %r: %s" % (line, exc)) from None
+
     # Walk down from the root, so every child is listed after its parent.
-    order, seen, stack = [], set(), [0]
+    order = []
+    seen = set()
+    stack = [0]
     while stack:
         node_id = stack.pop()
         if node_id not in nodes:

@@ -135,6 +135,28 @@ def test_grow_rejects_zero_rows():
         dc.grow(ds, rows=[])
 
 
+def test_a_grower_needs_one_generator_per_sample():
+    ds = continuous_ds(np.arange(24.0).reshape(12, 2), np.arange(12.0))
+    with pytest.raises(ShapeError):
+        tree.grower(ds)([np.arange(12)] * 2, tree.StoppingCriteria(m=1), [])
+
+
+def test_a_grower_reused_across_targets_grows_what_grow_grows():
+    rng = np.random.Generator(np.random.PCG64(4))
+    cols = [("x%d" % j, "continuous", "input") for j in range(3)]
+    missing = np.zeros((40, 4), dtype=bool)
+    missing[:, :3] = rng.uniform(size=(40, 3)) < 0.1
+    ds = make_ds(cols + [("y", "continuous", "target")], rng.normal(size=(40, 4)), missing)
+    grow_trees = tree.grower(ds)
+    for seed in range(3):
+        targets = rng.normal(size=40)
+        rows = rng.integers(0, 40, size=40)
+        limits = tree.StoppingCriteria(min_branch=4, min_leaf=2, m=2)
+        got = grow_trees([rows], limits, [np.random.Generator(np.random.PCG64(seed))], targets)
+        want = dc.grow(ds, rows=rows, stop=limits, seed=seed, targets=targets)
+        assert tree.tree_lines(got[0]) == tree.tree_lines(want)
+
+
 @pytest.mark.parametrize("offset", [1e6, 1e8, 1e12])
 def test_splits_do_not_depend_on_the_target_offset(offset):
     rng = np.random.Generator(np.random.PCG64(0))
