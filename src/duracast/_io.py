@@ -1,5 +1,5 @@
-"""Deterministic file output helpers, the UTF-8 file reader and the
-model-file header reader.
+"""Deterministic file output helpers, the UTF-8 file reader, the model-file
+header reader, and the on-demand submodule reference of cli and models.
 
 All artifacts are written atomically (temporary file in the target directory,
 then rename) and floats are printed with 17 significant digits so that the
@@ -7,12 +7,36 @@ decimal text round-trips to the exact same IEEE double.
 """
 
 import contextlib
+import importlib
 import os
 import tempfile
 
 import numpy as np
 
 from .errors import DuracastError, IoError, ParseError
+
+# Risk-grid kinds, in the order `risk --kind all` renders them. They live
+# here, apart from durability, so the command-line parser can list them
+# without loading the grid code.
+CORROSION = "corrosion"
+FROST = "frost"
+CHEMICAL = "chemical"
+GRID_KINDS = (CORROSION, FROST, CHEMICAL)
+
+
+class LazyModule:
+    """A duracast submodule, imported on its first attribute access.
+
+    Every access reads the attribute from the module itself, so a function
+    replaced on its module after import (a profiling shim) is the one that
+    runs.
+    """
+
+    def __init__(self, name):
+        self._name = "%s.%s" % (__package__, name)
+
+    def __getattr__(self, attr):
+        return getattr(importlib.import_module(self._name), attr)
 
 
 def fmt_float(x):

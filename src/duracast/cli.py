@@ -22,9 +22,13 @@ import warnings
 
 import numpy as np
 
-from . import baselines, data, durability, ensemble, metrics, models
-from ._io import atomic_write_text, fmt_float
+from ._io import GRID_KINDS, LazyModule, atomic_write_text, fmt_float
 from .errors import ConfigError, DuracastError, ShapeError
+
+# Each command loads only the modules it calls: risk never compiles the
+# model code, and train --model bag never the network code.
+baselines, data, durability, ensemble, metrics, models = map(
+    LazyModule, ("baselines", "data", "durability", "ensemble", "metrics", "models"))
 
 PRESETS = {
     "caprm-bag": {"model": "bag", "trees": 150},
@@ -75,6 +79,9 @@ SEEDED = ("train", "crossval", "importance")
 _UNFLAGGED = {("importance", "surrogates")}
 # predict records these only for narx models.
 _NARX_PREDICT = ("horizon", "mode", "u_column", "y_column")
+# The least value of the count knobs that no library function checks: zero
+# epochs would save an untrained network, and --top 0 an empty summary.
+_LEAST = {"epochs": 1, "top": 1}
 
 
 def _numbers(flag, text, count=None):
@@ -140,6 +147,9 @@ def resolve(args):
         if value is None:
             value = preset.get(key, default)
         cfg[key] = _CONVERT[key](value) if key in _CONVERT else value
+    for key, least in _LEAST.items():
+        if cfg.get(key, least) < least:
+            raise ConfigError("--%s must be at least %d, got %d" % (key, least, cfg[key]))
     if command in SEEDED:
         cfg["seed"] = seed
     return cfg
@@ -189,7 +199,7 @@ _FLAGS = {
     "age": dict(required=True, help="age column"),
     "ages": dict(required=True, help="comma-separated evaluation ages"),
     "series": dict(required=True, help="CSV with header element,timestamp,t_celsius,rh"),
-    "kind": dict(choices=("all",) + durability.GRID_KINDS, help="grid kind (default {default})"),
+    "kind": dict(choices=("all",) + GRID_KINDS, help="grid kind (default {default})"),
     "bin_width": dict(type=float, help="time bin width in days (default {default})"),
     "scale": dict(type=int, help="pixels per grid cell (default {default})"),
     "rh_percent": dict(action="store_true",
@@ -375,7 +385,7 @@ def cmd_baseline(cfg):
 
 def cmd_risk(cfg):
     series = durability.read_series_csv(cfg["series"], rh_percent=cfg["rh_percent"])
-    kinds = durability.GRID_KINDS if cfg["kind"] == "all" else (cfg["kind"],)
+    kinds = GRID_KINDS if cfg["kind"] == "all" else (cfg["kind"],)
     for k in kinds:
         grid = durability.build_risk_grid(
             series, kind=k, bin_width=cfg["bin_width"], fill_radius=cfg["fill"]

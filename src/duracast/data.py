@@ -192,22 +192,6 @@ class Dataset:
         counts = np.array([len(c.levels) for c in cols], dtype=int)
         return nominal, counts
 
-    def row_dict(self, i):
-        """Row i as a name -> value mapping for predicates.
-
-        Continuous cells map to floats (nan when missing); nominal cells map
-        to their level label (None when missing).
-        """
-        out = {}
-        for j, col in enumerate(self.schema.columns):
-            if self.missing[i, j]:
-                out[col.name] = float("nan") if col.kind == CONTINUOUS else None
-            elif col.kind == NOMINAL:
-                out[col.name] = col.levels[int(self.values[i, j])]
-            else:
-                out[col.name] = float(self.values[i, j])
-        return out
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -270,20 +254,6 @@ def read_schema(path):
     return Schema(tuple(cols))
 
 
-def write_schema(path, sch):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for col in sch.columns:
-        row = [col.name, col.kind, col.role]
-        if col.levels:
-            for level in col.levels:
-                if ";" in level:
-                    raise SchemaViolation("level %r contains a semicolon" % level)
-            row.append(";".join(col.levels))
-        writer.writerow(row)
-    atomic_write_text(path, buf.getvalue())
-
-
 # ---------------------------------------------------------------------------
 # ingestion
 
@@ -296,13 +266,17 @@ def ingest_csv(path, sch):
         sch: Schema whose column names must match the header exactly.
 
     Returns:
-        Dataset with the missing mask set for empty cells.
+        Dataset with the missing mask set for empty cells. Blank lines at
+        the end of the file are ignored; a blank line between rows is a
+        ParseError.
     """
     reader = csv.reader(io.StringIO(read_text(path)))
     header = next(reader, None)
     if header is None:
         raise ParseError("%s has no header row" % path)
     records = list(reader)
+    while records and not records[-1]:
+        records.pop()
 
     header = [h.strip() for h in header]
     if tuple(header) != sch.names:
@@ -597,15 +571,6 @@ def kfold(ds, k, seed=0):
 
 # ---------------------------------------------------------------------------
 # filtering
-
-
-def filter_rows(ds, predicate):
-    """Row-subset Dataset keeping rows where predicate(row_dict) is true."""
-    keep = [i for i in range(ds.n_rows) if predicate(ds.row_dict(i))]
-    if not keep:
-        raise EmptySelection("predicate matched no rows")
-    keep = np.asarray(keep, dtype=int)
-    return Dataset(ds.schema, ds.values[keep], ds.missing[keep])
 
 
 def drop_columns(ds, names):

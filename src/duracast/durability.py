@@ -28,7 +28,16 @@ from enum import IntEnum
 
 import numpy as np
 
-from ._io import atomic_write_text, fmt_float, open_text, read_text
+from ._io import (
+    CHEMICAL,
+    CORROSION,
+    FROST,
+    GRID_KINDS,
+    atomic_write_text,
+    fmt_float,
+    open_text,
+    read_text,
+)
 from .data import moving_average_fill, segment_means
 from .errors import DomainError, ParseError, ShapeError
 
@@ -45,12 +54,6 @@ class RiskLevel(IntEnum):
     Slight = 1
     Medium = 2
     High = 3
-
-
-CORROSION = "corrosion"
-FROST = "frost"
-CHEMICAL = "chemical"
-GRID_KINDS = (CORROSION, FROST, CHEMICAL)
 
 
 @dataclass(frozen=True)
@@ -189,6 +192,13 @@ def classify_chemical(rh):
 # ---------------------------------------------------------------------------
 # risk grids
 
+# The most cells build_risk_grid makes and the most pixels render_grid draws.
+# Both sizes are known from the arguments, so a grid above them is a
+# DomainError before anything is allocated; a PPM pixel takes up to 12 bytes
+# of text.
+MAX_GRID_CELLS = 10 ** 6
+MAX_GRID_PIXELS = 10 ** 7
+
 
 @dataclass(frozen=True)
 class RiskGrid:
@@ -242,7 +252,8 @@ def build_risk_grid(series, kind=CORROSION, bin_width=1.0, fill_radius=None):
     A cell is classified from the mean temperature and humidity of its bin.
     Whether a cell counts as missing is decided by the original flags alone:
     it is missing exactly when the bin contains no reading or every reading
-    in it was flagged missing, regardless of imputation.
+    in it was flagged missing, regardless of imputation. A grid of more than
+    MAX_GRID_CELLS cells is a DomainError.
     """
     if kind not in GRID_KINDS:
         raise DomainError("unknown grid kind %r" % kind)
@@ -271,7 +282,11 @@ def build_risk_grid(series, kind=CORROSION, bin_width=1.0, fill_radius=None):
     t_min = min(float(ts[0]) for ts, _, _, _ in columns)
     t_max = max(float(ts[-1]) for ts, _, _, _ in columns)
 
-    n_bins = int(math.floor((t_max - t_min) / bin_width)) + 1
+    # min() keeps a huge bin count finite; it still fails the check below.
+    n_bins = math.floor(min((t_max - t_min) / bin_width, MAX_GRID_CELLS)) + 1
+    if len(elements) * n_bins > MAX_GRID_CELLS:
+        raise DomainError("bin width %r makes more than %d grid cells"
+                          % (bin_width, MAX_GRID_CELLS))
     bin_starts = t_min + bin_width * np.arange(n_bins)
     cells = np.full((len(elements), n_bins), None, dtype=object)
 
@@ -327,11 +342,14 @@ def render_grid(grid, ppm_path, csv_path=None, scale=1):
     One grid row per element, one column per time bin, each cell scaled to
     a scale-by-scale pixel block. The image is plain P3: header lines "P3",
     "<width> <height>", "255", then one line of space-separated r g b
-    triplets per pixel row.
+    triplets per pixel row. An image of more than MAX_GRID_PIXELS pixels is
+    a DomainError.
     """
     scale = int(scale)
     if scale < 1:
         raise DomainError("scale must be >= 1")
+    if grid.n_bins * grid.n_elements * scale * scale > MAX_GRID_PIXELS:
+        raise DomainError("scale %d makes more than %d pixels" % (scale, MAX_GRID_PIXELS))
     width = grid.n_bins * scale
     height = grid.n_elements * scale
     lines = ["P3", "%d %d" % (width, height), "255"]

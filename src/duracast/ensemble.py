@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tree as tree_mod
-from ._io import atomic_write_text, fmt_float, read_model, read_text, word
+from ._io import atomic_write_text, fmt_float, read_model, word
 from .errors import DomainError, NoCoverage, ParseError, ShapeError
 
 BAGGED = "bagged"
@@ -353,17 +353,6 @@ def ranked_rows(report):
     return rows
 
 
-def top_k_share(report, k):
-    """Cumulative share of the top k split-gain scores (they sum to one)."""
-    if report.splitgain is None:
-        raise DomainError("report carries no split-gain scores")
-    scores = np.sort(np.asarray(report.splitgain, dtype=float))[::-1]
-    total = scores.sum()
-    if total <= 0.0:
-        return 0.0
-    return float(scores[: int(k)].sum() / total)
-
-
 def write_importance_csv(path, report):
     lines = ["variable,permutation_score,splitgain_score,rank"]
     for name, perm, gain, rank in ranked_rows(report):
@@ -439,11 +428,3 @@ def _build_ensemble(v, body):
         lam=v["lambda"],
         feature_names=tuple(features[j] for j in range(len(features))),
     )
-
-
-def save_ensemble(path, model):
-    atomic_write_text(path, to_text(model))
-
-
-def load_ensemble(path):
-    return from_text(read_text(path))

@@ -107,48 +107,6 @@ def evaluate(pred, target):
     )
 
 
-@dataclass(frozen=True)
-class RepeatedReport:
-    """Averages over repeated train/evaluate rounds plus the round reports."""
-
-    mse: float
-    rmse: float
-    mae: float
-    r: float
-    n: float
-    rounds: tuple
-
-
-def repeated_evaluation(factory, ds, rounds, seed=0):
-    """Average evaluation statistics over seeded rounds.
-
-    Args:
-        factory: callable (ds, round_seed) -> (pred, target) arrays; expected
-            to re-split and retrain internally using the given seed.
-        ds: dataset handed to the factory unchanged.
-        rounds: number of rounds, >= 1.
-        seed: base seed; round i uses seed + i.
-
-    Returns:
-        RepeatedReport with per-statistic means and the individual reports.
-    """
-    if rounds < 1:
-        raise ShapeError("rounds must be >= 1")
-    reports = []
-    for i in range(rounds):
-        pred, target = factory(ds, seed + i)
-        reports.append(evaluate(pred, target))
-    rs = [rep.r for rep in reports if rep.r_defined]
-    return RepeatedReport(
-        mse=float(np.mean([rep.mse for rep in reports])),
-        rmse=float(np.mean([rep.rmse for rep in reports])),
-        mae=float(np.mean([rep.mae for rep in reports])),
-        r=float(np.mean(rs)) if rs else float("nan"),
-        n=float(np.mean([rep.n for rep in reports])),
-        rounds=tuple(reports),
-    )
-
-
 def report_rows(report):
     """Flatten an EvalReport to (metric, value) rows for the report CSV."""
     res = report.residuals

@@ -23,9 +23,11 @@ from collections import namedtuple
 
 import numpy as np
 
-from . import data, ensemble, neural, tree
-from ._io import float_array, float_pair, fmt_float, read_model, read_text
+from ._io import LazyModule, float_array, float_pair, fmt_float, read_model, read_text
 from .errors import ConfigError, ParseError, ShapeError
+
+# A model kind loads only its own modules: narx never compiles the tree code.
+data, ensemble, neural, tree = map(LazyModule, ("data", "ensemble", "neural", "tree"))
 
 
 def stopping(cfg):

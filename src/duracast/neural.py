@@ -14,15 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import (
-    atomic_write_text,
-    float_array,
-    float_pair,
-    fmt_float,
-    read_model,
-    read_text,
-    word,
-)
+# atomic_write_text is bound here so profiling shims (bench/tracing.py) can wrap
+# it on every module.
+from ._io import atomic_write_text, float_array, float_pair, fmt_float, read_model, word
 from .errors import (
     Divergence,
     DomainError,
@@ -343,39 +337,6 @@ def train_lm(net, train, validation=None, state=None):
     return final, history
 
 
-def early_stopping_curve(history):
-    """(best epoch, train curve, validation curve) from a training history."""
-    train_curve = [rec.train_mse for rec in history]
-    val_curve = [rec.val_mse for rec in history]
-    if all(math.isnan(v) for v in val_curve):
-        best = len(history) - 1
-    else:
-        best = min(range(len(history)), key=lambda i: (val_curve[i], i))
-    return history[best].epoch, train_curve, val_curve
-
-
-def sweep_hidden(train, validation, hidden_sizes, seed=0, state_factory=None):
-    """Train one network per hidden size, returning (best_size, results).
-
-    results maps hidden size to final validation MSE; the smallest validation
-    error wins, ties preferring the smaller network.
-    """
-    x = np.asarray(train[0], dtype=float)
-    y = np.asarray(train[1], dtype=float)
-    n_in = 1 if x.ndim == 1 else x.shape[1]
-    n_out = 1 if y.ndim == 1 else y.shape[1]
-    xv, yv = _shape_xy(validation, n_in, n_out)
-    results = {}
-    for h in hidden_sizes:
-        net = make_mlp((n_in, int(h), n_out), seed=seed)
-        state = state_factory() if state_factory else LmState()
-        trained, _hist = train_lm(net, train, validation, state)
-        r = (forward(trained, xv) - yv).ravel()
-        results[int(h)] = float(r @ r) / r.size
-    best = min(sorted(results), key=lambda h: (results[h], h))
-    return best, results
-
-
 # ---------------------------------------------------------------------------
 # NARX
 
@@ -573,14 +534,6 @@ def mlp_from_lines(lines):
                       indexed=("activation", "weights", "bias"))
 
 
-def save_mlp(path, net):
-    atomic_write_text(path, "\n".join(mlp_lines(net)) + "\n")
-
-
-def load_mlp(path):
-    return mlp_from_lines(read_text(path).splitlines())
-
-
 def narx_lines(model):
     lines = ["narx v1", "q %d" % model.q, "mode %s" % model.mode]
     if model.u_bounds is not None:
@@ -598,11 +551,3 @@ def _build_narx(v, body):
 def narx_from_lines(lines):
     fields = {"q": int, "mode": word, "norm_u": float_pair, "norm_y": float_pair}
     return read_model(lines, "narx v1", fields, _build_narx, body="mlp")
-
-
-def save_narx(path, model):
-    atomic_write_text(path, "\n".join(narx_lines(model)) + "\n")
-
-
-def load_narx(path):
-    return narx_from_lines(read_text(path).splitlines())

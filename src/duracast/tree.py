@@ -41,7 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import atomic_write_text, fmt_float, read_model, read_text
+# atomic_write_text is bound here so profiling shims (bench/tracing.py) can wrap
+# it on every module.
+from ._io import atomic_write_text, fmt_float, read_model
 from .errors import DomainError, ParseError, ShapeError, UndefinedAssociation
 
 
@@ -752,11 +754,3 @@ def to_text(tree):
 def from_text(text):
     return read_model(text.splitlines(), "tree v1", {},
                       lambda _values, body: tree_from_lines(body), body="node")
-
-
-def save_tree(path, tree):
-    atomic_write_text(path, to_text(tree))
-
-
-def load_tree(path):
-    return from_text(read_text(path))

@@ -2,12 +2,13 @@ import argparse
 import json
 import os
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from duracast import tree
+from duracast import models, tree
 from duracast.cli import _build_parser, run_cli
 from oracles import simulate_first_order
 
@@ -569,7 +570,8 @@ def test_train_grows_a_tree_deeper_than_the_recursion_limit(tmp_path):
     out = tmp_path / "run"
     assert run(["train", "--data", str(data), "--schema", str(schema), "--model", "tree",
                 "--out", str(out)]) == 0
-    depth, stack = 0, [(tree.load_tree(str(out / "model.txt")), 1)]
+    kind, model = models.load_model(str(out / "model.txt"))
+    depth, stack = 0, [(model, 1)]
     while stack:
         node, d = stack.pop()
         depth = max(depth, d)
@@ -718,6 +720,9 @@ def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, kind):
     pytest.param(["train", *TAB, "--seed", "-1"], "config-error", id="seed-minus-1"),
     pytest.param(["risk", "--series", os.path.join(DATA_DIR, "risk.logger.csv"),
                   "--bin-width", "nan"], "domain-error", id="bin-width-nan"),
+    pytest.param(["train", *TAB, "--model", "mlp", "--epochs", "0"], "config-error",
+                 id="mlp-epochs-0"),
+    pytest.param(["importance", *TAB, "--top", "0"], "config-error", id="importance-top-0"),
 ])
 def test_a_knob_outside_its_domain_ends_in_one_typed_error(tmp_path, capsys, argv, code):
     assert run(argv + ["--out", str(tmp_path / "run")]) == 1
@@ -751,3 +756,37 @@ def test_a_byte_order_mark_gives_the_same_artifacts(tmp_path, argv, marked):
                         if p.name != "config.json"})
     assert len(outputs[0]) >= 2
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("blank", ["\n", "\n\r\n\n"])
+def test_blank_lines_end_a_data_file_but_do_not_split_it(tmp_path, capsys, blank):
+    with open(TAB[1], "rb") as fh:
+        text = fh.read().decode()
+    runs = {"plain": text, "trailing": text + blank,
+            "inner": text.replace("\n", "\n" + blank, 1)}
+    codes = {}
+    for name, body in runs.items():
+        path = tmp_path / ("%s.csv" % name)
+        path.write_bytes(body.encode())
+        codes[name] = run(["ingest", "--data", str(path), "--schema", TAB[3],
+                           "--out", str(tmp_path / name)])
+    assert codes == {"plain": 0, "trailing": 0, "inner": 1}
+    assert capsys.readouterr().err.startswith("error:parse-error:row 1 has 0 fields")
+    assert ((tmp_path / "trailing" / "clean.csv").read_bytes()
+            == (tmp_path / "plain" / "clean.csv").read_bytes())
+
+
+@pytest.mark.parametrize("flag, value", [("--bin-width", "1e-9"), ("--scale", "100000")])
+def test_an_oversized_risk_grid_fails_before_it_is_allocated(tmp_path, capsys, flag, value):
+    # Either grid would take gigabytes; the check sees its size first.
+    argv = ["risk", "--series", os.path.join(DATA_DIR, "risk.logger.csv"), "--fill", "2"]
+    assert run(argv + ["--scale", "1", "--out", str(tmp_path / "warm")]) == 0
+    tracemalloc.start()
+    try:
+        code = run(argv + [flag, value, "--out", str(tmp_path / "run")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:domain-error:")
+    assert peak < 2 ** 20

@@ -313,16 +313,6 @@ def test_ranked_rows_sort_by_score_then_name():
     assert [r[3] for r in rows] == [1, 2, 3]
 
 
-def test_top_k_share_accumulates_splitgain():
-    report = ensemble.ImportanceReport(
-        names=("a", "b", "c"),
-        permutation=np.array([3.0, 2.0, 1.0]),
-        splitgain=np.array([0.6, 0.3, 0.1]),
-    )
-    assert ensemble.top_k_share(report, 2) == pytest.approx(0.9)
-    assert ensemble.top_k_share(report, 99) == pytest.approx(1.0)
-
-
 def test_scenario_importance_drops_columns_and_filters_rows():
     ds = importance_ds()
     scen = ensemble.Scenario(name="signal only", drop=("noise",))
@@ -352,8 +342,8 @@ def test_ensemble_text_round_trip(tmp_path):
     ds = nonlinear_ds()
     model = dc.train_bagged(ds, n_trees=5, stop=stop(), seed=6)
     path = tmp_path / "model.txt"
-    dc.save_ensemble(path, model)
-    again = dc.load_ensemble(path)
+    path.write_text(ensemble.to_text(model))
+    again = ensemble.from_text(path.read_text())
     grid = ds.input_matrix()
     assert np.array_equal(
         ensemble.predict_batch(model, grid), ensemble.predict_batch(again, grid)
@@ -367,8 +357,8 @@ def test_boosted_round_trip_keeps_shrinkage(tmp_path):
     ds = nonlinear_ds(n=40)
     model = dc.train_lsboost(ds, n_trees=4, lam=0.25, stop=stop(), seed=1)
     path = tmp_path / "boost.txt"
-    dc.save_ensemble(path, model)
-    again = dc.load_ensemble(path)
+    path.write_text(ensemble.to_text(model))
+    again = ensemble.from_text(path.read_text())
     assert again.lam == 0.25
     grid = ds.input_matrix()
     assert np.array_equal(
@@ -381,8 +371,8 @@ def test_saved_ensembles_are_byte_stable(tmp_path):
     model = dc.train_bagged(ds, n_trees=3, stop=stop(), seed=2)
     p1 = tmp_path / "a.txt"
     p2 = tmp_path / "b.txt"
-    dc.save_ensemble(p1, model)
-    dc.save_ensemble(p2, model)
+    p1.write_text(ensemble.to_text(model))
+    p2.write_text(ensemble.to_text(model))
     assert p1.read_bytes() == p2.read_bytes()
 
 

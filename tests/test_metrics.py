@@ -107,17 +107,3 @@ def test_report_csv_layout(tmp_path):
     names = [ln.split(",")[0] for ln in lines[1:]]
     assert names[:5] == ["mse", "rmse", "mae", "r", "n"]
     assert float(lines[1].split(",")[1]) == pytest.approx(rep.mse)
-
-
-def test_repeated_evaluation_averages_rounds():
-    ds = object()
-
-    def factory(_ds, seed):
-        rng = np.random.Generator(np.random.PCG64(seed))
-        target = rng.normal(size=50)
-        return target + 0.1, target
-
-    rep = metrics.repeated_evaluation(factory, ds, rounds=4, seed=9)
-    assert len(rep.rounds) == 4
-    assert rep.mse == pytest.approx(np.mean([r.mse for r in rep.rounds]))
-    assert rep.mse == pytest.approx(0.01)

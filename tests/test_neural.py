@@ -272,33 +272,6 @@ def test_validation_early_stopping_returns_the_best_epoch():
     assert float(np.mean(rv.ravel() ** 2)) == pytest.approx(val_curve[best])
 
 
-def test_early_stopping_curve_reads_the_history():
-    history = [
-        neural.EpochRecord(0, 4.0, 2.0, 1e-3),
-        neural.EpochRecord(1, 2.0, 1.0, 1e-4),
-        neural.EpochRecord(2, 1.0, 1.5, 1e-5),
-    ]
-    best, train_curve, val_curve = neural.early_stopping_curve(history)
-    assert best == 1
-    assert train_curve == [4.0, 2.0, 1.0]
-    assert val_curve == [2.0, 1.0, 1.5]
-
-
-def test_sweep_hidden_prefers_low_validation_error():
-    rng = np.random.Generator(np.random.PCG64(4))
-    x = rng.uniform(-2, 2, size=(60, 1))
-    y = np.sin(x)
-    xv = rng.uniform(-2, 2, size=(30, 1))
-    yv = np.sin(xv)
-    best, results = neural.sweep_hidden(
-        (x, y), (xv, yv), hidden_sizes=(1, 6),
-        state_factory=lambda: neural.LmState(max_epochs=40),
-    )
-    assert set(results) == {1, 6}
-    assert best == 6
-    assert results[6] < results[1]
-
-
 # ---------------------------------------------------------------------------
 # NARX
 
@@ -428,8 +401,8 @@ def test_train_narx_normalization_bounds_cover_the_series():
 def test_mlp_file_round_trip(tmp_path):
     net = neural.make_mlp((2, 5, 1), seed=3)
     path = tmp_path / "net.txt"
-    neural.save_mlp(path, net)
-    again = neural.load_mlp(path)
+    path.write_text("\n".join(neural.mlp_lines(net)) + "\n")
+    again = neural.mlp_from_lines(path.read_text().splitlines())
     x = np.random.Generator(np.random.PCG64(0)).uniform(-2, 2, size=(10, 2))
     assert np.array_equal(neural.forward(net, x), neural.forward(again, x))
     assert again.sizes == net.sizes
@@ -440,8 +413,8 @@ def test_mlp_files_are_byte_stable(tmp_path):
     net = neural.make_mlp((3, 4, 2), hidden=neural.LOGISTIC, a=2.0, seed=9)
     p1 = tmp_path / "a.txt"
     p2 = tmp_path / "b.txt"
-    neural.save_mlp(p1, net)
-    neural.save_mlp(p2, net)
+    p1.write_text("\n".join(neural.mlp_lines(net)) + "\n")
+    p2.write_text("\n".join(neural.mlp_lines(net)) + "\n")
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -452,8 +425,8 @@ def test_narx_file_round_trip(tmp_path):
     model, _, _ = neural.train_narx(u, y, q=2, hidden=3, seed=2,
                                     state=neural.LmState(max_epochs=40))
     path = tmp_path / "model.txt"
-    neural.save_narx(path, model)
-    again = neural.load_narx(path)
+    path.write_text("\n".join(neural.narx_lines(model)) + "\n")
+    again = neural.narx_from_lines(path.read_text().splitlines())
     assert again.q == model.q
     assert again.mode == model.mode
     assert again.u_bounds == model.u_bounds
