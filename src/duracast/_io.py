@@ -1,5 +1,6 @@
 """Deterministic file output helpers, the UTF-8 file reader, the model-file
-header reader, and the on-demand submodule reference of cli and models.
+header reader, the risk-grid kind names, and LazyModule, through which cli
+and models load a submodule on first use.
 
 All artifacts are written atomically (temporary file in the target directory,
 then rename) and floats are printed with 17 significant digits so that the

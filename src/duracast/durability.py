@@ -263,7 +263,7 @@ def build_risk_grid(series, kind=CORROSION, bin_width=1.0, fill_radius=None):
         raise DomainError("bin width must be a positive finite number of days")
 
     elements = tuple(series.keys())
-    columns = []
+    histories = []
     for name in elements:
         hs = series[name]
         if not isinstance(hs, HygroSeries):
@@ -272,21 +272,24 @@ def build_risk_grid(series, kind=CORROSION, bin_width=1.0, fill_radius=None):
             raise ShapeError("element %r has no samples" % name)
         if np.any(np.diff(hs.ts) <= 0):
             raise DomainError("element %r timestamps must be strictly increasing" % name)
-        temp, rh, miss = hs.t_celsius, hs.rh, hs.missing
-        if fill_radius is not None and miss.any() and not miss.all():
-            temp = moving_average_fill(temp, fill_radius, empty_window="keep")
-            rh = moving_average_fill(rh, fill_radius, empty_window="keep")
-        columns.append((hs.ts, temp, rh, miss))
+        histories.append(hs)
     # timestamps increase, so each element starts at its first reading and
     # ends at its last
-    t_min = min(float(ts[0]) for ts, _, _, _ in columns)
-    t_max = max(float(ts[-1]) for ts, _, _, _ in columns)
+    t_min = min(float(hs.ts[0]) for hs in histories)
+    t_max = max(float(hs.ts[-1]) for hs in histories)
 
     # min() keeps a huge bin count finite; it still fails the check below.
     n_bins = math.floor(min((t_max - t_min) / bin_width, MAX_GRID_CELLS)) + 1
     if len(elements) * n_bins > MAX_GRID_CELLS:
         raise DomainError("bin width %r makes more than %d grid cells"
                           % (bin_width, MAX_GRID_CELLS))
+    columns = []
+    for hs in histories:
+        temp, rh, miss = hs.t_celsius, hs.rh, hs.missing
+        if fill_radius is not None and miss.any() and not miss.all():
+            temp = moving_average_fill(temp, fill_radius, empty_window="keep")
+            rh = moving_average_fill(rh, fill_radius, empty_window="keep")
+        columns.append((hs.ts, temp, rh, miss))
     bin_starts = t_min + bin_width * np.arange(n_bins)
     cells = np.full((len(elements), n_bins), None, dtype=object)
 
