@@ -38,7 +38,7 @@ _EXPORTS = {
     "metrics": "EvalReport evaluate write_report_csv",
     "neural": "Activation LmState MlpNetwork NarxModel forward jacobian make_mlp narx_predict "
               "narx_prepare train_lm train_narx",
-    "tree": "Internal Leaf SplitRule StoppingCriteria association grow predict predict_batch",
+    "tree": "StoppingCriteria Tree association grow predict predict_batch",
     "_io": "",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -150,6 +150,8 @@ def resolve(args):
     for key, least in _LEAST.items():
         if cfg.get(key, least) < least:
             raise ConfigError("--%s must be at least %d, got %d" % (key, least, cfg[key]))
+    if "split" in cfg and not cfg["split"][2] > 0.0:
+        raise ConfigError("--split needs a positive test fraction, got %r" % cfg["split"][2])
     if command in SEEDED:
         cfg["seed"] = seed
     return cfg

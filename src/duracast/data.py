@@ -289,36 +289,59 @@ def ingest_csv(path, sch):
     n, p = len(records), len(sch.columns)
     values = np.zeros((n, p))
     missing = np.zeros((n, p), dtype=bool)
-    for i, record in enumerate(records):
-        if len(record) != p:
-            raise ParseError(
-                "row %d has %d fields, expected %d" % (i + 1, len(record), p)
-            )
-        for j, col in enumerate(sch.columns):
-            cell = record[j].strip()
-            if cell == "":
-                missing[i, j] = True
-                continue
-            if col.kind == CONTINUOUS:
-                try:
-                    values[i, j] = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        "row %d, column %r: cannot parse %r as a number"
-                        % (i + 1, col.name, cell)
-                    ) from None
-                if not np.isfinite(values[i, j]):
-                    raise ParseError(
-                        "row %d, column %r: non-finite value %r" % (i + 1, col.name, cell)
-                    )
-            else:
-                try:
-                    values[i, j] = col.levels.index(cell)
-                except ValueError:
-                    raise SchemaViolation(
-                        "row %d, column %r: unknown level %r" % (i + 1, col.name, cell)
-                    ) from None
+    # The rows before the first one of the wrong length are read column by
+    # column; the fault reported is the first in row order, the one a
+    # row-by-row reader meets first.
+    good = next((i for i, record in enumerate(records) if len(record) != p), n)
+    rows, faults = records[:good], []
+    for j, col in enumerate(sch.columns if good else ()):
+        cells = [record[j].strip() for record in rows]
+        missing[:good, j] = [cell == "" for cell in cells]
+        column, fault = _read_column(col, cells)
+        values[:good, j] = column
+        if fault is not None:
+            faults.append((fault[0], j, fault[1]))
+    if faults:
+        raise min(faults, key=lambda fault: fault[:2])[2]
+    if good < n:
+        raise ParseError("row %d has %d fields, expected %d" % (good + 1, len(records[good]), p))
     return Dataset(sch, values, missing)
+
+
+def _read_column(col, cells):
+    """(values, fault) of one column's stripped cells, an empty one reading
+    0; fault is (row, error) of its first bad cell, or None."""
+    if col.kind != CONTINUOUS:
+        index = {}
+        for code, level in enumerate(col.levels):
+            index.setdefault(level, code)
+        codes = np.fromiter((index.get(cell, -1) if cell else 0 for cell in cells), np.intp,
+                            len(cells))
+        unknown = np.flatnonzero(codes < 0)
+        if unknown.size:
+            i = int(unknown[0])
+            return codes, (i, SchemaViolation("row %d, column %r: unknown level %r"
+                                              % (i + 1, col.name, cells[i])))
+        return codes, None
+    try:
+        column = np.fromiter((float(cell) if cell else 0.0 for cell in cells), float, len(cells))
+        bad = len(cells)
+    except ValueError:
+        column = np.zeros(len(cells))
+        for bad, cell in enumerate(cells):
+            try:
+                column[bad] = float(cell) if cell else 0.0
+            except ValueError:
+                break
+    infinite = np.flatnonzero(~np.isfinite(column[:bad]))
+    if infinite.size:
+        i = int(infinite[0])
+        return column, (i, ParseError("row %d, column %r: non-finite value %r"
+                                      % (i + 1, col.name, cells[i])))
+    if bad < len(cells):
+        return column, (bad, ParseError("row %d, column %r: cannot parse %r as a number"
+                                        % (bad + 1, col.name, cells[bad])))
+    return column, None
 
 
 def write_csv(path, ds):
@@ -453,7 +476,7 @@ def segment_means(values, starts, counts):
     starts = np.asarray(starts, dtype=np.intp)
     counts = np.asarray(counts, dtype=np.intp)
     out = np.empty(starts.size)
-    for c in np.unique(counts):
+    for c in sorted(set(counts.tolist())):
         sel = np.flatnonzero(counts == c)
         block = values[starts[sel, None] + np.arange(c)]
         out[sel] = block.sum(axis=1) / c
@@ -530,8 +553,8 @@ def split_holdout(ds, fractions, seed=0):
 
     Sizes follow the largest-remainder rule, so round fractions are exact:
     fractions (0.6, 0.2, 0.2) on 10 rows give sizes (6, 2, 2). A zero
-    fraction yields an empty part (two-way splits pass a zero validation
-    fraction).
+    validation fraction yields an empty validation part (a two-way split);
+    fractions that leave the test part empty raise DomainError.
     """
     n = ds if isinstance(ds, (int, np.integer)) else ds.n_rows
     fracs = [float(f) for f in fractions]
@@ -544,6 +567,9 @@ def split_holdout(ds, fractions, seed=0):
     if n < 3:
         raise DegenerateSplit("cannot split %d rows" % n)
     sizes = _largest_remainder(n, fracs)
+    if sizes[2] == 0:
+        raise DomainError("test fraction %r of %d rows leaves the test split empty"
+                          % (fracs[2], n))
     order = np.random.Generator(np.random.PCG64(seed)).permutation(n)
     a, b = sizes[0], sizes[0] + sizes[1]
     return Partition(

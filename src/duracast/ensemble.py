@@ -37,6 +37,11 @@ class EnsembleModel:
     def n_trees(self):
         return len(self.trees)
 
+    @functools.cached_property
+    def table(self):
+        """One node table of every tree, routed in one descent."""
+        return tree_mod.join(self.trees)
+
 
 @dataclass(frozen=True)
 class ImportanceReport:
@@ -136,14 +141,15 @@ def train_lsboost(ds, n_trees=150, lam=0.1, stop=None, seed=0, rows=None):
 def predict(model, x):
     """Aggregate the member trees on one input vector."""
     x = np.asarray(x, dtype=float)
-    return float(_combine(model, np.array([tree_mod.predict(t, x) for t in model.trees])))
+    return float(_combine(model, tree_mod.predict_batch(model.table, x[None])))
 
 
 def predict_batch(model, x_matrix):
     x_matrix = np.asarray(x_matrix, dtype=float)
     if x_matrix.ndim != 2:
         raise ShapeError("prediction input must be a matrix")
-    return _combine(model, np.array([tree_mod.predict_batch(t, x_matrix) for t in model.trees]))
+    per_tree = tree_mod.predict_batch(model.table, x_matrix)
+    return _combine(model, per_tree.reshape(model.n_trees, x_matrix.shape[0]))
 
 
 def _combine(model, per_tree):
@@ -192,7 +198,10 @@ def oob_error(model, ds):
     oob = _out_of_bag(model, ds, "out-of-bag error")
     x = ds.input_matrix()
     y = ds.target_vector()
-    per_tree = np.array([tree_mod.predict_batch(t, x) for t in model.trees])
+    # Only the out-of-bag pairs are routed; the others count as 0.
+    trees, rows = np.nonzero(oob)
+    per_tree = np.zeros(oob.shape)
+    per_tree[trees, rows] = tree_mod.predict_batch(model.table, x[rows], trees)
     covered = oob.any(axis=0)
     n_uncovered = int(np.count_nonzero(~covered))
     if not covered.any():
@@ -229,7 +238,19 @@ def permutation_importance(model, ds, iterations=10, seed=0, scaling="std"):
     p = x_all.shape[1]
     n_trees = model.n_trees
 
-    used = [tree_mod.tree_features(t) for t in model.trees]
+    # Each tree routes one block: its out-of-bag rows, then one copy per
+    # variable it splits on, with that column permuted (drawn in column
+    # order, tree after tree). Every block of an iteration is one call.
+    routed = [t for t in range(n_trees) if oob_masks[t].any()]
+    used = [sorted(tree_mod.tree_features(model.trees[t])) for t in routed]
+    x_oob = [x_all[oob_masks[t]] for t in routed]
+    y_oob = [y_all[oob_masks[t]] for t in routed]
+    sizes = [x.shape[0] * (len(u) + 1) for x, u in zip(x_oob, used)]
+    owner = np.repeat(routed, sizes)
+    ends = np.cumsum(sizes).tolist()
+    # Every iteration permutes the same cells, so it overwrites the last one's.
+    x_stack = np.concatenate([np.zeros((0, p))]
+                             + [np.tile(x, (len(u) + 1, 1)) for x, u in zip(x_oob, used)])
 
     iter_scores = np.zeros((iterations, p))
     seeds = tuple(seed + i for i in range(iterations))
@@ -237,23 +258,16 @@ def permutation_importance(model, ds, iterations=10, seed=0, scaling="std"):
     for i, it_seed in enumerate(seeds):
         rng = np.random.Generator(np.random.PCG64(it_seed))
         diffs = np.zeros((n_trees, p))
-        for t_idx, t in enumerate(model.trees):
-            oob = oob_masks[t_idx]
-            if not oob.any():
-                continue
-            x_oob = x_all[oob]
-            y_oob = y_all[oob]
-            n_oob = x_oob.shape[0]
-            # One routed matrix per tree: the OOB block, then one copy per
-            # used variable with that column permuted (drawn in column order).
-            permuted = sorted(used[t_idx])
-            x_stack = np.tile(x_oob, (len(permuted) + 1, 1))
-            for b, j in enumerate(permuted, start=1):
-                x_stack[b * n_oob:(b + 1) * n_oob, j] = x_oob[rng.permutation(n_oob), j]
-            preds = tree_mod.predict_batch(t, x_stack).reshape(-1, n_oob)
-            mses = [float(np.mean((y_oob - block) ** 2)) for block in preds]
-            for j, mse in zip(permuted, mses[1:]):
-                diffs[t_idx, j] = mse - mses[0]
+        for start, x, u in zip([0] + ends, x_oob, used):
+            n_oob = x.shape[0]
+            for b, j in enumerate(u, start=1):
+                at = start + b * n_oob
+                x_stack[at:at + n_oob, j] = x[rng.permutation(n_oob), j]
+        preds = tree_mod.predict_batch(model.table, x_stack, owner)
+        for t_idx, start, end, y, u in zip(routed, [0] + ends, ends, y_oob, used):
+            # Each row's mean has the bits of np.mean of that row alone.
+            mses = ((y - preds[start:end].reshape(-1, y.size)) ** 2).mean(axis=1)
+            diffs[t_idx, u] = mses[1:] - mses[0]
         mean = diffs.mean(axis=0)
         std = diffs.std(axis=0, ddof=1) if n_trees > 1 else np.zeros(p)
         if scaling == "stderr":
@@ -282,15 +296,24 @@ def splitgain_importance(model, ds=None):
     variable and gain times the association to each surrogate variable;
     per-tree credits are averaged over trees and scaled to sum to one."""
     p = len(model.feature_names)
+    table = model.table
+    feature, left, right = table.feature.tolist(), table.left.tolist(), table.right.tolist()
+    risk, surr, surr_feature = table.risk.tolist(), table.surr.tolist(), table.surr_feature.tolist()
+    xi = table.xi.tolist()
     credits = np.zeros((model.n_trees, p))
-    for t_idx, t in enumerate(model.trees):
-        for _id, node in tree_mod.iter_nodes(t):
-            if not isinstance(node, tree_mod.Internal):
+    for t_idx, root in enumerate(table.roots.tolist()):
+        # Credited node by node in preorder, which fixes the bits of each sum.
+        row, stack = credits[t_idx].tolist(), [root]
+        while stack:
+            i = stack.pop()
+            if left[i] < 0:
                 continue
-            delta = node.risk - node.left.risk - node.right.risk
-            credits[t_idx, node.rule.feature] += delta
-            for surr, xi in node.surrogates:
-                credits[t_idx, surr.feature] += delta * max(xi, 0.0)
+            stack += (right[i], left[i])
+            delta = risk[i] - risk[left[i]] - risk[right[i]]
+            row[feature[i]] += delta
+            for s in range(surr[i], surr[i + 1]):
+                row[surr_feature[s]] += delta * max(xi[s], 0.0)
+        credits[t_idx] = row
     mean = credits.mean(axis=0)
     total = mean.sum()
     if total > 0.0:
@@ -421,6 +444,8 @@ def _build_ensemble(v, body):
             current.append(line)
     if len(blocks) != n_trees:
         raise ParseError("header says %d trees, file has %d" % (n_trees, len(blocks)))
+    if not blocks:
+        raise ParseError("an ensemble needs at least one tree")
     return EnsembleModel(
         kind=kind,
         trees=tuple(tree_mod.tree_from_lines(block) for block in blocks),

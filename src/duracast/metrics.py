@@ -39,8 +39,31 @@ class EvalReport:
     r_defined: bool = True
 
 
+_QUARTILES = np.array([0.25, 0.5, 0.75])
+
+
+def _quartiles(values):
+    """np.quantile(values, [0.25, 0.5, 0.75]) bit for bit, from one sort:
+    numpy's default linear method, with its virtual index (n - 1) * q and
+    its interpolation, which for a weight g >= 0.5 computes b - (b - a) *
+    (1 - g). np.quantile itself imports numpy.ma, which costs a command
+    more than the sort."""
+    ordered = np.sort(values)
+    virtual = (ordered.size - 1) * _QUARTILES
+    below = np.floor(virtual)
+    above = np.where(virtual >= ordered.size - 1, -1.0, below + 1)
+    below[virtual >= ordered.size - 1] = -1.0
+    gamma = virtual - below
+    a, b = ordered[below.astype(np.intp)], ordered[above.astype(np.intp)]
+    diff = b - a
+    out = np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+    if np.isnan(ordered[-1]):
+        out[:] = np.nan
+    return out
+
+
 def _boxplot_stats(values):
-    q1, median, q3 = np.quantile(values, [0.25, 0.5, 0.75])
+    q1, median, q3 = _quartiles(values)
     iqr = q3 - q1
     lo_fence = q1 - 1.5 * iqr
     hi_fence = q3 + 1.5 * iqr

@@ -1,4 +1,4 @@
-"""Regression trees with surrogate splits.
+"""Regression trees with surrogate splits, stored as flat node tables.
 
 Splits minimize squared error: at each node the chosen rule maximizes the
 risk reduction dR = R(node) - R(left) - R(right), where R is the sum of
@@ -24,6 +24,16 @@ by their predictive association with its rule; a row with a missing primary
 feature goes the way of the first surrogate it observes, then the majority
 direction.
 
+A tree is a Tree, one flat node table in the struct-of-arrays layout of
+scikit-learn's Tree (Pedregosa et al. 2011): per node a feature, threshold,
+children, value, risk, row count and majority direction; surrogates in a CSR
+table (node offsets into feature, threshold and association arrays); the
+left levels of nominal rules as rows of a boolean (rule x level) mask. One
+table can hold several trees, each from its own root (join). The one router,
+predict_batch, moves every (tree, row) pair down one level per step with
+node = where(go_left, left[node], right[node]) and drops the pairs that
+reach a leaf, so a bag routes all its trees in one descent.
+
 Growth is level-wise (the exact greedy search of Chen & Guestrin 2016,
 section 3.1): one kernel scores every split of a frontier of nodes with one
 sort and one pair of cumulative sums per (feature, node), over targets
@@ -33,11 +43,12 @@ subsets (m), every node of a level of every tree being grown is one
 frontier, so a bagged ensemble grows all its trees at once. Otherwise the
 budget and the feature draws are spent in preorder (left subtree first), so
 each tree feeds the kernel one node at a time in that order, one node of
-each tree per frontier. The kernel's output is linked into Leaf/Internal
-nodes once at the end; no input sets a recursion depth.
+each tree per frontier. The kernel writes each frontier's nodes into
+arrays, which become the tables at the end; no input sets a recursion depth.
+The text form numbers the nodes in preorder.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,40 +58,50 @@ from ._io import atomic_write_text, fmt_float, read_model
 from .errors import DomainError, ParseError, ShapeError, UndefinedAssociation
 
 
-@dataclass(frozen=True)
-class SplitRule:
-    """Routing rule: go left when value < threshold (continuous) or when the
-    level index is in left_levels (nominal). missing_left is the majority
-    fallback used when no surrogate can route a row."""
+@dataclass(frozen=True, eq=False)
+class Tree:
+    """Flat node table of one or more trees, each from one of roots; nodes
+    no root reaches belong to other tables sharing these arrays (the other
+    trees of a bag grown at once).
 
-    feature: int
-    threshold: float = float("nan")
-    left_levels: tuple = ()
-    nominal: bool = False
-    missing_left: bool = True
+    Node i splits on feature[i], -1 at a leaf: a continuous rule sends a
+    value below threshold[i] left, a nominal one (nominal[i]) the level
+    codes set in levels[i]. left[i] and right[i] are its children (-1 at a
+    leaf); value[i], risk[i] and n[i] are the mean target, risk and row
+    count of its rows; missing_left[i] is the side of a row that observes
+    neither its feature nor a surrogate's. Its surrogates are the rows
+    surr[i]:surr[i + 1] of the surr_* arrays and xi (their associations),
+    best first.
+    """
 
-    def left_mask(self, values):
-        """Left mask of an array of observed (non-nan) values."""
-        if self.nominal:
-            return (values.astype(int)[:, None] == self.left_levels).any(axis=1)
-        return values < self.threshold
+    roots: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    nominal: np.ndarray
+    levels: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    missing_left: np.ndarray
+    value: np.ndarray
+    risk: np.ndarray
+    n: np.ndarray
+    surr: np.ndarray
+    surr_feature: np.ndarray
+    surr_threshold: np.ndarray
+    surr_nominal: np.ndarray
+    surr_levels: np.ndarray
+    xi: np.ndarray
 
 
-@dataclass(frozen=True)
-class Leaf:
-    value: float
-    n: int
-    risk: float = 0.0
+# The columns of a Tree that join concatenates as they are.
+_COLUMNS = ("feature", "threshold", "nominal", "levels", "missing_left", "value", "risk", "n",
+            "surr_feature", "surr_threshold", "surr_nominal", "surr_levels", "xi")
 
 
-@dataclass(frozen=True)
 class Internal:
-    rule: SplitRule
-    surrogates: tuple
-    left: object
-    right: object
-    risk: float
-    n: int
+    """No node is an instance: trees are Tree tables. The name stays for
+    readers that walk the node classes of earlier versions (bench/tracing.py
+    counts such a walk's nodes), which now see each tree as one node."""
 
 
 @dataclass(frozen=True)
@@ -106,29 +127,36 @@ class StoppingCriteria:
             raise DomainError("surrogate count must be >= 0")
 
 
-def _route(x, rows, rule, surrogates):
-    """Left mask of the rows x[rows] at a node with this rule and surrogates.
+def _ranges(starts, lengths):
+    """The runs starts[i], ..., starts[i] + lengths[i] - 1, one after another."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if ends.size else 0)
 
-    Rows that observe the rule's feature follow the rule. Each other row
-    goes the way of the first surrogate whose feature it observes, one
-    vectorised step per surrogate, and then the majority direction
-    rule.missing_left.
-    """
-    v = x[rows, rule.feature]
-    miss = np.isnan(v)
-    if not miss.any():
-        return rule.left_mask(v)
-    left = np.full(rows.size, rule.missing_left)
-    left[~miss] = rule.left_mask(v[~miss])
-    pending = miss.nonzero()[0]
-    for surr, _xi in surrogates:
-        sv = x[rows[pending], surr.feature]
-        seen = ~np.isnan(sv)
-        left[pending[seen]] = surr.left_mask(sv[seen])
-        pending = pending[~seen]
-        if pending.size == 0:
-            break
-    return left
+
+def join(trees):
+    """One table of the trees, each routed from its own root, in order.
+    Members of a bag grown at once already share one table."""
+    if all(t.feature is trees[0].feature for t in trees):
+        return replace(trees[0], roots=np.concatenate([t.roots for t in trees]))
+    width = max(t.levels.shape[1] for t in trees)
+    nodes = np.cumsum([0] + [t.feature.size for t in trees])
+    surrs = np.cumsum([0] + [t.xi.size for t in trees])
+
+    def cat(column):
+        parts = [getattr(t, column) for t in trees]
+        if parts[0].ndim == 2:
+            parts = [np.hstack([a, np.zeros((a.shape[0], width - a.shape[1]), dtype=bool)])
+                     for a in parts]
+        return np.concatenate(parts)
+
+    def link(column):
+        return np.concatenate([np.where(getattr(t, column) >= 0, getattr(t, column) + at, -1)
+                               for t, at in zip(trees, nodes)])
+
+    return Tree(roots=np.concatenate([t.roots + at for t, at in zip(trees, nodes)]),
+                left=link("left"), right=link("right"),
+                surr=np.concatenate([[0]] + [t.surr[1:] + at for t, at in zip(trees, surrs)]),
+                **{c: cat(c) for c in _COLUMNS})
 
 
 # Cells (features x nodes x rows) of a padded block; a larger node gets its own.
@@ -170,8 +198,9 @@ def _rank_levels(codes, weights, within, missing, highest_first=False):
     """Replace the level codes of each row of codes (one node's rows on one
     feature), in place, by the ranks of their levels' mean weight over the
     observed cells (not missing) in within (None: all). Returns each row's
-    levels in rank order, the ones absent from those cells last. bincount
-    adds each level's weights in row order, as it does for a single row."""
+    rank of every level, the levels absent from those cells ranking last.
+    bincount adds each level's weights in row order, as it does for a
+    single row."""
     obs = codes != missing
     counted = obs if within is None else obs & within
     row = np.nonzero(obs)[0]
@@ -182,8 +211,9 @@ def _rank_levels(codes, weights, within, missing, highest_first=False):
     with np.errstate(invalid="ignore"):
         key = np.bincount(cell, weights[counted], size) / np.bincount(cell, minlength=size)
     levels = (-key if highest_first else key).reshape(-1, width).argsort(axis=1, kind="stable")
-    codes[obs] = levels.argsort(axis=1)[row, level]
-    return levels
+    rank = levels.argsort(axis=1)
+    codes[obs] = rank[row, level]
+    return rank
 
 
 def _flat(at, width):
@@ -215,15 +245,6 @@ def _scan(ranks, missing, score):
     return scores.ravel()[_flat(pos, scores.shape[-1])], key.ravel()[at], key.ravel()[at + 1]
 
 
-def _rule(feature, threshold, levels=None, missing_left=True):
-    """The rule of a boundary of the scan; levels are a nominal feature's
-    levels in rank order and threshold the rank of the last left one."""
-    if levels is None:
-        return SplitRule(feature, threshold, missing_left=missing_left)
-    left = tuple(sorted(levels[: int(threshold) + 1].tolist()))
-    return SplitRule(feature, left_levels=left, nominal=True, missing_left=missing_left)
-
-
 class _Grower:
     """The split kernel over one dataset's rows, and its two schedules.
 
@@ -240,7 +261,9 @@ class _Grower:
         self.pad = n
         self.xt = np.vstack([x, np.full(self.p, np.nan)]).T.copy()
         self.nominal = np.asarray(nominal, dtype=bool)
-        self.missing = max(n, int(np.nanmax(self.xt[self.nominal], initial=0))) + 1
+        # The columns of the level masks: every level code of the data.
+        self.width = int(np.nanmax(self.xt[self.nominal], initial=-1)) + 1
+        self.missing = max(n, self.width) + 1
         self.ranks = np.full(self.xt.shape, self.missing,
                              dtype=np.int32 if self.missing < 1 << 31 else np.int64)
         # The distinct values of each continuous column, one after another.
@@ -256,49 +279,89 @@ class _Grower:
         self.values = np.concatenate(tables)
 
     def grow(self, y, samples, stop, rngs):
-        """The root of a tree fitting the targets y over each sample of
-        dataset rows (see the module doc for the schedules)."""
+        """One table per sample of dataset rows, of the tree fitting the
+        targets y over it (see the module doc for the schedules)."""
         # The targets and limits of this call, read by the kernel.
         self.y, self.stop = y, stop
         draw = stop.m is not None and stop.m < self.p
         preorder = draw or stop.max_splits is not None
         budget = np.array([max(s.size - 1, 0) if stop.max_splits is None else stop.max_splits
                            for s in samples])
-        nodes, roots = [], []
-        stacks = [[(s, None, 0)] for s in samples]
-        while any(stacks):
+        # The pending nodes: their rows one after another, and per node its
+        # row count, tree, parent (-1 at a root) and side. Children join
+        # right before left, so a tree's last pending node is its next in
+        # preorder.
+        rows = np.concatenate(samples)
+        sizes = np.array([s.size for s in samples])
+        trees = np.arange(len(samples))
+        parent = np.full(len(samples), -1)
+        is_left = np.zeros(len(samples), dtype=bool)
+        nodes, splits, made = [], [], 0
+        while sizes.size:
+            take = np.ones(sizes.size, dtype=bool)
             if preorder:
-                frontier = [(t, stack.pop()) for t, stack in enumerate(stacks) if stack]
-            else:
-                frontier = [(t, node) for t, stack in enumerate(stacks) for node in stack]
-                stacks = [[] for _ in stacks]
-            trees = [t for t, _node in frontier]
-            rows = np.concatenate([node[0] for _t, node in frontier])
-            sizes = np.array([node[0].size for _t, node in frontier])
-            value, risk, yc = self._stats(rows, sizes)
-            open_ = np.flatnonzero((sizes >= stop.min_branch) & (sizes >= 2 * stop.min_leaf)
-                                   & (risk > 0.0) & (budget[trees] > 0))
+                take[:] = False
+                take[sizes.size - 1 - np.unique(trees[::-1], return_index=True)[1]] = True
+            starts = np.cumsum(sizes) - sizes
+            frontier = rows[_ranges(starts[take], sizes[take])]
+            rows = rows[_ranges(starts[~take], sizes[~take])]
+            here, there = sizes[take], trees[take]
+            ids = made + np.arange(here.size)
+            made += here.size
+            value, risk, yc = self._stats(frontier, here)
+            nodes.append((there, parent[take], is_left[take], value, risk, here))
+            sizes, trees, parent, is_left = sizes[~take], trees[~take], parent[~take], is_left[~take]
+            open_ = np.flatnonzero((here >= stop.min_branch) & (here >= 2 * stop.min_leaf)
+                                   & (risk > 0.0) & (budget[there] > 0))
             cand = None
             if draw:
-                cand = np.zeros((sizes.size, stop.m), dtype=np.intp)
+                cand = np.zeros((here.size, stop.m), dtype=np.intp)
                 for i in open_.tolist():
-                    cand[i] = np.sort(rngs[trees[i]].choice(self.p, size=stop.m, replace=False))
-            found = self._search(rows, sizes, yc, risk, open_, cand)
-            for i, ((t, (_rows, parent, side)), v, n, r) in enumerate(
-                    zip(frontier, value.tolist(), sizes.tolist(), risk.tolist())):
-                if parent is None:
-                    roots.append(len(nodes))
-                else:
-                    nodes[parent][side] = len(nodes)
-                if i not in found:
-                    nodes.append(Leaf(value=v, n=n, risk=r))
-                    continue
-                rule, surrogates, left, right = found[i]
-                budget[t] -= 1
-                stacks[t] += [(right, len(nodes), 4), (left, len(nodes), 3)]
-                nodes.append([rule, surrogates, r, None, None])
-        built = _link(nodes, range(len(nodes)))
-        return [built[r] for r in roots]
+                    cand[i] = np.sort(rngs[there[i]].choice(self.p, size=stop.m, replace=False))
+            found = self._search(frontier, here, yc, risk, open_, cand)
+            if found is None:
+                continue
+            at = found[0]
+            np.subtract.at(budget, there[at], 1)
+            splits.append((ids[at],) + tuple(found[1:12]))
+            left_rows, n_left, right_rows, n_right = found[12:]
+            rows = np.concatenate([rows, right_rows, left_rows])
+            sizes = np.concatenate([sizes, n_right, n_left])
+            trees = np.concatenate([trees, there[at], there[at]])
+            parent = np.concatenate([parent, ids[at], ids[at]])
+            is_left = np.concatenate([is_left, np.arange(2 * at.size) >= at.size])
+        return self._tables(len(samples), nodes, splits)
+
+    def _tables(self, n_trees, nodes, splits):
+        """One Tree per tree from the record of a growth: per frontier, each
+        node's (tree, parent, side, value, risk, n) and, for the nodes that
+        split, their rules and surrogates (see _split_block)."""
+        tree_of, parent, is_left, value, risk, n = (np.concatenate(c) for c in zip(*nodes))
+        size = tree_of.size
+        feature, threshold = np.full(size, -1), np.full(size, np.nan)
+        nominal, missing_left = np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
+        levels = np.zeros((size, self.width), dtype=bool)
+        left, right = np.full(size, -1), np.full(size, -1)
+        count = np.zeros(size, dtype=np.intp)
+        surrogates = [np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0, dtype=bool),
+                      np.zeros((0, self.width), dtype=bool), np.zeros(0)]
+        if splits:
+            at, *columns = (np.concatenate(c) for c in zip(*splits))
+            (feature[at], threshold[at], nominal[at], levels[at], missing_left[at],
+             count[at]) = columns[:6]
+            # Surrogates are listed split after split; the table lists them by node.
+            by_node = np.argsort(at)
+            split_count = columns[5]
+            s = _ranges((np.cumsum(split_count) - split_count)[by_node], split_count[by_node])
+            surrogates = [c[s] for c in columns[6:]]
+            child = np.flatnonzero(parent >= 0)
+            side = is_left[child]
+            left[parent[child[side]]] = child[side]
+            right[parent[child[~side]]] = child[~side]
+        whole = Tree(np.arange(n_trees), feature, threshold, nominal, levels, left, right,
+                     missing_left, value, risk, n, np.concatenate([[0], np.cumsum(count)]),
+                     *surrogates)
+        return [replace(whole, roots=whole.roots[t:t + 1]) for t in range(n_trees)]
 
     def _stats(self, rows, sizes):
         """(value, risk, centred targets) of each node of a frontier, its
@@ -308,7 +371,7 @@ class _Grower:
         n = sizes[order]
         first = np.cumsum(n) - n
         # The rows of each node, smallest node first.
-        at = np.repeat((np.cumsum(sizes) - sizes)[order] - first, n) + np.arange(rows.size)
+        at = _ranges((np.cumsum(sizes) - sizes)[order], n)
         y = self.y[rows[at]]
         d = y - np.repeat(y[first], n)
         total, s = _segment_sums(np.stack([y, d]), n)
@@ -319,18 +382,18 @@ class _Grower:
         return value, risk, yc
 
     def _search(self, rows, sizes, yc, risk, open_, cand):
-        """{node: (rule, surrogates, left rows, right rows)} of the open
-        nodes of a frontier that split; cand[node] lists its candidate
-        features (None: all)."""
+        """The splits of the open nodes of a frontier, as the columns of
+        _split_block over all of them; cand[node] lists its candidate
+        features (None: all). None when no node is open."""
         starts = np.cumsum(sizes) - sizes
-        found = {}
+        found = []
         for block, width in _blocks(sizes, open_, self.p):
             real = np.arange(width) < sizes[block, None]
             at = np.where(real, starts[block, None] + np.arange(width), 0)
-            found.update(self._split_block(
+            found.append(self._split_block(
                 np.where(real, rows[at], self.pad), real, np.where(real, yc[at], 0.0),
-                risk[block], None if cand is None else cand[block], block.tolist()))
-        return found
+                risk[block], None if cand is None else cand[block], block))
+        return [np.concatenate(c) for c in zip(*found)] if found else None
 
     def _threshold(self, feature, lo, hi):
         """The midpoints between the values of ranks lo and hi of continuous
@@ -347,21 +410,33 @@ class _Grower:
 
     def _rank_nominal(self, x, feature, weights, within=None, highest_first=False):
         """Rank the levels of each row x[c, k] on a nominal feature[c, k] in
-        place by weights[k]; {(c, k): its levels in rank order}."""
+        place by weights[k]. Returns the rank of every level of each (c, k),
+        as features x nodes x self.width (self.missing where not nominal)."""
+        rank = np.full(feature.shape + (self.width,), self.missing)
         c, k = np.nonzero(self.nominal[feature])
-        if c.size == 0:
-            return {}
-        codes = x[c, k]
-        levels = _rank_levels(codes, weights[k], None if within is None else within[k],
-                              self.missing, highest_first)
-        x[c, k] = codes
-        return dict(zip(zip(c.tolist(), k.tolist()), levels))
+        if c.size:
+            codes = x[c, k]
+            ranked = _rank_levels(codes, weights[k], None if within is None else within[k],
+                                  self.missing, highest_first)
+            x[c, k] = codes
+            rank[c, k, :ranked.shape[1]] = ranked
+        return rank
+
+    def _masks(self, feature, rank, threshold):
+        """The table columns (threshold, nominal, level mask) of the rules on
+        feature with these level ranks at the kernel's threshold."""
+        nominal = self.nominal[feature]
+        mask = (rank <= threshold[..., None]) & nominal[..., None]
+        return np.where(nominal, np.nan, threshold), nominal, mask
 
     def _split_block(self, r, real, yc, risk, cand, ids):
-        """{ids[k]: (rule, surrogates, left rows, right rows)} of the nodes
-        k of a block that split. r holds their dataset rows, padded with the
-        all-missing row, yc the rows' centred targets (0 in the padding),
-        and cand[k] the node's candidate features (None: all)."""
+        """The nodes ids[k] of a block that split, as the columns (node,
+        feature, threshold, nominal, levels, missing_left, surrogate count,
+        surrogate feature, threshold, nominal, levels and xi listed node by
+        node, left rows, left row counts, right rows, right row counts). r
+        holds their dataset rows, padded with the all-missing row, yc the
+        rows' centred targets (0 in the padding), and cand[k] the node's
+        candidate features (None: all)."""
         stop, (k, width) = self.stop, r.shape
         feature = (np.broadcast_to(np.arange(self.p)[:, None], (self.p, k)) if cand is None
                    else cand.T)
@@ -414,24 +489,29 @@ class _Grower:
         left = self._goes_left(f[:, None], x[c, ks], rows, thr[:, None])
         seen = ~miss[c, ks]
         missing_left = 2 * left.sum(axis=1) >= seen.sum(axis=1)
-        rules = [_rule(fi, t, levels.get((ci, kk)), ml) for fi, ci, t, kk, ml
-                 in zip(f.tolist(), c.tolist(), thr.tolist(), ks.tolist(), missing_left.tolist())]
         go = np.where(seen, left, missing_left[:, None])
-        surrogates = [()] * ks.size
+        top, xi = np.zeros((0, ks.size), dtype=np.intp), np.zeros((0, ks.size))
+        s_rules = self._masks(top, np.zeros((0, ks.size, self.width)), xi)
         if stop.surrogates and self.p > 1 and ks.size:
-            surrogates = self._surrogates(self.ranks[:, rows], rows, f, seen, left, go)
-        sides = []
-        for g in (go & real[ks], ~go & real[ks]):
-            ends = np.cumsum(np.count_nonzero(g, axis=1)).tolist()
-            flat = rows[g]
-            sides.append([flat[a:b] for a, b in zip([0] + ends, ends)])
-        return {ids[kk]: (rules[i], surrogates[i], left, right) for i, (kk, left, right)
-                in enumerate(zip(ks.tolist(), *sides)) if left.size and right.size}
+            top, xi, s_rules = self._surrogates(self.ranks[:, rows], rows, f, seen, left, go)
+        go_left, go_right = go & real[ks], ~go & real[ks]
+        n_left, n_right = go_left.sum(axis=1), go_right.sum(axis=1)
+        ok = (n_left > 0) & (n_right > 0)
+        keep = ((xi > 0.0) & ok).T
+        return ((ids[ks[ok]], f[ok])
+                + tuple(a[ok] for a in self._masks(f, levels[c, ks], thr))
+                + (missing_left[ok], keep.sum(axis=1)[ok], top.T[keep])
+                + tuple(np.swapaxes(a, 0, 1)[keep] for a in s_rules)
+                + (xi.T[keep], rows[ok][go_left[ok]], n_left[ok], rows[ok][go_right[ok]],
+                   n_right[ok]))
 
     def _surrogates(self, xb, rows, primary, seen, left, go):
         """Up to stop.surrogates rules per node on other features that best
-        mimic its rule over the rows that observe the rule's feature. Routes
-        the rows that do not through them, in go, in place."""
+        mimic its rule over the rows that observe the rule's feature, as
+        (features, associations, (threshold, nominal, levels)), ranked by
+        association per node (a rule that is not a surrogate has xi -inf).
+        Routes the rows that do not observe it through them, in go, in
+        place."""
         k, width = seen.shape
         nodes = np.arange(k)
         feature = np.broadcast_to(np.arange(self.p)[:, None], (self.p, k))
@@ -467,30 +547,7 @@ class _Grower:
             at = i[hit], w[hit]
             go[at] = self._goes_left(j[at[0]], ranks[hit], rows[at], t[at[0]])
             i, w = i[~hit], w[~hit]
-        nominal = self.nominal.tolist()
-        return [tuple((_rule(f, t, levels[f, i]) if nominal[f] else SplitRule(f, t), x)
-                      for f, t, x in zip(fs, ts, xs) if x > 0.0)
-                for i, (fs, ts, xs) in enumerate(zip(top.T.tolist(), thr.T.tolist(),
-                                                     score.T.tolist()))]
-
-
-def _link(nodes, order):
-    """{id: node} of the roots of the Leaf/Internal graph of nodes, built
-    bottom-up.
-
-    nodes maps an id to a Leaf or to (rule, surrogates, risk, left id,
-    right id); order lists the ids with every parent before its children.
-    """
-    built = {}
-    for node_id in reversed(order):
-        node = nodes[node_id]
-        if not isinstance(node, Leaf):
-            rule, surrogates, risk, left_id, right_id = node
-            left, right = built.pop(left_id), built.pop(right_id)
-            node = Internal(rule=rule, surrogates=surrogates, left=left, right=right,
-                            risk=risk, n=left.n + right.n)
-        built[node_id] = node
-    return built
+        return top, score, self._masks(top, levels[top, nodes], thr)
 
 
 def grow(ds, rows=None, stop=None, seed=None, targets=None, rng=None):
@@ -509,7 +566,7 @@ def grow(ds, rows=None, stop=None, seed=None, targets=None, rng=None):
         rng: optional numpy Generator reused across calls.
 
     Returns:
-        Root node (Internal or Leaf).
+        The Tree.
     """
     rows = np.arange(ds.n_rows) if rows is None else rows
     if rng is None:
@@ -518,9 +575,9 @@ def grow(ds, rows=None, stop=None, seed=None, targets=None, rng=None):
 
 
 def grower(ds):
-    """A function grow_trees(samples, stop, rngs, targets=None) returning the
-    roots of one tree per sample of rows of ds, grown together as grow grows
-    one; rngs[t] draws tree t's feature subsets. The input columns are ranked
+    """A function grow_trees(samples, stop, rngs, targets=None) returning
+    one Tree per sample of rows of ds, grown together as grow grows one;
+    rngs[t] draws tree t's feature subsets. The input columns are ranked
     once, for every call."""
     nominal, _counts = ds.input_kinds()
     kernel = _Grower(ds.input_matrix(), nominal)
@@ -542,55 +599,111 @@ def grower(ds):
 
 
 def predict(tree, x):
-    """Route one input vector (nan marks missing) to its leaf value."""
+    """Route one input vector (nan marks missing) to its leaf value in a
+    one-tree table."""
     return predict_batch(tree, np.asarray(x, dtype=float)[None])[0]
 
 
-def predict_batch(tree, x_matrix):
-    """Route every row of x_matrix (nan marks missing) to its leaf value.
+def _rule_left(v, rule, threshold, nominal, levels):
+    """Whether the observed values v go left under the rules rule (indices
+    into the threshold, nominal and levels columns of one kind of rule). A
+    level code goes left when its mask cell is set."""
+    left = v < threshold.take(rule)
+    on_levels = nominal.take(rule)
+    if levels.shape[1] and on_levels.any():
+        at = np.flatnonzero(on_levels)
+        code = v.take(at)
+        known = (code > -1.0) & (code < levels.shape[1])
+        left[at] = known & levels[rule.take(at), np.where(known, code, 0).astype(np.intp)]
+    return left
 
-    Walks the tree once with a stack of (node, row indices), splitting each
-    node's rows with one vectorised rule test; empty row sets stop there.
+
+def _route_missing(tree, x, row, node):
+    """Whether the rows x[row], each missing the feature of its node, go
+    left: by the first surrogate of the node that the row observes, in rank
+    order, else by missing_left."""
+    left = tree.missing_left.take(node)
+    first, end = tree.surr.take(node), tree.surr.take(node + 1)
+    pending, rank = np.arange(node.size), 0
+    while pending.size:
+        s = first.take(pending) + rank
+        listed = np.flatnonzero(s < end.take(pending))
+        pending, s = pending.take(listed), s.take(listed)
+        v = x[row.take(pending), tree.surr_feature.take(s)]
+        seen = ~np.isnan(v)
+        left[pending[seen]] = _rule_left(v[seen], s[seen], tree.surr_threshold,
+                                         tree.surr_nominal, tree.surr_levels)
+        pending, rank = pending[~seen], rank + 1
+    return left
+
+
+def predict_batch(tree, x_matrix, trees=None):
+    """Route (tree, row) pairs of a table to their leaf values (nan marks a
+    missing cell), one value per pair.
+
+    With trees None every tree of the table routes every row of x_matrix,
+    tree by tree; otherwise row i is routed by tree trees[i] alone. All
+    pairs descend together, one level per step, and a pair leaves at its
+    leaf.
     """
     x = np.asarray(x_matrix, dtype=float)
     if x.ndim != 2:
         raise ShapeError("prediction input must be a matrix")
     n, p = x.shape
-    out = np.empty(n)
-    stack = [(tree, np.arange(n))] if n else []
-    while stack:
-        node, rows = stack.pop()
-        if isinstance(node, Leaf):
-            out[rows] = node.value
-            continue
-        features = [node.rule.feature] + [s.feature for s, _xi in node.surrogates]
-        if max(features) >= p:
-            raise ShapeError(
-                "tree splits on input column %d but the input has %d columns"
-                % (max(features), p)
-            )
-        left = _route(x, rows, node.rule, node.surrogates)
-        for child, sub in ((node.right, rows[~left]), (node.left, rows[left])):
-            if sub.size:
-                stack.append((child, sub))
+    used = max(int(tree.feature.max(initial=-1)), int(tree.surr_feature.max(initial=-1)))
+    if used >= p:
+        raise ShapeError("tree splits on input column %d but the input has %d columns"
+                         % (used, p))
+    if trees is None:
+        node, row = np.repeat(tree.roots, n), np.tile(np.arange(n), tree.roots.size)
+    else:
+        node, row = tree.roots[np.asarray(trees, dtype=np.intp)], np.arange(n)
+        if node.shape != (n,):
+            raise ShapeError("need one tree index per input row")
+    cells = x.ravel()
+    out = np.empty(node.size)
+    pair = np.arange(node.size)
+    while pair.size:
+        feature = tree.feature.take(node)
+        leaf = feature < 0
+        done = leaf.nonzero()[0]
+        if done.size:
+            out[pair.take(done)] = tree.value.take(node.take(done))
+            inner = (~leaf).nonzero()[0]
+            pair, node, row, feature = (a.take(inner) for a in (pair, node, row, feature))
+        v = cells.take(row * p + feature)
+        left = _rule_left(v, node, tree.threshold, tree.nominal, tree.levels)
+        miss = np.isnan(v).nonzero()[0]
+        if miss.size:
+            left[miss] = _route_missing(tree, x, row.take(miss), node.take(miss))
+        node = np.where(left, tree.left.take(node), tree.right.take(node))
     return out
+
+
+def _rule_mask(values, rule):
+    test = rule[1]
+    if isinstance(test, (tuple, list, set, frozenset)):
+        return np.isin(values.astype(int), list(test))
+    return values < test
 
 
 def association(ds, best_rule, candidate_rule):
     """Predictive association between two split rules over the dataset rows.
 
-    Rows missing either feature are excluded from the proportions. Raises
-    UndefinedAssociation when the best rule sends every included row to one
-    side (min(P_L, P_R) = 0).
+    A rule is (feature, threshold), sending a value below the threshold
+    left, or (feature, levels), sending the level codes in the collection
+    levels left. Rows missing either feature are excluded from the
+    proportions. Raises UndefinedAssociation when the best rule sends every
+    included row to one side (min(P_L, P_R) = 0).
     """
     x = ds.input_matrix()
-    xb = x[:, best_rule.feature]
-    xc = x[:, candidate_rule.feature]
+    xb = x[:, best_rule[0]]
+    xc = x[:, candidate_rule[0]]
     incl = ~np.isnan(xb) & ~np.isnan(xc)
     if not np.any(incl):
         raise UndefinedAssociation("no rows observe both features")
-    best_left = best_rule.left_mask(xb[incl])
-    agree = int(np.count_nonzero(best_left == candidate_rule.left_mask(xc[incl])))
+    best_left = _rule_mask(xb[incl], best_rule)
+    agree = int(np.count_nonzero(best_left == _rule_mask(xc[incl], candidate_rule)))
     n = best_left.size
     n_left = int(np.count_nonzero(best_left))
     # (min(P_L, P_R) - (1 - P_LL - P_RR)) / min(P_L, P_R), times n / n
@@ -601,35 +714,25 @@ def association(ds, best_rule, candidate_rule):
 
 
 def iter_nodes(tree):
-    """Preorder (id, node) pairs; ids match the serialized form."""
-    out = []
-    stack = [tree]
+    """The nodes of the first tree of a table in preorder, left subtree
+    first; a node's position is its id in the serialized form."""
+    left, right = tree.left.tolist(), tree.right.tolist()
+    out, stack = [], [int(tree.roots[0])]
     while stack:
         node = stack.pop()
-        out.append((len(out), node))
-        if isinstance(node, Internal):
-            stack.append(node.right)
-            stack.append(node.left)
+        out.append(node)
+        if left[node] >= 0:
+            stack += (right[node], left[node])
     return out
 
 
 def tree_features(tree):
     """Set of feature indices used by primary splits."""
-    return {
-        node.rule.feature
-        for _id, node in iter_nodes(tree)
-        if isinstance(node, Internal)
-    }
+    return set(tree.feature[iter_nodes(tree)].tolist()) - {-1}
 
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def _threshold_token(rule):
-    if rule.nominal:
-        return "in:" + "|".join(str(int(v)) for v in rule.left_levels)
-    return fmt_float(rule.threshold)
 
 
 def _parse_feature(token):
@@ -639,51 +742,61 @@ def _parse_feature(token):
     return feature
 
 
-def _parse_rule(feature, token, missing_left=True):
+def _parse_rule(token):
+    """(threshold, left levels or None) of a rule's text."""
     if token.startswith("in:"):
         levels = tuple(int(v) for v in token[3:].split("|") if v != "")
-        return SplitRule(
-            feature=feature, left_levels=levels, nominal=True, missing_left=missing_left
-        )
-    return SplitRule(feature=feature, threshold=float(token), missing_left=missing_left)
+        if levels and min(levels) < 0:
+            raise ValueError("negative level index")
+        return float("nan"), levels
+    return float(token), None
+
+
+def _rule_token(nominal, threshold, levels):
+    if nominal:
+        return "in:" + "|".join([str(level) for level, left in enumerate(levels) if left])
+    return fmt_float(threshold)
 
 
 def tree_lines(tree):
-    """Serialize to text lines (no version header; see to_text)."""
-    ordered = iter_nodes(tree)
-    ids = {id(node): node_id for node_id, node in ordered}
-    lines = []
-    for node_id, node in ordered:
-        if isinstance(node, Leaf):
-            lines.append(
-                "node %d leaf %s %d" % (node_id, fmt_float(node.value), node.n)
-            )
-            lines.append("info %d risk %s" % (node_id, fmt_float(node.risk)))
-        else:
-            lines.append(
-                "node %d split %d %s left %d right %d"
-                % (
-                    node_id,
-                    node.rule.feature,
-                    _threshold_token(node.rule),
-                    ids[id(node.left)],
-                    ids[id(node.right)],
-                )
-            )
-            lines.append(
-                "info %d risk %s missing %s"
-                % (node_id, fmt_float(node.risk), "L" if node.rule.missing_left else "R")
-            )
-            for surr, xi in node.surrogates:
-                lines.append(
-                    "surrogate %d %d %s %s"
-                    % (node_id, surr.feature, _threshold_token(surr), fmt_float(xi))
-                )
+    """Serialize the first tree of a table to text lines, its nodes
+    numbered in preorder (no version header; see to_text)."""
+    order = iter_nodes(tree)
+    ids = dict(zip(order, range(len(order))))
+    at = np.array(order)
+    feature, threshold, nominal, left, right, value, risk, n, missing_left = (
+        getattr(tree, c)[at].tolist() for c in ("feature", "threshold", "nominal", "left",
+                                                "right", "value", "risk", "n", "missing_left"))
+    count = (tree.surr[at + 1] - tree.surr[at]).tolist()
+    s = _ranges(tree.surr[at], np.array(count))
+    surr_feature, surr_threshold, surr_nominal, xi = (
+        getattr(tree, c)[s].tolist() for c in ("surr_feature", "surr_threshold", "surr_nominal",
+                                               "xi"))
+    levels, surr_levels = tree.levels[at].tolist(), tree.surr_levels[s].tolist()
+    lines, first = [], 0
+    for i in range(len(order)):
+        if feature[i] < 0:
+            lines += ["node %d leaf %s %d" % (i, fmt_float(value[i]), n[i]),
+                      "info %d risk %s" % (i, fmt_float(risk[i]))]
+            continue
+        lines += ["node %d split %d %s left %d right %d"
+                  % (i, feature[i], _rule_token(nominal[i], threshold[i], levels[i]),
+                     ids[left[i]], ids[right[i]]),
+                  "info %d risk %s missing %s" % (i, fmt_float(risk[i]), "LR"[not missing_left[i]])]
+        lines += ["surrogate %d %d %s %s"
+                  % (i, surr_feature[j], _rule_token(surr_nominal[j], surr_threshold[j],
+                                                     surr_levels[j]), fmt_float(xi[j]))
+                  for j in range(first, first + count[i])]
+        first += count[i]
     return lines
 
 
+# Mask cells (rules x levels) a parsed tree may hold.
+_MAX_MASK_CELLS = 1 << 24
+
+
 def tree_from_lines(lines):
-    """Rebuild a tree from its serialized lines.
+    """Rebuild a one-tree table from its serialized lines.
 
     Raises ParseError for a malformed line, a missing root or child, and a
     node reached twice from the root (a cycle or a shared child).
@@ -699,10 +812,9 @@ def tree_from_lines(lines):
         try:
             node_id = int(parts[1])
             if kind == "node" and parts[2] == "leaf":
-                nodes[node_id] = ("leaf", float(parts[3]), int(parts[4]))
+                nodes[node_id] = (float(parts[3]), int(parts[4]))
             elif kind == "node" and parts[2] == "split":
-                feature = _parse_feature(parts[3])
-                nodes[node_id] = ("split", feature, parts[4], int(parts[6]), int(parts[8]))
+                nodes[node_id] = (_parse_feature(parts[3]), parts[4], int(parts[6]), int(parts[8]))
             elif kind == "info":
                 missing_left = True
                 if len(parts) >= 6 and parts[4] == "missing":
@@ -710,8 +822,7 @@ def tree_from_lines(lines):
                 infos[node_id] = (float(parts[3]), missing_left)
             elif kind == "surrogate":
                 surrogates.setdefault(node_id, []).append(
-                    (_parse_rule(_parse_feature(parts[2]), parts[3]), float(parts[4]))
-                )
+                    (_parse_feature(parts[2]), _parse_rule(parts[3]), float(parts[4])))
             else:
                 raise ValueError("unrecognised line")
         except (ValueError, IndexError) as exc:
@@ -719,32 +830,69 @@ def tree_from_lines(lines):
 
     # Walk down from the root, so every child is listed after its parent.
     order = []
-    seen = set()
+    index = {}
     stack = [0]
     while stack:
         node_id = stack.pop()
         if node_id not in nodes:
             raise ParseError("serialized tree has no node %d" % node_id)
-        if node_id in seen:
+        if node_id in index:
             raise ParseError("node %d is reached twice" % node_id)
-        seen.add(node_id)
+        index[node_id] = len(order)
         order.append(node_id)
-        if nodes[node_id][0] == "split":
-            stack.extend(nodes[node_id][3:])
-    linked = {}
-    for node_id in order:
+        if len(nodes[node_id]) == 4:
+            stack.extend(nodes[node_id][2:])
+    size = len(order)
+    feature, threshold, rules, left, right = [-1] * size, [np.nan] * size, [], [-1] * size, [-1] * size
+    value, n, risk, missing_left = [np.nan] * size, [0] * size, [], []
+    surr, surr_rows = [0], []
+    for i, node_id in enumerate(order):
         entry = nodes[node_id]
-        risk, missing_left = infos.get(node_id, (float("nan"), True))
-        if entry[0] == "leaf":
-            linked[node_id] = Leaf(value=entry[1], n=entry[2], risk=risk)
-            continue
-        _tag, feature, token, left_id, right_id = entry
-        try:
-            rule = _parse_rule(feature, token, missing_left)
-        except ValueError as exc:
-            raise ParseError("bad split rule %r: %s" % (token, exc)) from None
-        linked[node_id] = (rule, tuple(surrogates.get(node_id, ())), risk, left_id, right_id)
-    return _link(linked, order)[order[0]]
+        node_risk, node_missing_left = infos.get(node_id, (np.nan, True))
+        risk.append(node_risk)
+        missing_left.append(node_missing_left)
+        if len(entry) == 2:
+            value[i], n[i] = entry
+            rules.append(None)
+        else:
+            feature[i], token, left_id, right_id = entry
+            try:
+                threshold[i], levels = _parse_rule(token)
+            except ValueError as exc:
+                raise ParseError("bad split rule %r: %s" % (token, exc)) from None
+            rules.append(levels)
+            left[i], right[i] = index[left_id], index[right_id]
+            surr_rows += surrogates.get(node_id, ())
+        surr.append(len(surr_rows))
+    for i in reversed(range(size)):
+        if left[i] >= 0:
+            n[i] = n[left[i]] + n[right[i]]
+    surr_feature = [f for f, _rule, _xi in surr_rows]
+    surr_threshold = [t for _f, (t, _levels), _xi in surr_rows]
+    surr_sets = [levels for _f, (_t, levels), _xi in surr_rows]
+    width = 1 + max((max(s) for s in rules + surr_sets if s), default=-1)
+    if (size + len(surr_sets)) * width > _MAX_MASK_CELLS:
+        raise ParseError("level sets up to level %d need more than %d mask cells"
+                         % (width - 1, _MAX_MASK_CELLS))
+    return Tree(roots=np.zeros(1, dtype=np.intp), feature=np.array(feature),
+                threshold=np.array(threshold), nominal=np.array([r is not None for r in rules]),
+                levels=_level_masks(rules, width),
+                left=np.array(left), right=np.array(right), missing_left=np.array(missing_left),
+                value=np.array(value), risk=np.array(risk), n=np.array(n), surr=np.array(surr),
+                surr_feature=np.array(surr_feature, dtype=int),
+                surr_threshold=np.array(surr_threshold, dtype=float),
+                surr_nominal=np.array([s is not None for s in surr_sets], dtype=bool),
+                surr_levels=_level_masks(surr_sets, width),
+                xi=np.array([x for _f, _rule, x in surr_rows], dtype=float))
+
+
+def _level_masks(sets, width):
+    """The (rule x level) mask of the left level sets of parsed rules (None
+    for a continuous rule)."""
+    mask = np.zeros((len(sets), width), dtype=bool)
+    rows = [i for i, s in enumerate(sets) if s for _level in s]
+    mask[rows, [level for s in sets if s for level in s]] = True
+    return mask
 
 
 def to_text(tree):

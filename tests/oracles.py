@@ -7,7 +7,6 @@ library code is meaningful.
 
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -174,28 +173,31 @@ def best_level_association(codes, best_left):
     return best
 
 
-def _rule_goes_left(rule, value):
-    if rule.nominal:
-        return int(value) in set(rule.left_levels)
-    return value < rule.threshold
+def _goes_left(nominal, threshold, levels, value):
+    if nominal:
+        return int(value) in set(np.flatnonzero(levels).tolist())
+    return value < threshold
 
 
-def predict_one_row(node, x):
-    """Leaf value of one input vector (nan marks missing), walking the tree
-    node by node: the rule when the row observes its feature, else the first
-    surrogate that the row observes, else the majority direction."""
-    while isinstance(node, tree.Internal):
-        rule = node.rule
-        left = rule.missing_left
-        if not math.isnan(x[rule.feature]):
-            left = _rule_goes_left(rule, x[rule.feature])
+def predict_one_row(t, x):
+    """Leaf value of one input vector (nan marks missing) in a one-tree
+    table, walking it node by node: the rule when the row observes its
+    feature, else the first surrogate that the row observes, else the
+    majority direction."""
+    node = int(t.roots[0])
+    while t.left[node] >= 0:
+        feature = t.feature[node]
+        left = bool(t.missing_left[node])
+        if not math.isnan(x[feature]):
+            left = _goes_left(t.nominal[node], t.threshold[node], t.levels[node], x[feature])
         else:
-            for surr, _xi in node.surrogates:
-                if not math.isnan(x[surr.feature]):
-                    left = _rule_goes_left(surr, x[surr.feature])
+            for s in range(t.surr[node], t.surr[node + 1]):
+                if not math.isnan(x[t.surr_feature[s]]):
+                    left = _goes_left(t.surr_nominal[s], t.surr_threshold[s], t.surr_levels[s],
+                                      x[t.surr_feature[s]])
                     break
-        node = node.left if left else node.right
-    return node.value
+        node = t.left[node] if left else t.right[node]
+    return float(t.value[node])
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +247,66 @@ def _rank_levels(xt_row, weights, highest_first=False):
 
 
 def _rule(feature, threshold, levels=None):
-    """The rule of a boundary found by the sort-and-scan; levels are a
-    nominal feature's levels in rank order."""
+    """The rule (feature, threshold, left levels or None) of a boundary
+    found by the sort-and-scan; levels are a nominal feature's levels in
+    rank order."""
     if levels is None:
-        return tree.SplitRule(feature=feature, threshold=threshold)
-    left = tuple(sorted(levels[: int(threshold) + 1].tolist()))
-    return tree.SplitRule(feature=feature, left_levels=left, nominal=True)
+        return feature, threshold, None
+    return feature, float("nan"), tuple(sorted(levels[: int(threshold) + 1].tolist()))
+
+
+def _left_mask(rule, values):
+    """Left mask of an array of observed values under a rule."""
+    _feature, threshold, levels = rule
+    if levels is None:
+        return values < threshold
+    return np.isin(values.astype(int), levels)
+
+
+def _route(x, idx, rule, missing_left, surrogates):
+    """Left mask of the rows x[idx], one row at a time: the rule, else the
+    first surrogate the row observes, else missing_left."""
+    left = np.full(idx.size, missing_left)
+    for k, i in enumerate(idx):
+        for r in [rule] + [surr for surr, _xi in surrogates]:
+            if not math.isnan(x[i, r[0]]):
+                left[k] = _left_mask(r, x[i, r[0]:r[0] + 1])[0]
+                break
+    return left
+
+
+def _table(nodes, width):
+    """The Tree of reference nodes listed in preorder: each a leaf (value,
+    n, risk) or a split [rule, missing_left, surrogates, risk, n, left id,
+    right id]."""
+    size = len(nodes)
+    split = [i for i, node in enumerate(nodes) if len(node) == 7]
+    surrs = [(i, surr, xi) for i in split for surr, xi in nodes[i][2]]
+
+    def masks(rules):
+        mask = np.zeros((len(rules), width), dtype=bool)
+        for row, (_f, _t, levels) in enumerate(rules):
+            mask[row, list(levels or ())] = True
+        return mask
+
+    rules = [nodes[i][0] if i in split else (-1, float("nan"), None) for i in range(size)]
+    counts = [sum(1 for j, _s, _x in surrs if j == i) for i in range(size)]
+    return tree.Tree(
+        roots=np.zeros(1, dtype=int), feature=np.array([r[0] for r in rules]),
+        threshold=np.array([r[1] for r in rules]),
+        nominal=np.array([r[2] is not None for r in rules]), levels=masks(rules),
+        left=np.array([nodes[i][5] if i in split else -1 for i in range(size)]),
+        right=np.array([nodes[i][6] if i in split else -1 for i in range(size)]),
+        missing_left=np.array([i in split and nodes[i][1] for i in range(size)]),
+        value=np.array([np.nan if i in split else nodes[i][0] for i in range(size)]),
+        risk=np.array([nodes[i][3] if i in split else nodes[i][2] for i in range(size)]),
+        n=np.array([nodes[i][4] if i in split else nodes[i][1] for i in range(size)]),
+        surr=np.concatenate([[0], np.cumsum(counts)]).astype(int),
+        surr_feature=np.array([s[0] for _i, s, _x in surrs], dtype=int),
+        surr_threshold=np.array([s[1] for _i, s, _x in surrs], dtype=float),
+        surr_nominal=np.array([s[2] is not None for _i, s, _x in surrs], dtype=bool),
+        surr_levels=masks([s for _i, s, _x in surrs]),
+        xi=np.array([x for _i, _s, x in surrs], dtype=float))
 
 
 def _sort_rows(xt):
@@ -348,11 +404,13 @@ class PreorderGrower:
         self.p = x.shape[1]
         n = y.size
         self.budget = stop.max_splits if stop.max_splits is not None else max(n - 1, 0)
+        codes = [x[:, j][~np.isnan(x[:, j])] for j in range(self.p) if self.nominal[j]]
+        self.width = int(max((c.max() for c in codes if c.size), default=-1)) + 1
 
     def grow(self):
-        """The root of the tree over all rows. Nodes are grown in preorder,
-        left subtree first, so the split budget and the feature draws are
-        spent in that order."""
+        """The Tree over all rows. Nodes are grown in preorder, left subtree
+        first, so the split budget and the feature draws are spent in that
+        order."""
         nodes = []
         stack = [(np.arange(self.y.size), None, 0)]
         while stack:
@@ -360,23 +418,24 @@ class PreorderGrower:
             if parent is not None:
                 nodes[parent][side] = len(nodes)
             found = self._split(idx)
-            if isinstance(found, tree.Leaf):
+            if len(found) == 3:
                 nodes.append(found)
                 continue
-            rule, surrogates, risk, left = found
+            rule, missing_left, surrogates, risk, left = found
             self.budget -= 1
-            stack.append((idx[~left], len(nodes), 4))
-            stack.append((idx[left], len(nodes), 3))
-            nodes.append([rule, surrogates, risk, None, None])
-        return tree._link(nodes, range(len(nodes)))[0]
+            stack.append((idx[~left], len(nodes), 6))
+            stack.append((idx[left], len(nodes), 5))
+            nodes.append([rule, missing_left, surrogates, risk, idx.size, None, None])
+        return _table(nodes, self.width)
 
     def _split(self, idx):
-        """A Leaf for the rows idx, or (rule, surrogates, risk, left mask)."""
+        """A leaf (value, n, risk) for the rows idx, or (rule, missing_left,
+        surrogates, risk, left mask)."""
         y = self.y[idx]
         n = idx.size
         yc = _centred(y)
         risk = _ss(yc)
-        leaf = tree.Leaf(value=float(y.sum()) / n, n=int(n), risk=risk)
+        leaf = (float(y.sum()) / n, int(n), risk)
         if (
             n < self.stop.min_branch
             or n < 2 * self.stop.min_leaf
@@ -389,14 +448,14 @@ class PreorderGrower:
         rule = self._best_split(node, yc, risk)
         if rule is None:
             return leaf
-        observed = node.observing(rule.feature)
-        left_obs = rule.left_mask(observed.xt[rule.feature])
-        rule = replace(rule, missing_left=2 * np.count_nonzero(left_obs) >= left_obs.size)
+        observed = node.observing(rule[0])
+        left_obs = _left_mask(rule, observed.xt[rule[0]])
+        missing_left = bool(2 * np.count_nonzero(left_obs) >= left_obs.size)
         surrogates = self._find_surrogates(observed, rule, left_obs)
-        left = tree._route(self.xt.T, idx, rule, surrogates)
+        left = _route(self.xt.T, idx, rule, missing_left, surrogates)
         if left.all() or not left.any():
             return leaf
-        return rule, surrogates, risk, left
+        return rule, missing_left, surrogates, risk, left
 
     def _best_split(self, node, yc, risk):
         """The rule of the best split of a node's rows (yc its centred
@@ -432,7 +491,7 @@ class PreorderGrower:
         rule over node, the rows that observe its feature."""
         if self.stop.surrogates == 0 or self.p < 2:
             return ()
-        others = [k for k in range(self.p) if k != rule.feature]
+        others = [k for k in range(self.p) if k != rule[0]]
         xt = node.xt[others]
         share = left_obs.astype(float)
         levels = {c: _rank_levels(xt[c], share, highest_first=True)

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from duracast import models, tree
+from duracast import models
 from duracast.cli import _build_parser, run_cli
 from oracles import simulate_first_order
 
@@ -571,12 +571,12 @@ def test_train_grows_a_tree_deeper_than_the_recursion_limit(tmp_path):
     assert run(["train", "--data", str(data), "--schema", str(schema), "--model", "tree",
                 "--out", str(out)]) == 0
     kind, model = models.load_model(str(out / "model.txt"))
-    depth, stack = 0, [(model, 1)]
+    depth, stack = 0, [(0, 1)]
     while stack:
         node, d = stack.pop()
         depth = max(depth, d)
-        if isinstance(node, tree.Internal):
-            stack += [(node.left, d + 1), (node.right, d + 1)]
+        if model.left[node] >= 0:
+            stack += [(model.left[node], d + 1), (model.right[node], d + 1)]
     assert depth > sys.getrecursionlimit()
 
 
@@ -730,6 +730,19 @@ def test_a_knob_outside_its_domain_ends_in_one_typed_error(tmp_path, capsys, arg
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and errors[0].startswith("error:%s:" % code), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("model", ["tree", "narx"])
+def test_a_zero_test_fraction_is_a_config_error_before_any_file_is_read(tmp_path, capsys,
+                                                                           model):
+    out = tmp_path / "run"
+    argv = ["train", "--data", str(tmp_path / "absent.csv"), "--schema",
+            str(tmp_path / "absent.schema.csv"), "--model", model, "--split", "0.5,0.5,0",
+            "--out", str(out)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == (
+        "error:config-error:--split needs a positive test fraction, got 0.0\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, marked", [

@@ -110,6 +110,32 @@ def test_ingest_header_must_match(tmp_path):
         dc.ingest_csv(_write(tmp_path / "d.csv", "x,z\n1,2\n"), sch)
 
 
+_THREE = [("x", "continuous", "input"), ("c", "nominal", "input", ("a", "b")),
+          ("y", "continuous", "target")]
+
+
+@pytest.mark.parametrize("body, code, message", [
+    ("1,a,abc\n2,b\n", "parse-error", "row 1, column 'y': cannot parse 'abc' as a number"),
+    ("1,a\n2,b,abc\n", "parse-error", "row 1 has 2 fields, expected 3"),
+    ("1,a,2\n3,z,4\n5,b\n", "schema-violation", "row 2, column 'c': unknown level 'z'"),
+    ("1,a,inf\nnan,z,4\n", "parse-error", "row 1, column 'y': non-finite value 'inf'"),
+    ("1,a,2\nx,z,nan\n", "parse-error", "row 2, column 'x': cannot parse 'x' as a number"),
+    ("1,a,2\n3,z,nan\n", "schema-violation", "row 2, column 'c': unknown level 'z'"),
+    ("1,a,2\n3, b ,1e400\n", "parse-error", "row 2, column 'y': non-finite value '1e400'"),
+], ids=["bad-cell-before-short-row", "short-row-before-bad-cell", "level-before-short-row",
+        "first-row-wins", "first-column-wins", "level-before-number", "overflow"])
+def test_ingest_reports_the_first_fault_in_row_order(tmp_path, body, code, message):
+    with pytest.raises(DuracastError) as err:
+        dc.ingest_csv(_write(tmp_path / "d.csv", "x,c,y\n" + body), dc.schema(_THREE))
+    assert (err.value.code, str(err.value)) == (code, message)
+
+
+def test_ingest_reads_levels_numbers_and_empty_cells_by_column(tmp_path):
+    ds = dc.ingest_csv(_write(tmp_path / "d.csv", "x,c,y\n1, a ,2\n,b,\n"), dc.schema(_THREE))
+    assert ds.values.tolist() == [[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]]
+    assert ds.missing.tolist() == [[False, False, False], [True, False, True]]
+
+
 # ---------------------------------------------------------------------------
 # indicator encoding
 
@@ -334,6 +360,13 @@ def test_holdout_rejects_bad_fractions():
         dc.split_holdout(10, (0.5, 0.2, 0.2), seed=0)
     with pytest.raises(DuracastError):
         dc.split_holdout(2, (0.4, 0.3, 0.3), seed=0)
+
+
+@pytest.mark.parametrize("n, fractions", [(10, (0.5, 0.5, 0.0)), (10, (0.98, 0.01, 0.01))])
+def test_holdout_rejects_an_empty_test_part(n, fractions):
+    with pytest.raises(DuracastError) as err:
+        dc.split_holdout(n, fractions, seed=0)
+    assert err.value.code == "domain-error" and "test split empty" in str(err.value)
 
 
 def test_holdout_is_deterministic():

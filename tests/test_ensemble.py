@@ -298,8 +298,7 @@ def test_splitgain_credits_surrogates_too():
     report = dc.splitgain_importance(model)
     a, mimic = report.splitgain
     assert a > mimic > 0.0
-    _surr, xi = t.surrogates[0]
-    assert mimic / a == pytest.approx(xi)
+    assert mimic / a == pytest.approx(t.xi[0])
 
 
 def test_ranked_rows_sort_by_score_then_name():
@@ -379,6 +378,11 @@ def test_saved_ensembles_are_byte_stable(tmp_path):
 def test_rejects_malformed_ensemble_text():
     with pytest.raises(dc.DuracastError):
         ensemble.from_text("ensemble v2\n")
+
+
+def test_an_ensemble_without_trees_is_a_parse_error():
+    with pytest.raises(ParseError):
+        ensemble.from_text("ensemble v1\nkind bagged\nT 0\nlambda -\nseed 0\nfeature 0 x\n")
 
 
 @pytest.mark.parametrize(

@@ -58,6 +58,31 @@ def test_batch_routing_matches_the_single_row_walk(seed, train_missing, score_mi
         assert batch[i] == predict_one_row(t, row)
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    train_missing=st.floats(0.0, 0.4),
+    score_missing=st.floats(0.0, 0.9),
+    n_trees=st.integers(1, 6),
+    m=st.one_of(st.none(), st.integers(1, 6)),
+)
+def test_every_tree_and_row_of_a_bag_routes_as_the_single_row_walk(
+        seed, train_missing, score_missing, n_trees, m):
+    ds = golden.dataset(seed, n=60, missing_share=train_missing)
+    model = dc.train_bagged(ds, n_trees=n_trees, m=m, seed=seed % 1000,
+                            stop=dc.StoppingCriteria(min_branch=4, surrogates=3))
+    x = golden.scoring_matrix(seed, n=30, missing_share=score_missing)
+    owner = np.arange(len(x)) % n_trees
+    for bag in (model, ensemble.from_text(ensemble.to_text(model))):
+        every = tree.predict_batch(bag.table, x).reshape(n_trees, len(x))
+        own = tree.predict_batch(bag.table, x, owner)
+        for t, member in enumerate(bag.trees):
+            for i, row in enumerate(x):
+                want = predict_one_row(member, row)
+                assert every[t, i] == want
+                assert own[i] == want or owner[i] != t
+
+
 def test_risk_logger_fixture_matches_its_generator():
     assert golden.logger_csv() == _read(golden.RISK_LOGGER)
 

@@ -31,7 +31,7 @@ PUBLIC = {
     "metrics": "EvalReport evaluate write_report_csv",
     "neural": "Activation LmState MlpNetwork NarxModel forward jacobian make_mlp narx_predict "
               "narx_prepare train_lm train_narx",
-    "tree": "Internal Leaf SplitRule StoppingCriteria association grow predict predict_batch",
+    "tree": "StoppingCriteria Tree association grow predict predict_batch",
 }
 SUBMODULES = ["_io"] + sorted(PUBLIC)
 MODULE_ATTRIBUTES = ["__builtins__", "__cached__", "__doc__", "__file__", "__loader__",
@@ -127,3 +127,19 @@ TAB = ["--data", os.path.join(DATA_DIR, "cli.train.csv"),
 def test_a_command_loads_only_the_modules_it_calls(tmp_path, argv, unused):
     loaded = _command_loads(argv, tmp_path)
     assert loaded and not loaded & unused, sorted(loaded)
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", *TAB, "--model", "bag", "--trees", "3"],
+    ["predict", *TAB, "--model-file", os.path.join(DATA_DIR, "models", "cli.train_bag.model.txt")],
+    ["risk", "--series", os.path.join(DATA_DIR, "risk.logger.csv"), "--fill", "2", "--scale", "1"],
+], ids=["train-bag", "predict", "risk"])
+def test_a_command_does_not_load_numpy_ma(tmp_path, argv):
+    code = """
+import contextlib, io, json, sys
+from duracast.cli import run_cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = run_cli(%r)
+print(json.dumps([code, 'numpy.ma' in sys.modules]))
+""" % (argv + ["--out", str(tmp_path / "run")])
+    assert _fresh(code) == [0, False]

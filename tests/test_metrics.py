@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import duracast as dc
 from duracast import metrics
@@ -107,3 +107,14 @@ def test_report_csv_layout(tmp_path):
     names = [ln.split(",")[0] for ln in lines[1:]]
     assert names[:5] == ["mse", "rmse", "mae", "r", "n"]
     assert float(lines[1].split(",")[1]) == pytest.approx(rep.mse)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), scale=st.floats(-8.0, 8.0),
+       rounded=st.booleans())
+def test_quartiles_equal_numpy_quantile_bit_for_bit(seed, n, scale, rounded):
+    values = np.random.default_rng(seed).normal(size=n) * 10.0 ** scale
+    if rounded:
+        values = np.round(values)
+    assert np.array_equal(metrics._quartiles(values),
+                          np.quantile(values, [0.25, 0.5, 0.75]))

@@ -22,12 +22,25 @@ def small_stop(**kw):
     return dc.StoppingCriteria(**kw)
 
 
+def is_leaf(t):
+    return t.left[t.roots[0]] < 0
+
+
+def root_gain(t):
+    root = t.roots[0]
+    return t.risk[root] - t.risk[t.left[root]] - t.risk[t.right[root]]
+
+
+def root_levels(t):
+    return tuple(np.flatnonzero(t.levels[t.roots[0]]).tolist())
+
+
 def test_single_obvious_split():
     ds = continuous_ds([[1.0], [2.0], [10.0], [11.0]], [0.0, 0.0, 8.0, 8.0])
     t = dc.grow(ds, stop=small_stop())
-    assert isinstance(t, tree.Internal)
-    assert t.rule.feature == 0
-    assert t.rule.threshold == pytest.approx(6.0)
+    assert not is_leaf(t)
+    assert t.feature[0] == 0
+    assert t.threshold[0] == pytest.approx(6.0)
     assert dc.predict(t, np.array([0.0])) == 0.0
     assert dc.predict(t, np.array([100.0])) == 8.0
 
@@ -36,14 +49,14 @@ def test_threshold_is_a_midpoint_of_observed_values():
     ds = continuous_ds([[1.0], [3.0], [3.0], [9.0]], [0.0, 0.0, 10.0, 10.0])
     t = dc.grow(ds, stop=small_stop())
     # candidates are midpoints of distinct consecutive values: 2 and 6
-    assert t.rule.threshold in (2.0, 6.0)
+    assert t.threshold[0] in (2.0, 6.0)
 
 
 def test_tie_breaks_toward_lower_feature_index():
     x = [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]]
     ds = continuous_ds(x, [0.0, 0.0, 4.0, 4.0], names=["a", "b"])
     t = dc.grow(ds, stop=small_stop())
-    assert t.rule.feature == 0
+    assert t.feature[0] == 0
 
 
 @pytest.mark.parametrize("nominal_first", [False, True])
@@ -56,24 +69,24 @@ def test_exact_tie_between_continuous_and_nominal_picks_the_lower_index(nominal_
     ds = make_ds(cols + [("y", "continuous", "target")],
                  [row + [y] for row, y in zip(values, [0.0, 0.0, 4.0, 4.0])])
     t = dc.grow(ds, stop=small_stop())
-    assert t.rule.feature == 0
-    assert t.rule.nominal == nominal_first
-    assert t.risk - t.left.risk - t.right.risk == 16.0
+    assert t.feature[0] == 0
+    assert t.nominal[0] == nominal_first
+    assert root_gain(t) == 16.0
 
 
 def test_min_leaf_blocks_small_children():
     ds = continuous_ds([[1.0], [2.0], [3.0], [4.0]], [0.0, 0.0, 0.0, 9.0])
     t = dc.grow(ds, stop=small_stop(min_leaf=2, min_branch=4))
     # the gain-optimal 3-vs-1 cut is forbidden, only 2-vs-2 remains
-    assert isinstance(t, tree.Internal)
-    assert t.rule.threshold == pytest.approx(2.5)
+    assert not is_leaf(t)
+    assert t.threshold[0] == pytest.approx(2.5)
 
 
 def test_min_branch_keeps_node_unsplit():
     ds = continuous_ds([[1.0], [2.0], [3.0]], [0.0, 5.0, 9.0])
     t = dc.grow(ds, stop=dc.StoppingCriteria(min_branch=4))
-    assert isinstance(t, tree.Leaf)
-    assert t.value == pytest.approx(14.0 / 3)
+    assert is_leaf(t)
+    assert t.value[0] == pytest.approx(14.0 / 3)
 
 
 def test_split_budget_limits_tree_size():
@@ -82,16 +95,13 @@ def test_split_budget_limits_tree_size():
     y = x[:, 0] + 0.5 * x[:, 1] + rng.normal(scale=0.05, size=40)
     ds = continuous_ds(x, y)
     t = dc.grow(ds, stop=small_stop(max_splits=3))
-    n_internal = sum(
-        1 for _i, node in tree.iter_nodes(t) if isinstance(node, tree.Internal)
-    )
-    assert n_internal == 3
+    assert np.count_nonzero(t.left >= 0) == 3
 
 
 def test_pure_node_becomes_leaf():
     ds = continuous_ds([[1.0], [2.0], [3.0], [4.0]], [5.0, 5.0, 5.0, 5.0])
     t = dc.grow(ds, stop=small_stop())
-    assert isinstance(t, tree.Leaf)
+    assert is_leaf(t)
 
 
 def test_nominal_split_groups_levels():
@@ -100,15 +110,15 @@ def test_nominal_split_groups_levels():
         [[0.0, 1.0], [1.0, 9.0], [2.0, 1.1], [0.0, 0.9], [1.0, 9.2], [2.0, 1.0]],
     )
     t = dc.grow(ds, stop=small_stop())
-    assert t.rule.nominal
-    assert tuple(t.rule.left_levels) == (0, 2)
+    assert t.nominal[0]
+    assert root_levels(t) == (0, 2)
     assert dc.predict(t, np.array([1.0])) == pytest.approx(9.1)
 
 
 def test_bootstrap_rows_allow_duplicates():
     ds = continuous_ds([[1.0], [2.0], [10.0]], [0.0, 0.0, 9.0])
     t = dc.grow(ds, rows=[0, 0, 0, 2, 2, 2], stop=small_stop())
-    assert isinstance(t, tree.Internal)
+    assert not is_leaf(t)
     assert dc.predict(t, np.array([1.0])) == 0.0
 
 
@@ -168,8 +178,8 @@ def test_splits_do_not_depend_on_the_target_offset(offset):
     assert len(tree.iter_nodes(base)) > 50
 
     def shape(t):
-        return [node.rule if isinstance(node, tree.Internal) else node.n
-                for _id, node in tree.iter_nodes(t)]
+        return [(t.feature[i], t.threshold[i], t.missing_left[i]) if t.left[i] >= 0 else t.n[i]
+                for i in tree.iter_nodes(t)]
 
     assert shape(moved) == shape(base)
 
@@ -180,8 +190,8 @@ def test_equal_targets_never_split(value):
     for n in range(2, 40):
         t = dc.grow(continuous_ds(rng.uniform(size=(n, 2)), np.full(n, value)),
                     stop=small_stop())
-        assert isinstance(t, tree.Leaf)
-        assert t.risk == 0.0
+        assert is_leaf(t)
+        assert t.risk[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +258,7 @@ def test_nominal_root_split_is_the_exhaustive_optimum(seed, n_levels, n):
             ("y", "continuous", "target")]
     t = dc.grow(make_ds(cols, np.column_stack([codes, y])), stop=small_stop(max_splits=1))
     best = best_level_split_gain(codes.tolist(), y.tolist())
-    assert t.risk - t.left.risk - t.right.risk == pytest.approx(best, rel=1e-9)
+    assert root_gain(t) == pytest.approx(best, rel=1e-9)
 
 
 @settings(max_examples=30, deadline=None)
@@ -263,14 +273,16 @@ def test_nominal_surrogate_is_the_best_level_set(seed, n_levels, n):
             ("y", "continuous", "target")]
     ds = make_ds(cols, np.column_stack([x0, codes, x0]))
     t = dc.grow(ds, stop=small_stop(max_splits=1))
-    assume(t.rule.feature == 0)
-    best = best_level_association(codes.tolist(), (x0 < t.rule.threshold).tolist())
+    assume(t.feature[0] == 0)
+    best = best_level_association(codes.tolist(), (x0 < t.threshold[0]).tolist())
     if best <= 0.0:
-        assert t.surrogates == ()
+        assert t.surr[1] == 0
         return
-    (surr, xi), = t.surrogates
-    assert surr.nominal and xi == pytest.approx(best, rel=1e-9)
-    assert xi == dc.association(ds, t.rule, surr)
+    assert t.surr[1] == 1
+    xi = t.xi[0]
+    assert t.surr_nominal[0] and xi == pytest.approx(best, rel=1e-9)
+    levels = set(np.flatnonzero(t.surr_levels[0]).tolist())
+    assert xi == dc.association(ds, (0, t.threshold[0]), (t.surr_feature[0], levels))
 
 
 @settings(max_examples=60, deadline=None)
@@ -288,9 +300,9 @@ def test_with_min_leaf_a_nominal_split_is_the_best_contiguous_in_mean_order(
     t = dc.grow(make_ds(cols, np.column_stack([codes, y])), stop=stop)
     best = best_mean_ordered_split_gain(codes.tolist(), y.tolist(), min_leaf)
     if best is None or best <= 0.0:
-        assert isinstance(t, tree.Leaf)
+        assert is_leaf(t)
     else:
-        assert t.risk - t.left.risk - t.right.risk == pytest.approx(best, rel=1e-9)
+        assert root_gain(t) == pytest.approx(best, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +363,10 @@ def _correlated_ds():
 
 def test_surrogate_tracks_a_correlated_feature():
     t = dc.grow(_correlated_ds(), stop=small_stop(max_splits=1))
-    assert t.rule.feature == 0
-    assert len(t.surrogates) == 1
-    surr, xi = t.surrogates[0]
-    assert surr.feature == 1
-    assert xi > 0.9
+    assert t.feature[0] == 0
+    assert t.surr[1] == 1
+    assert t.surr_feature[0] == 1
+    assert t.xi[0] > 0.9
 
 
 def test_missing_primary_routes_through_surrogate():
@@ -370,7 +381,7 @@ def test_missing_everything_falls_back_to_majority():
     ds = continuous_ds([[1.0], [2.0], [3.0], [10.0]], [0.0, 0.0, 0.0, 9.0])
     t = dc.grow(ds, stop=small_stop())
     # three of four observed rows go left, so missing goes left
-    assert t.rule.missing_left
+    assert t.missing_left[0]
     assert dc.predict(t, np.array([np.nan])) == 0.0
 
 
@@ -380,9 +391,7 @@ def test_association_of_perfect_and_inverted_mimics():
         [0.0, 0.0, 1.0, 1.0],
         names=["a", "b", "anti"],
     )
-    best = tree.SplitRule(feature=0, threshold=0.5)
-    agree = tree.SplitRule(feature=1, threshold=0.5)
-    invert = tree.SplitRule(feature=2, threshold=0.5)
+    best, agree, invert = (0, 0.5), (1, 0.5), (2, 0.5)
     assert dc.association(ds, best, agree) == pytest.approx(1.0)
     assert dc.association(ds, best, invert) == pytest.approx(-1.0)
 
@@ -402,8 +411,7 @@ def test_association_excludes_rows_missing_either_feature():
             [False, False, False],
         ],
     )
-    best = tree.SplitRule(feature=0, threshold=0.5)
-    cand = tree.SplitRule(feature=1, threshold=0.5)
+    best, cand = (0, 0.5), (1, 0.5)
     # only 3 rows count: halves are 1/3 and 2/3, and the candidate agrees
     # everywhere, so the association is 1
     assert dc.association(ds, best, cand) == pytest.approx(1.0)
@@ -411,8 +419,7 @@ def test_association_excludes_rows_missing_either_feature():
 
 def test_association_undefined_for_one_sided_rule():
     ds = continuous_ds([[0.0, 0.5], [1.0, 0.5]], [0.0, 1.0], names=["a", "b"])
-    one_sided = tree.SplitRule(feature=0, threshold=5.0)
-    cand = tree.SplitRule(feature=1, threshold=0.5)
+    one_sided, cand = (0, 5.0), (1, 0.5)
     with pytest.raises(DuracastError) as err:
         dc.association(ds, one_sided, cand)
     assert err.value.code == "undefined-association"
@@ -477,6 +484,10 @@ LEAF_LINES = "node 1 leaf 0 1\nnode 2 leaf 1 1\n"
         pytest.param("node 0 split 0 0.5 left 1\n" + LEAF_LINES, id="short-split"),
         pytest.param("node 0 split -1 0.5 left 1 right 2\n" + LEAF_LINES, id="negative-feature"),
         pytest.param("node 0 split 0 in:a|b left 1 right 2\n" + LEAF_LINES, id="bad-levels"),
+        pytest.param("node 0 split 0 in:0|-1 left 1 right 2\n" + LEAF_LINES,
+                     id="negative-level"),
+        pytest.param("node 0 split 0 in:99999999 left 1 right 2\n" + LEAF_LINES,
+                     id="huge-level"),
         pytest.param("node 0 split 0 0.5 left 1 right 2\n" + LEAF_LINES + "surrogate 0 1\n",
                      id="short-surrogate"),
         pytest.param("node 0 split 0 0.5 left 1 right 2\n" + LEAF_LINES + "info 0 risk\n",
@@ -489,6 +500,22 @@ LEAF_LINES = "node 1 leaf 0 1\nnode 2 leaf 1 1\n"
 def test_malformed_tree_text_raises_parse_error(body):
     with pytest.raises(ParseError):
         tree.from_text("tree v1\n" + body)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("node 0 split 0 0.5 left 1 right 3\n" + LEAF_LINES, "serialized tree has no node 3"),
+    ("node 0 split 0 0.5 left 0 right 1\nnode 1 leaf 0 1\n", "node 0 is reached twice"),
+    ("node 0 split 0 0.5 left 1 right 1\nnode 1 leaf 0 1\n", "node 1 is reached twice"),
+    ("node 0 split -1 0.5 left 1 right 2\n" + LEAF_LINES,
+     "bad tree line 'node 0 split -1 0.5 left 1 right 2': negative feature index"),
+    ("node 0 leaf 0\n", "bad tree line 'node 0 leaf 0': list index out of range"),
+    ("node 0 split 0 in:1|x left 1 right 2\n" + LEAF_LINES,
+     "bad split rule 'in:1|x': invalid literal for int() with base 10: 'x'"),
+], ids=["missing-child", "cycle", "shared-child", "negative-feature", "short-line", "bad-levels"])
+def test_hostile_tree_text_names_its_fault(body, message):
+    with pytest.raises(ParseError) as err:
+        tree.from_text("tree v1\n" + body)
+    assert str(err.value) == message
 
 
 def test_deep_trees_parse_walk_and_route_without_recursion():
