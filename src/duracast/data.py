@@ -293,7 +293,7 @@ def ingest_csv(path, sch):
     # column; the fault reported is the first in row order, the one a
     # row-by-row reader meets first.
     good = next((i for i, record in enumerate(records) if len(record) != p), n)
-    rows, faults = records[:good], []
+    rows, faults = records if good == n else records[:good], []
     for j, col in enumerate(sch.columns if good else ()):
         cells = [record[j].strip() for record in rows]
         missing[:good, j] = [cell == "" for cell in cells]
