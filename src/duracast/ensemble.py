@@ -296,25 +296,19 @@ def splitgain_importance(model, ds=None):
     variable and gain times the association to each surrogate variable;
     per-tree credits are averaged over trees and scaled to sum to one."""
     p = len(model.feature_names)
-    table = model.table
-    feature, left, right = table.feature.tolist(), table.left.tolist(), table.right.tolist()
-    risk, surr, surr_feature = table.risk.tolist(), table.surr.tolist(), table.surr_feature.tolist()
-    xi = table.xi.tolist()
-    credits = np.zeros((model.n_trees, p))
-    for t_idx, root in enumerate(table.roots.tolist()):
-        # Credited node by node in preorder, which fixes the bits of each sum.
-        row, stack = credits[t_idx].tolist(), [root]
-        while stack:
-            i = stack.pop()
-            if left[i] < 0:
-                continue
-            stack += (right[i], left[i])
-            delta = risk[i] - risk[left[i]] - risk[right[i]]
-            row[feature[i]] += delta
-            for s in range(surr[i], surr[i + 1]):
-                row[surr_feature[s]] += delta * max(xi[s], 0.0)
-        credits[t_idx] = row
-    mean = credits.mean(axis=0)
+    t = model.table
+    split = np.flatnonzero(t.left >= 0)
+    count = (t.surr[1:] - t.surr[:-1])[split]
+    delta = t.risk[split] - t.risk[t.left[split]] - t.risk[t.right[split]]
+    base = (np.searchsorted(t.roots, split, side="right") - 1) * p
+    # Split after split in preorder, its own variable before its surrogates',
+    # the order that fixes the bits of each sum.
+    order = np.argsort(np.concatenate([split, np.repeat(split, count)]), kind="stable")
+    cell = np.concatenate([base + t.feature[split], np.repeat(base, count) + t.surr_feature])
+    gain = np.concatenate([delta, np.repeat(delta, count) * np.maximum(t.xi, 0.0)])
+    credits = np.zeros(model.n_trees * p)
+    np.add.at(credits, cell[order], gain[order])
+    mean = credits.reshape(model.n_trees, p).mean(axis=0)
     total = mean.sum()
     if total > 0.0:
         mean = mean / total

@@ -28,8 +28,9 @@ A tree is a Tree, one flat node table in the struct-of-arrays layout of
 scikit-learn's Tree (Pedregosa et al. 2011): per node a feature, threshold,
 children, value, risk, row count and majority direction; surrogates in a CSR
 table (node offsets into feature, threshold and association arrays); the
-left levels of nominal rules as rows of a boolean (rule x level) mask. One
-table can hold several trees, each from its own root (join). The one router,
+left levels of nominal rules in CSR tables of level codes, so a table's
+size follows its text. A tree's nodes are listed in preorder, its root
+first, and join puts several trees into one table. The one router,
 predict_batch, moves every (tree, row) pair down one level per step with
 node = where(go_left, left[node], right[node]) and drops the pairs that
 reach a leaf, so a bag routes all its trees in one descent.
@@ -43,12 +44,13 @@ subsets (m), every node of a level of every tree being grown is one
 frontier, so a bagged ensemble grows all its trees at once. Otherwise the
 budget and the feature draws are spent in preorder (left subtree first), so
 each tree feeds the kernel one node at a time in that order, one node of
-each tree per frontier. The kernel writes each frontier's nodes into
-arrays, which become the tables at the end; no input sets a recursion depth.
-The text form numbers the nodes in preorder.
+each tree per frontier. The kernel writes the splits of each frontier as a
+table, and routes their rows with the router's own rule tests; no input
+sets a recursion depth.
 """
 
-from dataclasses import dataclass, replace
+import functools
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -60,18 +62,19 @@ from .errors import DomainError, ParseError, ShapeError, UndefinedAssociation
 
 @dataclass(frozen=True, eq=False)
 class Tree:
-    """Flat node table of one or more trees, each from one of roots; nodes
-    no root reaches belong to other tables sharing these arrays (the other
-    trees of a bag grown at once).
+    """Flat node table of one tree, or of several (join), each routed from
+    one of roots. A tree's nodes are listed in preorder, left subtree first,
+    so a node's row in a one-tree table is its id in the text form.
 
     Node i splits on feature[i], -1 at a leaf: a continuous rule sends a
-    value below threshold[i] left, a nominal one (nominal[i]) the level
-    codes set in levels[i]. left[i] and right[i] are its children (-1 at a
-    leaf); value[i], risk[i] and n[i] are the mean target, risk and row
-    count of its rows; missing_left[i] is the side of a row that observes
-    neither its feature nor a surrogate's. Its surrogates are the rows
-    surr[i]:surr[i + 1] of the surr_* arrays and xi (their associations),
-    best first.
+    value below threshold[i] left, a nominal one (nominal[i]) the sorted
+    level codes codes[levels[i]:levels[i + 1]]. left[i] and right[i] are
+    its children (-1 at a leaf); value[i], risk[i] and n[i] are the mean
+    target, risk and row count of its rows; missing_left[i] is the side of
+    a row that observes neither its feature nor a surrogate's. Its
+    surrogates are the rows surr[i]:surr[i + 1] of the surr_* columns and xi
+    (their associations), best first, with level codes in surr_levels and
+    surr_codes.
     """
 
     roots: np.ndarray
@@ -79,6 +82,7 @@ class Tree:
     threshold: np.ndarray
     nominal: np.ndarray
     levels: np.ndarray
+    codes: np.ndarray
     left: np.ndarray
     right: np.ndarray
     missing_left: np.ndarray
@@ -90,12 +94,14 @@ class Tree:
     surr_threshold: np.ndarray
     surr_nominal: np.ndarray
     surr_levels: np.ndarray
+    surr_codes: np.ndarray
     xi: np.ndarray
 
-
-# The columns of a Tree that join concatenates as they are.
-_COLUMNS = ("feature", "threshold", "nominal", "levels", "missing_left", "value", "risk", "n",
-            "surr_feature", "surr_threshold", "surr_nominal", "surr_levels", "xi")
+    @functools.cached_property
+    def keys(self):
+        """The level keys of the nodes' and of the surrogates' rules (see
+        _level_keys)."""
+        return _level_keys(self.levels, self.codes), _level_keys(self.surr_levels, self.surr_codes)
 
 
 class Internal:
@@ -133,30 +139,77 @@ def _ranges(starts, lengths):
     return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if ends.size else 0)
 
 
+def _offsets(counts):
+    """CSR offsets of rows with these entry counts."""
+    return np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
+
+
+def _rule_columns(rules):
+    """The columns (feature, threshold, nominal, levels, codes) of rules
+    given as (feature, threshold, left levels or None for a continuous
+    rule)."""
+    sets = [sorted(set(levels or ())) for _feature, _threshold, levels in rules]
+    return (np.array([r[0] for r in rules], dtype=np.intp),
+            np.array([r[1] for r in rules], dtype=float),
+            np.array([r[2] is not None for r in rules], dtype=bool),
+            _offsets([len(s) for s in sets]), np.array([c for s in sets for c in s], dtype=np.intp))
+
+
+# The columns of a Tree that hold row numbers, and the column they count.
+_SHIFTS = {"roots": "feature", "left": "feature", "right": "feature", "levels": "codes",
+           "surr": "xi", "surr_levels": "surr_codes"}
+
+
 def join(trees):
-    """One table of the trees, each routed from its own root, in order.
-    Members of a bag grown at once already share one table."""
-    if all(t.feature is trees[0].feature for t in trees):
-        return replace(trees[0], roots=np.concatenate([t.roots for t in trees]))
-    width = max(t.levels.shape[1] for t in trees)
-    nodes = np.cumsum([0] + [t.feature.size for t in trees])
-    surrs = np.cumsum([0] + [t.xi.size for t in trees])
+    """One table of the trees, each routed from its own root, in order."""
+    columns = {}
+    for name in (f.name for f in fields(Tree)):
+        parts = [getattr(t, name) for t in trees]
+        if name in _SHIFTS:
+            offsets = name in ("levels", "surr", "surr_levels")
+            parts = [a[1:] if offsets else a for a in parts]
+            sizes = [getattr(t, _SHIFTS[name]).size for t in trees]
+            shift = np.repeat(np.cumsum([0] + sizes[:-1]), [a.size for a in parts])
+            column = np.concatenate(parts)
+            parts = ([[0]] if offsets else []) + [np.where(column >= 0, column + shift, -1)]
+        columns[name] = np.concatenate(parts)
+    return Tree(**columns)
 
-    def cat(column):
-        parts = [getattr(t, column) for t in trees]
-        if parts[0].ndim == 2:
-            parts = [np.hstack([a, np.zeros((a.shape[0], width - a.shape[1]), dtype=bool)])
-                     for a in parts]
-        return np.concatenate(parts)
 
-    def link(column):
-        return np.concatenate([np.where(getattr(t, column) >= 0, getattr(t, column) + at, -1)
-                               for t, at in zip(trees, nodes)])
+def _subtable(table, rows):
+    """The table of the given node rows of table, in that order; left and
+    right are copied as they are."""
+    def pick(at, picked):
+        counts = (at[1:] - at[:-1])[picked]
+        return _offsets(counts), _ranges(at[picked], counts)
 
-    return Tree(roots=np.concatenate([t.roots + at for t, at in zip(trees, nodes)]),
-                left=link("left"), right=link("right"),
-                surr=np.concatenate([[0]] + [t.surr[1:] + at for t, at in zip(trees, surrs)]),
-                **{c: cat(c) for c in _COLUMNS})
+    surr, s = pick(table.surr, rows)
+    levels, c = pick(table.levels, rows)
+    surr_levels, sc = pick(table.surr_levels, s)
+    node = {name: getattr(table, name)[rows] for name in (
+        "feature", "threshold", "nominal", "left", "right", "missing_left", "value", "risk", "n")}
+    return Tree(roots=np.zeros(1, dtype=np.intp), levels=levels, codes=table.codes[c], surr=surr,
+                surr_feature=table.surr_feature[s], surr_threshold=table.surr_threshold[s],
+                surr_nominal=table.surr_nominal[s], surr_levels=surr_levels,
+                surr_codes=table.surr_codes[sc], xi=table.xi[s], **node)
+
+
+def _split(table, cuts):
+    """The one-tree tables of the runs of node rows of table that start at
+    row 0 and at each row in cuts."""
+    bounds = [0] + cuts.tolist() + [table.feature.size]
+    surr, levels, surr_levels = table.surr, table.levels, table.surr_levels
+    trees = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        s, e = int(surr[a]), int(surr[b])
+        trees.append(Tree(
+            np.zeros(1, dtype=np.intp), table.feature[a:b], table.threshold[a:b],
+            table.nominal[a:b], levels[a:b + 1] - levels[a], table.codes[levels[a]:levels[b]],
+            table.left[a:b], table.right[a:b], table.missing_left[a:b], table.value[a:b],
+            table.risk[a:b], table.n[a:b], surr[a:b + 1] - s, table.surr_feature[s:e],
+            table.surr_threshold[s:e], table.surr_nominal[s:e], surr_levels[s:e + 1] - surr_levels[s],
+            table.surr_codes[surr_levels[s]:surr_levels[e]], table.xi[s:e]))
+    return trees
 
 
 # Cells (features x nodes x rows) of a padded block; a larger node gets its own.
@@ -198,9 +251,9 @@ def _rank_levels(codes, weights, within, missing, highest_first=False):
     """Replace the level codes of each row of codes (one node's rows on one
     feature), in place, by the ranks of their levels' mean weight over the
     observed cells (not missing) in within (None: all). Returns each row's
-    rank of every level, the levels absent from those cells ranking last.
-    bincount adds each level's weights in row order, as it does for a
-    single row."""
+    rank of every level up to the largest present, the levels absent from
+    those cells ranking last. bincount adds each level's weights in row
+    order, as it does for a single row."""
     obs = codes != missing
     counted = obs if within is None else obs & within
     row = np.nonzero(obs)[0]
@@ -261,9 +314,7 @@ class _Grower:
         self.pad = n
         self.xt = np.vstack([x, np.full(self.p, np.nan)]).T.copy()
         self.nominal = np.asarray(nominal, dtype=bool)
-        # The columns of the level masks: every level code of the data.
-        self.width = int(np.nanmax(self.xt[self.nominal], initial=-1)) + 1
-        self.missing = max(n, self.width) + 1
+        self.missing = max(n, int(np.nanmax(self.xt[self.nominal], initial=-1)) + 1) + 1
         self.ranks = np.full(self.xt.shape, self.missing,
                              dtype=np.int32 if self.missing < 1 << 31 else np.int64)
         # The distinct values of each continuous column, one after another.
@@ -321,10 +372,10 @@ class _Grower:
             found = self._search(frontier, here, yc, risk, open_, cand)
             if found is None:
                 continue
-            at = found[0]
+            node, tables, left_rows, n_left, right_rows, n_right = found
+            at = node[node >= 0]
             np.subtract.at(budget, there[at], 1)
-            splits.append((ids[at],) + tuple(found[1:12]))
-            left_rows, n_left, right_rows, n_right = found[12:]
+            splits.append((np.where(node >= 0, ids[node], -1), tables))
             rows = np.concatenate([rows, right_rows, left_rows])
             sizes = np.concatenate([sizes, n_right, n_left])
             trees = np.concatenate([trees, there[at], there[at]])
@@ -334,34 +385,39 @@ class _Grower:
 
     def _tables(self, n_trees, nodes, splits):
         """One Tree per tree from the record of a growth: per frontier, each
-        node's (tree, parent, side, value, risk, n) and, for the nodes that
-        split, their rules and surrogates (see _split_block)."""
+        node's (tree, parent, side, value, risk, n), and the tables of its
+        splits with the node of each of their rows (-1: a rule that did not
+        split its node)."""
         tree_of, parent, is_left, value, risk, n = (np.concatenate(c) for c in zip(*nodes))
         size = tree_of.size
-        feature, threshold = np.full(size, -1), np.full(size, np.nan)
-        nominal, missing_left = np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
-        levels = np.zeros((size, self.width), dtype=bool)
+        node = np.concatenate([np.zeros(0, dtype=np.intp)] + [s[0] for s in splits])
+        rules = join([t for _node, tables in splits for t in tables] + [_LEAF])
+        row = np.full(size, node.size)
+        row[node[node >= 0]] = np.flatnonzero(node >= 0)
         left, right = np.full(size, -1), np.full(size, -1)
-        count = np.zeros(size, dtype=np.intp)
-        surrogates = [np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0, dtype=bool),
-                      np.zeros((0, self.width), dtype=bool), np.zeros(0)]
-        if splits:
-            at, *columns = (np.concatenate(c) for c in zip(*splits))
-            (feature[at], threshold[at], nominal[at], levels[at], missing_left[at],
-             count[at]) = columns[:6]
-            # Surrogates are listed split after split; the table lists them by node.
-            by_node = np.argsort(at)
-            split_count = columns[5]
-            s = _ranges((np.cumsum(split_count) - split_count)[by_node], split_count[by_node])
-            surrogates = [c[s] for c in columns[6:]]
-            child = np.flatnonzero(parent >= 0)
-            side = is_left[child]
-            left[parent[child[side]]] = child[side]
-            right[parent[child[~side]]] = child[~side]
-        whole = Tree(np.arange(n_trees), feature, threshold, nominal, levels, left, right,
-                     missing_left, value, risk, n, np.concatenate([[0], np.cumsum(count)]),
-                     *surrogates)
-        return [replace(whole, roots=whole.roots[t:t + 1]) for t in range(n_trees)]
+        child = np.flatnonzero(parent >= 0)
+        side = is_left[child]
+        left[parent[child[side]]] = child[side]
+        right[parent[child[~side]]] = child[~side]
+        # Each node's preorder position in its tree: a left child follows its
+        # parent, a right child its left sibling's subtree. A frontier holds
+        # only children of earlier ones.
+        ends = np.cumsum([c[0].size for c in nodes]).tolist()
+        bounds = list(zip([0] + ends[:-1], ends))
+        subtree = np.ones(size, dtype=np.intp)
+        for a, b in reversed(bounds):
+            kids = a + np.flatnonzero(parent[a:b] >= 0)
+            np.add.at(subtree, parent[kids], subtree[kids])
+        pos = np.zeros(size, dtype=np.intp)
+        for a, b in bounds:
+            kids = a + np.flatnonzero(parent[a:b] >= 0)
+            up = parent[kids]
+            pos[kids] = pos[up] + 1 + np.where(is_left[kids], 0, subtree[left[up]])
+        order = np.lexsort((pos, tree_of))
+        table = replace(_subtable(rules, row[order]), value=value[order], risk=risk[order],
+                        n=n[order], left=np.where(left >= 0, pos[left], -1)[order],
+                        right=np.where(right >= 0, pos[right], -1)[order])
+        return _split(table, np.cumsum(np.bincount(tree_of, minlength=n_trees))[:-1])
 
     def _stats(self, rows, sizes):
         """(value, risk, centred targets) of each node of a frontier, its
@@ -382,9 +438,10 @@ class _Grower:
         return value, risk, yc
 
     def _search(self, rows, sizes, yc, risk, open_, cand):
-        """The splits of the open nodes of a frontier, as the columns of
-        _split_block over all of them; cand[node] lists its candidate
-        features (None: all). None when no node is open."""
+        """The splits of the open nodes of a frontier, as the results of
+        _split_block over all of them, its tables in a list; cand[node]
+        lists a node's candidate features (None: all). None when no node
+        splits."""
         starts = np.cumsum(sizes) - sizes
         found = []
         for block, width in _blocks(sizes, open_, self.p):
@@ -393,7 +450,11 @@ class _Grower:
             found.append(self._split_block(
                 np.where(real, rows[at], self.pad), real, np.where(real, yc[at], 0.0),
                 risk[block], None if cand is None else cand[block], block))
-        return [np.concatenate(c) for c in zip(*found)] if found else None
+        found = [f for f in found if f is not None]
+        if not found:
+            return None
+        node, tables, *rest = zip(*found)
+        return (np.concatenate(node), list(tables)) + tuple(np.concatenate(c) for c in rest)
 
     def _threshold(self, feature, lo, hi):
         """The midpoints between the values of ranks lo and hi of continuous
@@ -402,41 +463,37 @@ class _Grower:
         mid = (values.take(at + lo, mode="clip") + values.take(at + hi, mode="clip")) / 2.0
         return np.where(self.nominal[feature], lo, mid)
 
-    def _goes_left(self, feature, ranks, rows, threshold):
-        """Whether the dataset rows, of these ranks on feature, go left under
-        the rule on feature with threshold."""
-        return np.where(self.nominal[feature], ranks <= threshold,
-                        self.xt[feature, rows] < threshold)
-
     def _rank_nominal(self, x, feature, weights, within=None, highest_first=False):
         """Rank the levels of each row x[c, k] on a nominal feature[c, k] in
-        place by weights[k]. Returns the rank of every level of each (c, k),
-        as features x nodes x self.width (self.missing where not nominal)."""
-        rank = np.full(feature.shape + (self.width,), self.missing)
+        place by weights[k]. Returns the row of (c, k) in the ranks of the
+        levels of those rows (-1 where not nominal), and those ranks."""
+        cell = np.full(feature.shape, -1)
         c, k = np.nonzero(self.nominal[feature])
-        if c.size:
-            codes = x[c, k]
-            ranked = _rank_levels(codes, weights[k], None if within is None else within[k],
-                                  self.missing, highest_first)
-            x[c, k] = codes
-            rank[c, k, :ranked.shape[1]] = ranked
-        return rank
+        cell[c, k] = np.arange(c.size)
+        codes = x[c, k]
+        ranked = _rank_levels(codes, weights[k], None if within is None else within[k],
+                              self.missing, highest_first)
+        x[c, k] = codes
+        return cell, ranked
 
-    def _masks(self, feature, rank, threshold):
-        """The table columns (threshold, nominal, level mask) of the rules on
-        feature with these level ranks at the kernel's threshold."""
+    def _rules(self, feature, threshold, cell, ranked):
+        """The table columns (threshold, nominal, levels, codes) of the rules
+        on feature at the kernel's thresholds; a nominal rule sends left the
+        levels ranked at most its threshold in row cell of ranked."""
         nominal = self.nominal[feature]
-        mask = (rank <= threshold[..., None]) & nominal[..., None]
-        return np.where(nominal, np.nan, threshold), nominal, mask
+        left = ranked[cell[nominal]] <= threshold[nominal, None]
+        count = np.zeros(feature.size, dtype=np.intp)
+        count[nominal] = left.sum(axis=1)
+        return np.where(nominal, np.nan, threshold), nominal, _offsets(count), np.nonzero(left)[1]
 
     def _split_block(self, r, real, yc, risk, cand, ids):
-        """The nodes ids[k] of a block that split, as the columns (node,
-        feature, threshold, nominal, levels, missing_left, surrogate count,
-        surrogate feature, threshold, nominal, levels and xi listed node by
-        node, left rows, left row counts, right rows, right row counts). r
-        holds their dataset rows, padded with the all-missing row, yc the
-        rows' centred targets (0 in the padding), and cand[k] the node's
-        candidate features (None: all)."""
+        """The splits of the nodes ids[k] of a block, as (the node of each
+        row of their table, -1 where it does not split; the table; the left
+        rows, left row counts, right rows and right row counts of the nodes
+        that split), or None when none splits. r holds their dataset rows,
+        padded with the all-missing row, yc the rows' centred targets (0 in
+        the padding), and cand[k] the node's candidate features (None:
+        all)."""
         stop, (k, width) = self.stop, r.shape
         feature = (np.broadcast_to(np.arange(self.p)[:, None], (self.p, k)) if cand is None
                    else cand.T)
@@ -454,7 +511,7 @@ class _Grower:
             d = yc[j][~miss[c, j]]
             s, q = _segment_sums(np.stack([d, d * d]), n_obs[c, j])
             parents[c, j] = q - s * s / n_obs[c, j]
-        levels = self._rank_nominal(x, feature, yc)
+        cell, ranked = self._rank_nominal(x, feature, yc)
 
         def gain(order, valid):
             nl = np.arange(1.0, width)
@@ -484,38 +541,40 @@ class _Grower:
         score = np.where(score > 0.0, score, -np.inf)
         c = score.argmax(axis=0)
         ks = np.flatnonzero(score[c, np.arange(k)] > 0.0)
+        if ks.size == 0:
+            return None
         c, f, rows = c[ks], feature[c[ks], ks], r[ks]
-        thr = self._threshold(f, lo[c, ks], hi[c, ks])
-        left = self._goes_left(f[:, None], x[c, ks], rows, thr[:, None])
+        rule = self._rules(f, self._threshold(f, lo[c, ks], hi[c, ks]), cell[c, ks], ranked)
         seen = ~miss[c, ks]
+        i, w = np.nonzero(seen)
+        left = np.zeros(seen.shape, dtype=bool)
+        left[i, w] = _rule_left(self.xt[f[i], rows[i, w]], i, rule[0], rule[1],
+                                _level_keys(*rule[2:]))
         missing_left = 2 * left.sum(axis=1) >= seen.sum(axis=1)
-        go = np.where(seen, left, missing_left[:, None])
-        top, xi = np.zeros((0, ks.size), dtype=np.intp), np.zeros((0, ks.size))
-        s_rules = self._masks(top, np.zeros((0, ks.size, self.width)), xi)
-        if stop.surrogates and self.p > 1 and ks.size:
-            top, xi, s_rules = self._surrogates(self.ranks[:, rows], rows, f, seen, left, go)
+        count, *surrogates = self._surrogates(self.ranks[:, rows], f, seen, left)
+        unset = np.zeros(ks.size)
+        table = Tree(np.zeros(0, dtype=np.intp), f, *rule, np.full(ks.size, -1),
+                     np.full(ks.size, -1), missing_left, unset, unset, unset, _offsets(count),
+                     *surrogates)
+        # A row that misses the rule's feature goes as the tree would route it.
+        go = left
+        i, w = np.nonzero(~seen & real[ks])
+        go[i, w] = _route_missing(table, self.xt.T, rows[i, w], i)
         go_left, go_right = go & real[ks], ~go & real[ks]
         n_left, n_right = go_left.sum(axis=1), go_right.sum(axis=1)
         ok = (n_left > 0) & (n_right > 0)
-        keep = ((xi > 0.0) & ok).T
-        return ((ids[ks[ok]], f[ok])
-                + tuple(a[ok] for a in self._masks(f, levels[c, ks], thr))
-                + (missing_left[ok], keep.sum(axis=1)[ok], top.T[keep])
-                + tuple(np.swapaxes(a, 0, 1)[keep] for a in s_rules)
-                + (xi.T[keep], rows[ok][go_left[ok]], n_left[ok], rows[ok][go_right[ok]],
-                   n_right[ok]))
+        return (np.where(ok, ids[ks], -1), table, rows[ok][go_left[ok]], n_left[ok],
+                rows[ok][go_right[ok]], n_right[ok])
 
-    def _surrogates(self, xb, rows, primary, seen, left, go):
-        """Up to stop.surrogates rules per node on other features that best
-        mimic its rule over the rows that observe the rule's feature, as
-        (features, associations, (threshold, nominal, levels)), ranked by
-        association per node (a rule that is not a surrogate has xi -inf).
-        Routes the rows that do not observe it through them, in go, in
-        place."""
+    def _surrogates(self, xb, primary, seen, left):
+        """Up to stop.surrogates rules per node on other features that mimic
+        its rule over the rows that observe the rule's feature, with positive
+        association, best first: their count per node and their table
+        columns (feature, threshold, nominal, levels, codes, xi)."""
         k, width = seen.shape
         nodes = np.arange(k)
         feature = np.broadcast_to(np.arange(self.p)[:, None], (self.p, k))
-        levels = self._rank_nominal(xb, feature, left.astype(float), seen, highest_first=True)
+        cell, ranked = self._rank_nominal(xb, feature, left.astype(float), seen, highest_first=True)
         xv = np.where(seen, xb, self.missing)
         xv[primary, nodes] = self.missing
         n_obs = width - (xv == self.missing).sum(axis=2)
@@ -533,21 +592,19 @@ class _Grower:
             return (2 * cum_l[..., :-1] + (denom - total) - np.arange(1, width)) / denom
 
         xi, lo, hi = _scan(xv, self.missing, association)
-        xi = np.where(xi > 0.0, xi, -np.inf)
-        top = np.argsort(-xi, axis=0, kind="stable")[: self.stop.surrogates]
-        score = xi[top, nodes]
-        thr = self._threshold(top, lo[top, nodes], hi[top, nodes])
-        # A row missing the rule's feature follows the first surrogate it observes.
-        i, w = np.nonzero(~seen & (rows != self.pad))
-        for j, s, t in zip(top, score, thr):
-            if i.size == 0:
-                break
-            ranks = xb[j[i], i, w]
-            hit = (ranks != self.missing) & (s[i] > 0.0)
-            at = i[hit], w[hit]
-            go[at] = self._goes_left(j[at[0]], ranks[hit], rows[at], t[at[0]])
-            i, w = i[~hit], w[~hit]
-        return top, score, self._masks(top, levels[top, nodes], thr)
+        top = np.argsort(-xi, axis=0, kind="stable")[: self.stop.surrogates].T
+        node = np.broadcast_to(nodes[:, None], top.shape)
+        keep = xi[top, node] > 0.0
+        top, node = top[keep], node[keep]
+        thr = self._threshold(top, lo[top, node], hi[top, node])
+        return (keep.sum(axis=1), top) + self._rules(top, thr, cell[top, node], ranked) + (
+            xi[top, node],)
+
+
+# The leaf row of a growth record's rules.
+_LEAF = Tree(np.zeros(0, dtype=np.intp), *_rule_columns([(-1, np.nan, None)]), np.full(1, -1),
+             np.full(1, -1), np.zeros(1, dtype=bool), np.zeros(1), np.zeros(1), np.zeros(1),
+             np.zeros(2, dtype=np.intp), *_rule_columns([]), np.zeros(0))
 
 
 def grow(ds, rows=None, stop=None, seed=None, targets=None, rng=None):
@@ -604,17 +661,26 @@ def predict(tree, x):
     return predict_batch(tree, np.asarray(x, dtype=float)[None])[0]
 
 
-def _rule_left(v, rule, threshold, nominal, levels):
-    """Whether the observed values v go left under the rules rule (indices
-    into the threshold, nominal and levels columns of one kind of rule). A
-    level code goes left when its mask cell is set."""
+def _level_keys(levels, codes):
+    """One key rule * width + code per level code a rule lists, sorted since
+    each rule's codes are, and width, above every code."""
+    width = int(codes.max(initial=0)) + 1
+    return np.repeat(np.arange(levels.size - 1), np.diff(levels)) * width + codes, width
+
+
+def _rule_left(v, rule, threshold, nominal, keys):
+    """Whether the observed values v go left under the rules rule (rows of
+    the threshold and nominal columns and level keys of one kind of rule).
+    A level code goes left when its rule lists it."""
     left = v < threshold.take(rule)
-    on_levels = nominal.take(rule)
-    if levels.shape[1] and on_levels.any():
-        at = np.flatnonzero(on_levels)
-        code = v.take(at)
-        known = (code > -1.0) & (code < levels.shape[1])
-        left[at] = known & levels[rule.take(at), np.where(known, code, 0).astype(np.intp)]
+    keys, width = keys
+    on = nominal.take(rule)
+    if keys.size and on.any():
+        on = np.flatnonzero(on)
+        code = v.take(on)
+        known = (code > -1.0) & (code < width)
+        key = rule.take(on) * width + np.where(known, code, 0).astype(np.intp)
+        left[on] = known & (keys.take(np.searchsorted(keys, key), mode="clip") == key)
     return left
 
 
@@ -632,7 +698,7 @@ def _route_missing(tree, x, row, node):
         v = x[row.take(pending), tree.surr_feature.take(s)]
         seen = ~np.isnan(v)
         left[pending[seen]] = _rule_left(v[seen], s[seen], tree.surr_threshold,
-                                         tree.surr_nominal, tree.surr_levels)
+                                         tree.surr_nominal, tree.keys[1])
         pending, rank = pending[~seen], rank + 1
     return left
 
@@ -672,7 +738,7 @@ def predict_batch(tree, x_matrix, trees=None):
             inner = (~leaf).nonzero()[0]
             pair, node, row, feature = (a.take(inner) for a in (pair, node, row, feature))
         v = cells.take(row * p + feature)
-        left = _rule_left(v, node, tree.threshold, tree.nominal, tree.levels)
+        left = _rule_left(v, node, tree.threshold, tree.nominal, tree.keys[0])
         miss = np.isnan(v).nonzero()[0]
         if miss.size:
             left[miss] = _route_missing(tree, x, row.take(miss), node.take(miss))
@@ -680,32 +746,24 @@ def predict_batch(tree, x_matrix, trees=None):
     return out
 
 
-def _rule_mask(values, rule):
-    test = rule[1]
-    if isinstance(test, (tuple, list, set, frozenset)):
-        return np.isin(values.astype(int), list(test))
-    return values < test
-
-
 def association(ds, best_rule, candidate_rule):
     """Predictive association between two split rules over the dataset rows.
 
-    A rule is (feature, threshold), sending a value below the threshold
-    left, or (feature, levels), sending the level codes in the collection
+    A rule is (feature, threshold, None), sending a value below the
+    threshold left, or (feature, nan, levels), sending the level codes in
     levels left. Rows missing either feature are excluded from the
     proportions. Raises UndefinedAssociation when the best rule sends every
     included row to one side (min(P_L, P_R) = 0).
     """
-    x = ds.input_matrix()
-    xb = x[:, best_rule[0]]
-    xc = x[:, candidate_rule[0]]
-    incl = ~np.isnan(xb) & ~np.isnan(xc)
-    if not np.any(incl):
+    feature, threshold, nominal, levels, codes = _rule_columns([best_rule, candidate_rule])
+    v = ds.input_matrix()[:, feature]
+    v = v[~np.isnan(v).any(axis=1)]
+    if v.size == 0:
         raise UndefinedAssociation("no rows observe both features")
-    best_left = _rule_mask(xb[incl], best_rule)
-    agree = int(np.count_nonzero(best_left == _rule_mask(xc[incl], candidate_rule)))
-    n = best_left.size
-    n_left = int(np.count_nonzero(best_left))
+    left = _rule_left(v.ravel(), np.tile([0, 1], v.shape[0]), threshold, nominal,
+                      _level_keys(levels, codes)).reshape(-1, 2)
+    n, n_left = left.shape[0], int(np.count_nonzero(left[:, 0]))
+    agree = int(np.count_nonzero(left[:, 0] == left[:, 1]))
     # (min(P_L, P_R) - (1 - P_LL - P_RR)) / min(P_L, P_R), times n / n
     denom = min(n_left, n - n_left)
     if denom == 0:
@@ -714,25 +772,22 @@ def association(ds, best_rule, candidate_rule):
 
 
 def iter_nodes(tree):
-    """The nodes of the first tree of a table in preorder, left subtree
-    first; a node's position is its id in the serialized form."""
-    left, right = tree.left.tolist(), tree.right.tolist()
-    out, stack = [], [int(tree.roots[0])]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        if left[node] >= 0:
-            stack += (right[node], left[node])
-    return out
+    """The node rows of a one-tree table in preorder, left subtree first:
+    all of them, in order; a node's row is its id in the serialized form."""
+    return list(range(tree.feature.size))
 
 
 def tree_features(tree):
     """Set of feature indices used by primary splits."""
-    return set(tree.feature[iter_nodes(tree)].tolist()) - {-1}
+    return set(tree.feature.tolist()) - {-1}
 
 
 # ---------------------------------------------------------------------------
 # serialization
+
+# Level codes index a nominal column's levels. The router packs a (rule,
+# level) pair into one integer key, so codes stay below 2^31.
+_MAX_LEVEL = (1 << 31) - 1
 
 
 def _parse_feature(token):
@@ -748,51 +803,40 @@ def _parse_rule(token):
         levels = tuple(int(v) for v in token[3:].split("|") if v != "")
         if levels and min(levels) < 0:
             raise ValueError("negative level index")
+        if levels and max(levels) > _MAX_LEVEL:
+            raise ValueError("level index above %d" % _MAX_LEVEL)
         return float("nan"), levels
     return float(token), None
 
 
-def _rule_token(nominal, threshold, levels):
-    if nominal:
-        return "in:" + "|".join([str(level) for level, left in enumerate(levels) if left])
-    return fmt_float(threshold)
+def _rule_tokens(threshold, nominal, levels, codes):
+    """The text of each rule: its threshold, or in: and its left levels."""
+    at, codes = levels.tolist(), [str(c) for c in codes.tolist()]
+    return ["in:" + "|".join(codes[at[i]:at[i + 1]]) if is_nominal else fmt_float(t)
+            for i, (t, is_nominal) in enumerate(zip(threshold.tolist(), nominal.tolist()))]
 
 
 def tree_lines(tree):
-    """Serialize the first tree of a table to text lines, its nodes
-    numbered in preorder (no version header; see to_text)."""
-    order = iter_nodes(tree)
-    ids = dict(zip(order, range(len(order))))
-    at = np.array(order)
-    feature, threshold, nominal, left, right, value, risk, n, missing_left = (
-        getattr(tree, c)[at].tolist() for c in ("feature", "threshold", "nominal", "left",
-                                                "right", "value", "risk", "n", "missing_left"))
-    count = (tree.surr[at + 1] - tree.surr[at]).tolist()
-    s = _ranges(tree.surr[at], np.array(count))
-    surr_feature, surr_threshold, surr_nominal, xi = (
-        getattr(tree, c)[s].tolist() for c in ("surr_feature", "surr_threshold", "surr_nominal",
-                                               "xi"))
-    levels, surr_levels = tree.levels[at].tolist(), tree.surr_levels[s].tolist()
-    lines, first = [], 0
-    for i in range(len(order)):
+    """Serialize a one-tree table to text lines, a node's row being its id
+    (no version header; see to_text)."""
+    feature, left, right, value, risk, n, missing_left, surr, surr_feature, xi = (
+        getattr(tree, c).tolist() for c in ("feature", "left", "right", "value", "risk", "n",
+                                            "missing_left", "surr", "surr_feature", "xi"))
+    rules = _rule_tokens(tree.threshold, tree.nominal, tree.levels, tree.codes)
+    surr_rules = _rule_tokens(tree.surr_threshold, tree.surr_nominal, tree.surr_levels,
+                              tree.surr_codes)
+    lines = []
+    for i in range(len(feature)):
         if feature[i] < 0:
             lines += ["node %d leaf %s %d" % (i, fmt_float(value[i]), n[i]),
                       "info %d risk %s" % (i, fmt_float(risk[i]))]
             continue
         lines += ["node %d split %d %s left %d right %d"
-                  % (i, feature[i], _rule_token(nominal[i], threshold[i], levels[i]),
-                     ids[left[i]], ids[right[i]]),
+                  % (i, feature[i], rules[i], left[i], right[i]),
                   "info %d risk %s missing %s" % (i, fmt_float(risk[i]), "LR"[not missing_left[i]])]
-        lines += ["surrogate %d %d %s %s"
-                  % (i, surr_feature[j], _rule_token(surr_nominal[j], surr_threshold[j],
-                                                     surr_levels[j]), fmt_float(xi[j]))
-                  for j in range(first, first + count[i])]
-        first += count[i]
+        lines += ["surrogate %d %d %s %s" % (i, surr_feature[j], surr_rules[j], fmt_float(xi[j]))
+                  for j in range(surr[i], surr[i + 1])]
     return lines
-
-
-# Mask cells (rules x levels) a parsed tree may hold.
-_MAX_MASK_CELLS = 1 << 24
 
 
 def tree_from_lines(lines):
@@ -822,13 +866,13 @@ def tree_from_lines(lines):
                 infos[node_id] = (float(parts[3]), missing_left)
             elif kind == "surrogate":
                 surrogates.setdefault(node_id, []).append(
-                    (_parse_feature(parts[2]), _parse_rule(parts[3]), float(parts[4])))
+                    (_parse_feature(parts[2]),) + _parse_rule(parts[3]) + (float(parts[4]),))
             else:
                 raise ValueError("unrecognised line")
         except (ValueError, IndexError) as exc:
             raise ParseError("bad tree line %r: %s" % (line, exc)) from None
 
-    # Walk down from the root, so every child is listed after its parent.
+    # Walk down from the root in preorder, left subtree first.
     order = []
     index = {}
     stack = [0]
@@ -841,58 +885,32 @@ def tree_from_lines(lines):
         index[node_id] = len(order)
         order.append(node_id)
         if len(nodes[node_id]) == 4:
-            stack.extend(nodes[node_id][2:])
-    size = len(order)
-    feature, threshold, rules, left, right = [-1] * size, [np.nan] * size, [], [-1] * size, [-1] * size
-    value, n, risk, missing_left = [np.nan] * size, [0] * size, [], []
-    surr, surr_rows = [0], []
-    for i, node_id in enumerate(order):
+            stack += (nodes[node_id][3], nodes[node_id][2])
+    rules, surr_rules, surr, columns = [], [], [0], []
+    for node_id in order:
         entry = nodes[node_id]
-        node_risk, node_missing_left = infos.get(node_id, (np.nan, True))
-        risk.append(node_risk)
-        missing_left.append(node_missing_left)
+        risk, missing_left = infos.get(node_id, (np.nan, True))
         if len(entry) == 2:
-            value[i], n[i] = entry
-            rules.append(None)
+            rules.append((-1, np.nan, None))
+            columns.append((-1, -1, missing_left, entry[0], risk, entry[1]))
         else:
-            feature[i], token, left_id, right_id = entry
+            feature, token, left_id, right_id = entry
             try:
-                threshold[i], levels = _parse_rule(token)
+                rules.append((feature,) + _parse_rule(token))
             except ValueError as exc:
                 raise ParseError("bad split rule %r: %s" % (token, exc)) from None
-            rules.append(levels)
-            left[i], right[i] = index[left_id], index[right_id]
-            surr_rows += surrogates.get(node_id, ())
-        surr.append(len(surr_rows))
-    for i in reversed(range(size)):
+            columns.append((index[left_id], index[right_id], missing_left, np.nan, risk, 0))
+            surr_rules += surrogates.get(node_id, ())
+        surr.append(len(surr_rules))
+    left, right, missing_left, value, risk, n = (list(c) for c in zip(*columns))
+    for i in reversed(range(len(order))):
         if left[i] >= 0:
             n[i] = n[left[i]] + n[right[i]]
-    surr_feature = [f for f, _rule, _xi in surr_rows]
-    surr_threshold = [t for _f, (t, _levels), _xi in surr_rows]
-    surr_sets = [levels for _f, (_t, levels), _xi in surr_rows]
-    width = 1 + max((max(s) for s in rules + surr_sets if s), default=-1)
-    if (size + len(surr_sets)) * width > _MAX_MASK_CELLS:
-        raise ParseError("level sets up to level %d need more than %d mask cells"
-                         % (width - 1, _MAX_MASK_CELLS))
-    return Tree(roots=np.zeros(1, dtype=np.intp), feature=np.array(feature),
-                threshold=np.array(threshold), nominal=np.array([r is not None for r in rules]),
-                levels=_level_masks(rules, width),
-                left=np.array(left), right=np.array(right), missing_left=np.array(missing_left),
-                value=np.array(value), risk=np.array(risk), n=np.array(n), surr=np.array(surr),
-                surr_feature=np.array(surr_feature, dtype=int),
-                surr_threshold=np.array(surr_threshold, dtype=float),
-                surr_nominal=np.array([s is not None for s in surr_sets], dtype=bool),
-                surr_levels=_level_masks(surr_sets, width),
-                xi=np.array([x for _f, _rule, x in surr_rows], dtype=float))
-
-
-def _level_masks(sets, width):
-    """The (rule x level) mask of the left level sets of parsed rules (None
-    for a continuous rule)."""
-    mask = np.zeros((len(sets), width), dtype=bool)
-    rows = [i for i, s in enumerate(sets) if s for _level in s]
-    mask[rows, [level for s in sets if s for level in s]] = True
-    return mask
+    return Tree(np.zeros(1, dtype=np.intp), *_rule_columns(rules), np.array(left),
+                np.array(right), np.array(missing_left), np.array(value, dtype=float),
+                np.array(risk, dtype=float), np.array(n), np.array(surr),
+                *_rule_columns([s[:3] for s in surr_rules]),
+                np.array([s[3] for s in surr_rules], dtype=float))
 
 
 def to_text(tree):

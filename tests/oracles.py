@@ -173,27 +173,29 @@ def best_level_association(codes, best_left):
     return best
 
 
-def _goes_left(nominal, threshold, levels, value):
+def _goes_left(nominal, threshold, codes, value):
     if nominal:
-        return int(value) in set(np.flatnonzero(levels).tolist())
+        return int(value) in set(codes.tolist())
     return value < threshold
 
 
 def predict_one_row(t, x):
     """Leaf value of one input vector (nan marks missing) in a one-tree
-    table, walking it node by node: the rule when the row observes its
-    feature, else the first surrogate that the row observes, else the
-    majority direction."""
-    node = int(t.roots[0])
+    table, walking it node by node from its root: the rule when the row
+    observes its feature, else the first surrogate that the row observes,
+    else the majority direction."""
+    node = 0
     while t.left[node] >= 0:
         feature = t.feature[node]
         left = bool(t.missing_left[node])
         if not math.isnan(x[feature]):
-            left = _goes_left(t.nominal[node], t.threshold[node], t.levels[node], x[feature])
+            left = _goes_left(t.nominal[node], t.threshold[node],
+                              t.codes[t.levels[node]:t.levels[node + 1]], x[feature])
         else:
             for s in range(t.surr[node], t.surr[node + 1]):
                 if not math.isnan(x[t.surr_feature[s]]):
-                    left = _goes_left(t.surr_nominal[s], t.surr_threshold[s], t.surr_levels[s],
+                    left = _goes_left(t.surr_nominal[s], t.surr_threshold[s],
+                                      t.surr_codes[t.surr_levels[s]:t.surr_levels[s + 1]],
                                       x[t.surr_feature[s]])
                     break
         node = t.left[node] if left else t.right[node]
@@ -275,7 +277,7 @@ def _route(x, idx, rule, missing_left, surrogates):
     return left
 
 
-def _table(nodes, width):
+def _table(nodes):
     """The Tree of reference nodes listed in preorder: each a leaf (value,
     n, risk) or a split [rule, missing_left, surrogates, risk, n, left id,
     right id]."""
@@ -283,18 +285,19 @@ def _table(nodes, width):
     split = [i for i, node in enumerate(nodes) if len(node) == 7]
     surrs = [(i, surr, xi) for i in split for surr, xi in nodes[i][2]]
 
-    def masks(rules):
-        mask = np.zeros((len(rules), width), dtype=bool)
-        for row, (_f, _t, levels) in enumerate(rules):
-            mask[row, list(levels or ())] = True
-        return mask
+    def levels(rules):
+        sets = [sorted(r[2] or ()) for r in rules]
+        return (np.concatenate([[0], np.cumsum([len(s) for s in sets])]).astype(int),
+                np.array([c for s in sets for c in s], dtype=int))
 
     rules = [nodes[i][0] if i in split else (-1, float("nan"), None) for i in range(size)]
     counts = [sum(1 for j, _s, _x in surrs if j == i) for i in range(size)]
+    node_levels, codes = levels(rules)
+    surr_levels, surr_codes = levels([s for _i, s, _x in surrs])
     return tree.Tree(
         roots=np.zeros(1, dtype=int), feature=np.array([r[0] for r in rules]),
         threshold=np.array([r[1] for r in rules]),
-        nominal=np.array([r[2] is not None for r in rules]), levels=masks(rules),
+        nominal=np.array([r[2] is not None for r in rules]), levels=node_levels, codes=codes,
         left=np.array([nodes[i][5] if i in split else -1 for i in range(size)]),
         right=np.array([nodes[i][6] if i in split else -1 for i in range(size)]),
         missing_left=np.array([i in split and nodes[i][1] for i in range(size)]),
@@ -305,7 +308,7 @@ def _table(nodes, width):
         surr_feature=np.array([s[0] for _i, s, _x in surrs], dtype=int),
         surr_threshold=np.array([s[1] for _i, s, _x in surrs], dtype=float),
         surr_nominal=np.array([s[2] is not None for _i, s, _x in surrs], dtype=bool),
-        surr_levels=masks([s for _i, s, _x in surrs]),
+        surr_levels=surr_levels, surr_codes=surr_codes,
         xi=np.array([x for _i, _s, x in surrs], dtype=float))
 
 
@@ -404,8 +407,6 @@ class PreorderGrower:
         self.p = x.shape[1]
         n = y.size
         self.budget = stop.max_splits if stop.max_splits is not None else max(n - 1, 0)
-        codes = [x[:, j][~np.isnan(x[:, j])] for j in range(self.p) if self.nominal[j]]
-        self.width = int(max((c.max() for c in codes if c.size), default=-1)) + 1
 
     def grow(self):
         """The Tree over all rows. Nodes are grown in preorder, left subtree
@@ -426,7 +427,7 @@ class PreorderGrower:
             stack.append((idx[~left], len(nodes), 6))
             stack.append((idx[left], len(nodes), 5))
             nodes.append([rule, missing_left, surrogates, risk, idx.size, None, None])
-        return _table(nodes, self.width)
+        return _table(nodes)
 
     def _split(self, idx):
         """A leaf (value, n, risk) for the rows idx, or (rule, missing_left,

@@ -385,6 +385,26 @@ def test_an_ensemble_without_trees_is_a_parse_error():
         ensemble.from_text("ensemble v1\nkind bagged\nT 0\nlambda -\nseed 0\nfeature 0 x\n")
 
 
+def test_large_level_codes_cost_memory_in_proportion_to_the_text():
+    # Every tree lists one level code of a million; a table that held a
+    # (rule x level) mask would need about 3 MB per tree, 60 MB in all.
+    lines = ["ensemble v1", "kind bagged", "T 20", "lambda -", "seed 0", "feature 0 c"]
+    for t in range(20):
+        lines += ["tree %d" % t, "node 0 split 0 in:%d left 1 right 2" % (999_980 + t),
+                  "node 1 leaf %d 1" % t, "node 2 leaf -1 1"]
+    text = "\n".join(lines) + "\n"
+    tracemalloc.start()
+    try:
+        model = ensemble.from_text(text)
+        x = np.array([[999_980.0], [999_999.0], [3.0], [np.nan]])
+        pred = ensemble.predict_batch(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert list(pred) == [(0 - 19) / 20, (19 - 19) / 20, -1.0, 9.5]
+
+
 @pytest.mark.parametrize(
     "edit",
     [

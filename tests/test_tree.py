@@ -23,16 +23,15 @@ def small_stop(**kw):
 
 
 def is_leaf(t):
-    return t.left[t.roots[0]] < 0
+    return t.left[0] < 0
 
 
 def root_gain(t):
-    root = t.roots[0]
-    return t.risk[root] - t.risk[t.left[root]] - t.risk[t.right[root]]
+    return t.risk[0] - t.risk[t.left[0]] - t.risk[t.right[0]]
 
 
 def root_levels(t):
-    return tuple(np.flatnonzero(t.levels[t.roots[0]]).tolist())
+    return tuple(t.codes[t.levels[0]:t.levels[1]].tolist())
 
 
 def test_single_obvious_split():
@@ -281,8 +280,9 @@ def test_nominal_surrogate_is_the_best_level_set(seed, n_levels, n):
     assert t.surr[1] == 1
     xi = t.xi[0]
     assert t.surr_nominal[0] and xi == pytest.approx(best, rel=1e-9)
-    levels = set(np.flatnonzero(t.surr_levels[0]).tolist())
-    assert xi == dc.association(ds, (0, t.threshold[0]), (t.surr_feature[0], levels))
+    levels = t.surr_codes[t.surr_levels[0]:t.surr_levels[1]].tolist()
+    assert xi == dc.association(ds, (0, t.threshold[0], None),
+                                (t.surr_feature[0], np.nan, levels))
 
 
 @settings(max_examples=60, deadline=None)
@@ -391,7 +391,7 @@ def test_association_of_perfect_and_inverted_mimics():
         [0.0, 0.0, 1.0, 1.0],
         names=["a", "b", "anti"],
     )
-    best, agree, invert = (0, 0.5), (1, 0.5), (2, 0.5)
+    best, agree, invert = (0, 0.5, None), (1, 0.5, None), (2, 0.5, None)
     assert dc.association(ds, best, agree) == pytest.approx(1.0)
     assert dc.association(ds, best, invert) == pytest.approx(-1.0)
 
@@ -411,7 +411,7 @@ def test_association_excludes_rows_missing_either_feature():
             [False, False, False],
         ],
     )
-    best, cand = (0, 0.5), (1, 0.5)
+    best, cand = (0, 0.5, None), (1, 0.5, None)
     # only 3 rows count: halves are 1/3 and 2/3, and the candidate agrees
     # everywhere, so the association is 1
     assert dc.association(ds, best, cand) == pytest.approx(1.0)
@@ -419,7 +419,7 @@ def test_association_excludes_rows_missing_either_feature():
 
 def test_association_undefined_for_one_sided_rule():
     ds = continuous_ds([[0.0, 0.5], [1.0, 0.5]], [0.0, 1.0], names=["a", "b"])
-    one_sided, cand = (0, 5.0), (1, 0.5)
+    one_sided, cand = (0, 5.0, None), (1, 0.5, None)
     with pytest.raises(DuracastError) as err:
         dc.association(ds, one_sided, cand)
     assert err.value.code == "undefined-association"
@@ -486,7 +486,7 @@ LEAF_LINES = "node 1 leaf 0 1\nnode 2 leaf 1 1\n"
         pytest.param("node 0 split 0 in:a|b left 1 right 2\n" + LEAF_LINES, id="bad-levels"),
         pytest.param("node 0 split 0 in:0|-1 left 1 right 2\n" + LEAF_LINES,
                      id="negative-level"),
-        pytest.param("node 0 split 0 in:99999999 left 1 right 2\n" + LEAF_LINES,
+        pytest.param("node 0 split 0 in:2147483648 left 1 right 2\n" + LEAF_LINES,
                      id="huge-level"),
         pytest.param("node 0 split 0 0.5 left 1 right 2\n" + LEAF_LINES + "surrogate 0 1\n",
                      id="short-surrogate"),
@@ -532,6 +532,23 @@ def test_deep_trees_parse_walk_and_route_without_recursion():
     assert list(dc.predict_batch(t, x)) == [0.0, 11.0, float(depth)]
     again = tree.from_text(tree.to_text(t))
     assert list(dc.predict_batch(again, x)) == [0.0, 11.0, float(depth)]
+
+
+def test_a_tree_grown_on_a_wide_nominal_reloads():
+    rng = np.random.Generator(np.random.PCG64(5))
+    n = 1200
+    codes = rng.permutation(n).astype(float)
+    x0 = rng.normal(size=n)
+    cols = [("x", "continuous", "input"),
+            ("c", "nominal", "input", tuple("v%d" % v for v in range(n))),
+            ("y", "continuous", "target")]
+    ds = make_ds(cols, np.column_stack([x0, codes, codes % 7 + 0.1 * x0]))
+    t = dc.grow(ds, stop=small_stop(surrogates=3))
+    assert t.nominal.any() and t.surr_nominal.any()
+    again = tree.from_text(tree.to_text(t))
+    assert tree.to_text(again) == tree.to_text(t)
+    x = ds.input_matrix()
+    assert np.array_equal(dc.predict_batch(again, x), dc.predict_batch(t, x))
 
 
 def test_predict_batch_rejects_inputs_narrower_than_the_splits():
