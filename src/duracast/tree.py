@@ -50,7 +50,7 @@ sets a recursion depth.
 """
 
 import functools
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -176,9 +176,10 @@ def join(trees):
     return Tree(**columns)
 
 
-def _subtable(table, rows):
-    """The table of the given node rows of table, in that order; left and
-    right are copied as they are."""
+def _subtable(table, rows, **columns):
+    """The one-tree table of the given node rows of table, in that order,
+    with the given columns in place of theirs; left and right are copied as
+    they are."""
     def pick(at, picked):
         counts = (at[1:] - at[:-1])[picked]
         return _offsets(counts), _ranges(at[picked], counts)
@@ -186,30 +187,12 @@ def _subtable(table, rows):
     surr, s = pick(table.surr, rows)
     levels, c = pick(table.levels, rows)
     surr_levels, sc = pick(table.surr_levels, s)
-    node = {name: getattr(table, name)[rows] for name in (
+    node = {name: columns[name] if name in columns else getattr(table, name)[rows] for name in (
         "feature", "threshold", "nominal", "left", "right", "missing_left", "value", "risk", "n")}
     return Tree(roots=np.zeros(1, dtype=np.intp), levels=levels, codes=table.codes[c], surr=surr,
                 surr_feature=table.surr_feature[s], surr_threshold=table.surr_threshold[s],
                 surr_nominal=table.surr_nominal[s], surr_levels=surr_levels,
                 surr_codes=table.surr_codes[sc], xi=table.xi[s], **node)
-
-
-def _split(table, cuts):
-    """The one-tree tables of the runs of node rows of table that start at
-    row 0 and at each row in cuts."""
-    bounds = [0] + cuts.tolist() + [table.feature.size]
-    surr, levels, surr_levels = table.surr, table.levels, table.surr_levels
-    trees = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        s, e = int(surr[a]), int(surr[b])
-        trees.append(Tree(
-            np.zeros(1, dtype=np.intp), table.feature[a:b], table.threshold[a:b],
-            table.nominal[a:b], levels[a:b + 1] - levels[a], table.codes[levels[a]:levels[b]],
-            table.left[a:b], table.right[a:b], table.missing_left[a:b], table.value[a:b],
-            table.risk[a:b], table.n[a:b], surr[a:b + 1] - s, table.surr_feature[s:e],
-            table.surr_threshold[s:e], table.surr_nominal[s:e], surr_levels[s:e + 1] - surr_levels[s],
-            table.surr_codes[surr_levels[s]:surr_levels[e]], table.xi[s:e]))
-    return trees
 
 
 # Cells (features x nodes x rows) of a padded block; a larger node gets its own.
@@ -339,14 +322,15 @@ class _Grower:
         budget = np.array([max(s.size - 1, 0) if stop.max_splits is None else stop.max_splits
                            for s in samples])
         # The pending nodes: their rows one after another, and per node its
-        # row count, tree, parent (-1 at a root) and side. Children join
-        # right before left, so a tree's last pending node is its next in
-        # preorder.
+        # row count, tree, parent (-1 at a root), side and depth. Children
+        # join right before left, so a tree's last pending node is its next
+        # in preorder.
         rows = np.concatenate(samples)
         sizes = np.array([s.size for s in samples])
         trees = np.arange(len(samples))
         parent = np.full(len(samples), -1)
         is_left = np.zeros(len(samples), dtype=bool)
+        depth = np.zeros(len(samples), dtype=np.intp)
         nodes, splits, made = [], [], 0
         while sizes.size:
             take = np.ones(sizes.size, dtype=bool)
@@ -356,12 +340,13 @@ class _Grower:
             starts = np.cumsum(sizes) - sizes
             frontier = rows[_ranges(starts[take], sizes[take])]
             rows = rows[_ranges(starts[~take], sizes[~take])]
-            here, there = sizes[take], trees[take]
+            here, there, level = sizes[take], trees[take], depth[take]
             ids = made + np.arange(here.size)
             made += here.size
             value, risk, yc = self._stats(frontier, here)
-            nodes.append((there, parent[take], is_left[take], value, risk, here))
-            sizes, trees, parent, is_left = sizes[~take], trees[~take], parent[~take], is_left[~take]
+            nodes.append((there, parent[take], is_left[take], level, value, risk, here))
+            sizes, trees, parent, is_left, depth = (
+                a[~take] for a in (sizes, trees, parent, is_left, depth))
             open_ = np.flatnonzero((here >= stop.min_branch) & (here >= 2 * stop.min_leaf)
                                    & (risk > 0.0) & (budget[there] > 0))
             cand = None
@@ -381,14 +366,15 @@ class _Grower:
             trees = np.concatenate([trees, there[at], there[at]])
             parent = np.concatenate([parent, ids[at], ids[at]])
             is_left = np.concatenate([is_left, np.arange(2 * at.size) >= at.size])
+            depth = np.concatenate([depth, level[at] + 1, level[at] + 1])
         return self._tables(len(samples), nodes, splits)
 
     def _tables(self, n_trees, nodes, splits):
         """One Tree per tree from the record of a growth: per frontier, each
-        node's (tree, parent, side, value, risk, n), and the tables of its
+        node's (tree, parent, side, depth, value, risk, n), and the tables of its
         splits with the node of each of their rows (-1: a rule that did not
         split its node)."""
-        tree_of, parent, is_left, value, risk, n = (np.concatenate(c) for c in zip(*nodes))
+        tree_of, parent, is_left, depth, value, risk, n = (np.concatenate(c) for c in zip(*nodes))
         size = tree_of.size
         node = np.concatenate([np.zeros(0, dtype=np.intp)] + [s[0] for s in splits])
         rules = join([t for _node, tables in splits for t in tables] + [_LEAF])
@@ -400,24 +386,21 @@ class _Grower:
         left[parent[child[side]]] = child[side]
         right[parent[child[~side]]] = child[~side]
         # Each node's preorder position in its tree: a left child follows its
-        # parent, a right child its left sibling's subtree. A frontier holds
-        # only children of earlier ones.
-        ends = np.cumsum([c[0].size for c in nodes]).tolist()
-        bounds = list(zip([0] + ends[:-1], ends))
+        # parent, a right child its left sibling's subtree. Subtree sizes add
+        # up, and positions pass down, one depth at a time.
+        by_depth = np.split(np.argsort(depth, kind="stable"), np.cumsum(np.bincount(depth))[:-1])
         subtree = np.ones(size, dtype=np.intp)
-        for a, b in reversed(bounds):
-            kids = a + np.flatnonzero(parent[a:b] >= 0)
+        for kids in by_depth[:0:-1]:
             np.add.at(subtree, parent[kids], subtree[kids])
         pos = np.zeros(size, dtype=np.intp)
-        for a, b in bounds:
-            kids = a + np.flatnonzero(parent[a:b] >= 0)
+        for kids in by_depth[1:]:
             up = parent[kids]
             pos[kids] = pos[up] + 1 + np.where(is_left[kids], 0, subtree[left[up]])
+        left, right = np.where(left >= 0, pos[left], -1), np.where(right >= 0, pos[right], -1)
         order = np.lexsort((pos, tree_of))
-        table = replace(_subtable(rules, row[order]), value=value[order], risk=risk[order],
-                        n=n[order], left=np.where(left >= 0, pos[left], -1)[order],
-                        right=np.where(right >= 0, pos[right], -1)[order])
-        return _split(table, np.cumsum(np.bincount(tree_of, minlength=n_trees))[:-1])
+        ends = np.cumsum(np.bincount(tree_of, minlength=n_trees))[:-1]
+        return [_subtable(rules, row[o], value=value[o], risk=risk[o], n=n[o], left=left[o],
+                          right=right[o]) for o in np.split(order, ends)]
 
     def _stats(self, rows, sizes):
         """(value, risk, centred targets) of each node of a frontier, its
@@ -769,12 +752,6 @@ def association(ds, best_rule, candidate_rule):
     if denom == 0:
         raise UndefinedAssociation("the best rule does not divide the included rows")
     return (denom - (n - agree)) / denom
-
-
-def iter_nodes(tree):
-    """The node rows of a one-tree table in preorder, left subtree first:
-    all of them, in order; a node's row is its id in the serialized form."""
-    return list(range(tree.feature.size))
 
 
 def tree_features(tree):

@@ -174,11 +174,11 @@ def test_splits_do_not_depend_on_the_target_offset(offset):
     stop = dc.StoppingCriteria(min_leaf=1, min_branch=10, surrogates=0)
     base = dc.grow(continuous_ds(x, y), stop=stop)
     moved = dc.grow(continuous_ds(x, y + offset), stop=stop)
-    assert len(tree.iter_nodes(base)) > 50
+    assert base.feature.size > 50
 
     def shape(t):
         return [(t.feature[i], t.threshold[i], t.missing_left[i]) if t.left[i] >= 0 else t.n[i]
-                for i in tree.iter_nodes(t)]
+                for i in range(t.feature.size)]
 
     assert shape(moved) == shape(base)
 
@@ -527,7 +527,7 @@ def test_deep_trees_parse_walk_and_route_without_recursion():
     lines.append("node %d leaf %d 1" % (2 * depth, depth))
     text = "\n".join(lines) + "\n"
     t = tree.from_text(text)
-    assert len(tree.iter_nodes(t)) == 2 * depth + 1
+    assert t.feature.size == 2 * depth + 1
     x = np.array([[-1.0], [10.5], [depth + 1.0]])
     assert list(dc.predict_batch(t, x)) == [0.0, 11.0, float(depth)]
     again = tree.from_text(tree.to_text(t))
