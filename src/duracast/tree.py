@@ -148,7 +148,7 @@ def _rule_columns(rules):
     """The columns (feature, threshold, nominal, levels, codes) of rules
     given as (feature, threshold, left levels or None for a continuous
     rule)."""
-    sets = [sorted(set(levels or ())) for _feature, _threshold, levels in rules]
+    sets = [sorted(set(levels)) if levels else () for _feature, _threshold, levels in rules]
     return (np.array([r[0] for r in rules], dtype=np.intp),
             np.array([r[1] for r in rules], dtype=float),
             np.array([r[2] is not None for r in rules], dtype=bool),
