@@ -449,9 +449,12 @@ class _Grower:
     def _rank_nominal(self, x, feature, weights, within=None, highest_first=False):
         """Rank the levels of each row x[c, k] on a nominal feature[c, k] in
         place by weights[k]. Returns the row of (c, k) in the ranks of the
-        levels of those rows (-1 where not nominal), and those ranks."""
+        levels of those rows (-1 where not nominal), and those ranks (None
+        when no cell is nominal)."""
         cell = np.full(feature.shape, -1)
         c, k = np.nonzero(self.nominal[feature])
+        if not c.size:
+            return cell, None
         cell[c, k] = np.arange(c.size)
         codes = x[c, k]
         ranked = _rank_levels(codes, weights[k], None if within is None else within[k],
@@ -464,6 +467,9 @@ class _Grower:
         on feature at the kernel's thresholds; a nominal rule sends left the
         levels ranked at most its threshold in row cell of ranked."""
         nominal = self.nominal[feature]
+        if not nominal.any():
+            none = np.zeros(feature.size + 1, dtype=np.intp)
+            return threshold, nominal, none, none[:0]
         left = ranked[cell[nominal]] <= threshold[nominal, None]
         count = np.zeros(feature.size, dtype=np.intp)
         count[nominal] = left.sum(axis=1)
@@ -647,7 +653,9 @@ def predict(tree, x):
 def _level_keys(levels, codes):
     """One key rule * width + code per level code a rule lists, sorted since
     each rule's codes are, and width, above every code."""
-    width = int(codes.max(initial=0)) + 1
+    if not codes.size:
+        return codes, 1
+    width = int(codes.max()) + 1
     return np.repeat(np.arange(levels.size - 1), np.diff(levels)) * width + codes, width
 
 
