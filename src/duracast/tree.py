@@ -468,8 +468,8 @@ class _Grower:
         levels ranked at most its threshold in row cell of ranked."""
         nominal = self.nominal[feature]
         if not nominal.any():
-            none = np.zeros(feature.size + 1, dtype=np.intp)
-            return threshold, nominal, none, none[:0]
+            levels = np.zeros(feature.size + 1, dtype=np.intp)
+            return threshold, nominal, levels, levels[:0]
         left = ranked[cell[nominal]] <= threshold[nominal, None]
         count = np.zeros(feature.size, dtype=np.intp)
         count[nominal] = left.sum(axis=1)
