@@ -237,12 +237,20 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _build_parser():
-    """One subparser per command, with --out, --seed and a flag per knob."""
+def _build_parser(argv=()):
+    """One subparser per command, with --out, --seed and a flag per knob.
+
+    Every command gets its subparser, so the command list and its errors
+    stay whole, but when argv names a command first only that command gets
+    its flags: the others would not be parsed.
+    """
     parser = _Parser(prog="duracast", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
+    only = argv[0] if argv and argv[0] in _HELP else None
     for command, help_text in _HELP.items():
         p = sub.add_parser(command, help=help_text, description=help_text)
+        if only not in (None, command):
+            continue
         defaults = _knob_defaults(command)
         for key in ["out", "seed"] + [k for k in defaults if (command, k) not in _UNFLAGGED]:
             kwargs = dict(_FLAGS[key])
@@ -431,7 +439,8 @@ def run_cli(argv=None):
 
     A command that succeeds leaves its run configuration in config.json.
     """
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
         if not args.command:

@@ -166,43 +166,53 @@ def with_params(net, theta):
     return MlpNetwork(net.sizes, tuple(weights), tuple(biases), net.activations)
 
 
-def jacobian(net, x):
+def jacobian(net, x, trace=None):
     """Jacobian of the outputs with respect to every weight and bias.
 
     Rows are ordered sample-major, output-minor, matching
-    (forward(net, x) - y).ravel(); columns follow flatten_params.
+    (forward(net, x) - y).ravel(); columns follow flatten_params. trace is
+    _forward_trace(net, x) when the caller already has it. The blocks are
+    written into the one result array.
     """
-    x = np.asarray(x, dtype=float)
-    outputs = _forward_trace(net, x)
-    n = x.shape[0]
+    outputs = _forward_trace(net, np.asarray(x, dtype=float)) if trace is None else trace
+    n, n_out = outputs[0].shape[0], net.n_out
     n_layers = len(net.sizes) - 1
     derivs = [
         net.activations[l].deriv_from_output(outputs[l + 1]) for l in range(n_layers)
     ]
-    blocks = []
-    for m in range(net.n_out):
-        sens = np.zeros((n, net.n_out))
+    j = np.empty((n, n_out, net.n_params))
+    for m in range(n_out):
+        sens = np.zeros((n, n_out))
         sens[:, m] = derivs[-1][:, m]
         layer_sens = [None] * n_layers
         layer_sens[-1] = sens
         for l in range(n_layers - 2, -1, -1):
-            sens = (sens @ net.weights[l + 1]) * derivs[l]
+            sens = sens @ net.weights[l + 1]
+            sens *= derivs[l]
             layer_sens[l] = sens
-        cols = []
+        col = 0
         for l in range(n_layers):
-            s = layer_sens[l]
-            z_prev = outputs[l]
-            gw = s[:, :, None] * z_prev[:, None, :]
-            cols.append(gw.reshape(n, -1))
-            cols.append(s)
-        blocks.append(np.concatenate(cols, axis=1))
-    j = np.stack(blocks, axis=1)
-    return j.reshape(n * net.n_out, -1)
+            s, z_prev = layer_sens[l], outputs[l]
+            fan_out, fan_in = net.weights[l].shape
+            # A view: the reshape only splits the slice's contiguous last axis.
+            block = j[:, m, col : col + fan_out * fan_in].reshape(n, fan_out, fan_in)
+            np.einsum("nh,ni->nhi", s, z_prev, out=block)
+            col += fan_out * fan_in
+            j[:, m, col : col + fan_out] = s
+            col += fan_out
+    return j.reshape(n * n_out, -1)
 
 
 @dataclass
 class LmState:
-    """Damping schedule and stopping limits for Levenberg-Marquardt."""
+    """Damping schedule and stopping limits for Levenberg-Marquardt.
+
+    train_lm leaves mu at the final damping and stop at the reason it
+    stopped: "max_epochs" (every epoch ran), "patience" (the validation
+    error rose patience times in a row), "mu_max" (no step lowered the
+    error before mu passed mu_max) or "step_tol" (the accepted step was
+    shorter than step_tol).
+    """
 
     mu: float = 1e-3
     mu_inc: float = 10.0
@@ -211,6 +221,7 @@ class LmState:
     max_epochs: int = 200
     patience: int = 6
     step_tol: float = 1e-10
+    stop: str = None
 
 
 @dataclass(frozen=True)
@@ -246,11 +257,15 @@ def train_lm(net, train, validation=None, state=None):
         train: (X, Y) arrays.
         validation: optional (X, Y); enables early stopping and decides the
             returned weights (epoch of minimum validation error).
-        state: LmState; its mu is left at the final damping.
+        state: LmState; its mu is left at the final damping and its stop
+            at the reason training stopped.
 
     Returns:
         (trained network, history) where history is a list of EpochRecord
         starting with the untrained epoch 0.
+
+    Each epoch builds one n·n_out × P Jacobian. A candidate's forward trace
+    scores it, and the accepted one's feeds the next epoch's Jacobian.
     """
     state = state or LmState()
     x, y = _shape_xy(train, net.n_in, net.n_out)
@@ -261,11 +276,12 @@ def train_lm(net, train, validation=None, state=None):
     theta = flatten_params(net)
     current = with_params(net, theta)
 
-    def sse_of(network, xs, ys):
-        r = (forward(network, xs) - ys).ravel()
-        return r, float(r @ r)
+    def scored(network):
+        trace = _forward_trace(network, x)
+        r = (trace[-1] - y).ravel()
+        return trace, r, float(r @ r)
 
-    r, sse = sse_of(current, x, y)
+    trace, r, sse = scored(current)
     if not np.isfinite(sse):
         raise Divergence("initial loss is not finite")
     n_train = x.shape[0] * net.n_out
@@ -273,8 +289,8 @@ def train_lm(net, train, validation=None, state=None):
     def val_mse_of(network):
         if not has_val:
             return float("nan")
-        rv, sse_v = sse_of(network, xv, yv)
-        return sse_v / rv.size
+        rv = (forward(network, xv) - yv).ravel()
+        return float(rv @ rv) / rv.size
 
     mu = state.mu
     history = [EpochRecord(0, sse / n_train, val_mse_of(current), mu)]
@@ -282,11 +298,13 @@ def train_lm(net, train, validation=None, state=None):
     best_theta = theta.copy()
     fails = 0
     prev_val = best_val
+    state.stop = None
 
     for epoch in range(1, state.max_epochs + 1):
-        j = jacobian(current, x)
+        j = jacobian(current, x, trace)
         g = j.T @ r
         a = j.T @ j
+        del j  # so that the next epoch's Jacobian is the only one alive
         identity = np.eye(theta.size)
         accepted = False
         while True:
@@ -301,11 +319,11 @@ def train_lm(net, train, validation=None, state=None):
                 continue
             cand_theta = theta - step
             cand_net = with_params(net, cand_theta)
-            r_new, sse_new = sse_of(cand_net, x, y)
+            cand_trace, r_new, sse_new = scored(cand_net)
             if not np.isfinite(sse_new):
                 raise Divergence("loss became non-finite during training")
             if sse_new < sse:
-                theta, current, r, sse = cand_theta, cand_net, r_new, sse_new
+                theta, current, trace, r, sse = cand_theta, cand_net, cand_trace, r_new, sse_new
                 mu = max(mu / state.mu_dec, 1e-20)
                 accepted = True
                 break
@@ -313,6 +331,7 @@ def train_lm(net, train, validation=None, state=None):
             if mu > state.mu_max:
                 break
         if not accepted:
+            state.stop = "mu_max"
             break
 
         val = val_mse_of(current)
@@ -325,12 +344,16 @@ def train_lm(net, train, validation=None, state=None):
             elif val > prev_val:
                 fails += 1
                 if fails >= state.patience:
+                    state.stop = "patience"
                     break
             else:
                 fails = 0
             prev_val = val
         if float(np.linalg.norm(step)) < state.step_tol:
+            state.stop = "step_tol"
             break
+    else:
+        state.stop = "max_epochs"
 
     state.mu = mu
     final = with_params(net, best_theta) if has_val else current
@@ -476,11 +499,21 @@ def narx_predict(model, u, y, horizon, mode=None):
     if mode == "open" and np.any(np.isnan(y_s[start:length - 1])):
         raise InsufficientHistory("open-loop prediction needs measured outputs across the span")
     # Closed loop writes each prediction into the delay buffer of outputs.
+    # Each step fills one delay row [u(t-1) ... u(t-q), y(t-1) ... y(t-q)]
+    # and evaluates the layers on it as forward does; the model's wiring
+    # already fixed the row's arity at 2q.
     buffer = y_s.copy()
     preds = np.empty(horizon)
+    layers = [(w.T, b, act.apply) for w, b, act in
+              zip(model.net.weights, model.net.biases, model.net.activations)]
+    row = np.empty((1, 2 * q))
     for k, t in enumerate(range(start, length)):
-        x = np.concatenate((u_s[t - q:t][::-1], buffer[t - q:t][::-1]))
-        preds[k] = forward(model.net, x)[0]
+        row[0, :q] = u_s[t - q:t][::-1]
+        row[0, q:] = buffer[t - q:t][::-1]
+        z = row
+        for wt, b, apply in layers:
+            z = apply(z @ wt + b)
+        preds[k] = z[0, 0]
         if mode == "closed":
             buffer[t] = preds[k]
     return _unscale(preds, model.y_bounds)

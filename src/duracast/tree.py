@@ -537,10 +537,11 @@ class _Grower:
         seen = ~miss[c, ks]
         i, w = np.nonzero(seen)
         left = np.zeros(seen.shape, dtype=bool)
-        left[i, w] = _rule_left(self.xt[f[i], rows[i, w]], i, rule[0], rule[1],
-                                _level_keys(*rule[2:]))
+        keys = _level_keys(*rule[2:])
+        left[i, w] = _rule_left(self.xt[f[i], rows[i, w]], i, rule[0], rule[1], keys)
         missing_left = 2 * left.sum(axis=1) >= seen.sum(axis=1)
         count, *surrogates = self._surrogates(self.ranks[:, rows], f, seen, left)
+        surr_keys = _level_keys(*surrogates[3:5])
         unset = np.zeros(ks.size)
         table = Tree(np.zeros(0, dtype=np.intp), f, *rule, np.full(ks.size, -1),
                      np.full(ks.size, -1), missing_left, unset, unset, unset, _offsets(count),
@@ -548,7 +549,7 @@ class _Grower:
         # A row that misses the rule's feature goes as the tree would route it.
         go = left
         i, w = np.nonzero(~seen & real[ks])
-        go[i, w] = _route_missing(table, self.xt.T, rows[i, w], i)
+        go[i, w] = _route_missing(table, self.xt.T, rows[i, w], i, surr_keys)
         go_left, go_right = go & real[ks], ~go & real[ks]
         n_left, n_right = go_left.sum(axis=1), go_right.sum(axis=1)
         ok = (n_left > 0) & (n_right > 0)
@@ -675,10 +676,11 @@ def _rule_left(v, rule, threshold, nominal, keys):
     return left
 
 
-def _route_missing(tree, x, row, node):
+def _route_missing(tree, x, row, node, keys):
     """Whether the rows x[row], each missing the feature of its node, go
     left: by the first surrogate of the node that the row observes, in rank
-    order, else by missing_left."""
+    order, else by missing_left. keys are the level keys of the tree's
+    surrogate rules (_level_keys)."""
     left = tree.missing_left.take(node)
     first, end = tree.surr.take(node), tree.surr.take(node + 1)
     pending, rank = np.arange(node.size), 0
@@ -689,7 +691,7 @@ def _route_missing(tree, x, row, node):
         v = x[row.take(pending), tree.surr_feature.take(s)]
         seen = ~np.isnan(v)
         left[pending[seen]] = _rule_left(v[seen], s[seen], tree.surr_threshold,
-                                         tree.surr_nominal, tree.keys[1])
+                                         tree.surr_nominal, keys)
         pending, rank = pending[~seen], rank + 1
     return left
 
@@ -732,7 +734,7 @@ def predict_batch(tree, x_matrix, trees=None):
         left = _rule_left(v, node, tree.threshold, tree.nominal, tree.keys[0])
         miss = np.isnan(v).nonzero()[0]
         if miss.size:
-            left[miss] = _route_missing(tree, x, row.take(miss), node.take(miss))
+            left[miss] = _route_missing(tree, x, row.take(miss), node.take(miss), tree.keys[1])
         node = np.where(left, tree.left.take(node), tree.right.take(node))
     return out
 

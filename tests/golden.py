@@ -17,7 +17,9 @@ The CLI fixtures are a seeded carbonation table with missing input cells
 (cli.train.csv), a complete scoring table (cli.score.csv) and a first-order
 series pair with and without gaps (cli.series_gaps.csv, cli.series.csv).
 cli.<run>.<file> are the outputs, config.json aside, that each run in
-CLI_RUNS wrote, including the model files of all five kinds. The runs that
+CLI_RUNS wrote, including the model files of all five kinds. cli.help.txt
+and cli.help.<command>.txt are the --help texts of duracast and of each
+command at 80 columns, as argparse of Python 3.11 formats them. The runs that
 read a model (predict, baseline, report) read the fixed model files in
 tests/data/models/ instead: the files `train` wrote before nominal levels
 were ranked by mean and sums were centred. They are inputs, so those runs
@@ -30,17 +32,26 @@ say which in CHANGES.md) with:
     PYTHONPATH=src python tests/golden.py
 """
 
+import contextlib
+import io
 import os
-import tempfile
 
-import numpy as np
+# Network results depend on the BLAS thread count; fix it before numpy loads
+# so the narx and mlp goldens do not depend on the host's core count.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
 
-import duracast as dc
-from duracast import ensemble, tree
-from duracast._io import fmt_float
-from duracast.cli import run_cli
+import tempfile  # noqa: E402
+from unittest import mock  # noqa: E402
 
-from helpers import make_ds
+import numpy as np  # noqa: E402
+
+import duracast as dc  # noqa: E402
+from duracast import ensemble, tree  # noqa: E402
+from duracast._io import fmt_float  # noqa: E402
+from duracast.cli import KNOBS, run_cli  # noqa: E402
+
+from helpers import make_ds  # noqa: E402
 
 SEEDS = (11, 12, 13)
 DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -313,6 +324,20 @@ def cli_artifacts(inputs_dir):
     return out
 
 
+def help_texts():
+    """{file name: text} of `duracast --help` and of each command's --help."""
+    out = {}
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        for command in (None,) + tuple(KNOBS):
+            argv = ["--help"] if command is None else [command, "--help"]
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.suppress(SystemExit):
+                run_cli(argv)
+            out["cli.help.txt" if command is None else "cli.help.%s.txt" % command] = (
+                stdout.getvalue())
+    return out
+
+
 def _write(name, text):
     with open(os.path.join(DATA_DIR, name), "w", newline="") as fh:
         fh.write(text)
@@ -329,6 +354,8 @@ def write_all():
     for name, make in CLI_INPUTS.items():
         _write(name, make())
     for name, text in cli_artifacts(DATA_DIR).items():
+        _write(name, text)
+    for name, text in help_texts().items():
         _write(name, text)
 
 

@@ -566,6 +566,51 @@ def jacobian_central_diff(net, x, h=1e-6):
     return out
 
 
+def jacobian_stacked(net, x):
+    """The analytic Jacobian built block by block: per output, per layer,
+    the outer products are formed, concatenated into a row block and the
+    blocks stacked. The same arithmetic as neural.jacobian, so the two agree
+    bit for bit."""
+    x = np.asarray(x, dtype=float)
+    outputs = [x]
+    for w, b, act in zip(net.weights, net.biases, net.activations):
+        outputs.append(act.apply(outputs[-1] @ w.T + b))
+    n, n_layers = x.shape[0], len(net.weights)
+    derivs = [net.activations[l].deriv_from_output(outputs[l + 1]) for l in range(n_layers)]
+    blocks = []
+    for m in range(net.n_out):
+        sens = np.zeros((n, net.n_out))
+        sens[:, m] = derivs[-1][:, m]
+        layer_sens = [None] * n_layers
+        layer_sens[-1] = sens
+        for l in range(n_layers - 2, -1, -1):
+            sens = (sens @ net.weights[l + 1]) * derivs[l]
+            layer_sens[l] = sens
+        cols = []
+        for l in range(n_layers):
+            s = layer_sens[l]
+            cols.append((s[:, :, None] * outputs[l][:, None, :]).reshape(n, -1))
+            cols.append(s)
+        blocks.append(np.concatenate(cols, axis=1))
+    return np.stack(blocks, axis=1).reshape(n * net.n_out, -1)
+
+
+def narx_predict_per_step(model, u, y, horizon, mode):
+    """narx_predict one step at a time through neural.forward, with a fresh
+    delay vector per step (no input checks)."""
+    q = model.q
+    u_s = neural._scale(np.asarray(u, dtype=float), model.u_bounds)
+    buffer = neural._scale(np.asarray(y, dtype=float), model.y_bounds).copy()
+    start = buffer.size - horizon
+    preds = np.empty(horizon)
+    for k, t in enumerate(range(start, buffer.size)):
+        x = np.concatenate((u_s[t - q:t][::-1], buffer[t - q:t][::-1]))
+        preds[k] = neural.forward(model.net, x)[0]
+        if mode == "closed":
+            buffer[t] = preds[k]
+    return neural._unscale(preds, model.y_bounds)
+
+
 def simulate_first_order(u, a=0.5, b=0.3, y0=0.0):
     """y(n+1) = a y(n) + b u(n) with y(0) = y0."""
     y = [float(y0)]

@@ -679,6 +679,23 @@ def test_each_subcommand_keeps_its_flags():
         assert " ".join(got) == FLAG_SURFACE[name], name
 
 
+_CHOICES = ("(choose from 'ingest', 'train', 'predict', 'crossval', 'importance', "
+            "'baseline', 'risk', 'report')")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "no command given; see --help"),
+    (["bogus", "--out", "x"], "argument command: invalid choice: 'bogus' " + _CHOICES),
+    (["--out", "x"], "argument command: invalid choice: 'x' " + _CHOICES),
+    (["risk", "--data", "x", "--out", "y"], "the following arguments are required: --series"),
+    (["train", "--out", "x", "--data", "d", "--schema", "s", "--series", "h"],
+     "unrecognized arguments: --series h"),
+])
+def test_a_command_line_error_names_what_is_wrong(capsys, argv, message):
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error:config-error:%s\n" % message
+
+
 def test_a_crossval_fold_without_complete_training_rows_is_a_shape_error(tmp_path, capsys):
     schema = tmp_path / "s.csv"
     schema.write_text("a,continuous,input\nb,continuous,input\ny,continuous,target\n")

@@ -108,6 +108,13 @@ def test_cli_outputs_match_the_golden_files():
         assert text == _read(name), name
 
 
+def test_help_texts_match_the_golden_files():
+    texts = golden.help_texts()
+    assert len(texts) == 9
+    for name, text in texts.items():
+        assert text == _read(name), name
+
+
 TRAIN_RUNS = ("train_tree", "train_bag", "train_boost", "train_mlp", "train_narx")
 
 

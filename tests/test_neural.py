@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,12 @@ import duracast as dc
 from duracast import neural
 from duracast.errors import Divergence, DomainError, InsufficientHistory, ShapeError
 
-from oracles import jacobian_central_diff, simulate_first_order
+from oracles import (
+    jacobian_central_diff,
+    jacobian_stacked,
+    narx_predict_per_step,
+    simulate_first_order,
+)
 
 
 def test_linear_activation_is_identity():
@@ -176,6 +182,49 @@ def test_jacobian_rows_follow_raveled_residual_order():
     assert np.allclose(j @ delta, change, atol=1e-12)
 
 
+_KINDS = (neural.LINEAR, neural.LOGISTIC, neural.TANH)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hidden=st.lists(st.integers(1, 6), max_size=2),
+    n_in=st.integers(1, 4),
+    n_out=st.integers(1, 3),
+    kinds=st.lists(st.sampled_from(_KINDS), min_size=3, max_size=3),
+    a=st.floats(0.3, 3.0),
+    n=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_jacobian_equals_the_stacked_blocks_bit_for_bit(hidden, n_in, n_out, kinds, a, n, seed):
+    # 1-3 layers, each with any of the three activations
+    sizes = (n_in, *hidden, n_out)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    net = neural.MlpNetwork(
+        sizes,
+        tuple(rng.normal(size=(sizes[l + 1], sizes[l])) for l in range(len(sizes) - 1)),
+        tuple(rng.normal(size=sizes[l + 1]) for l in range(len(sizes) - 1)),
+        tuple(neural.Activation(kinds[l], a) for l in range(len(sizes) - 1)),
+    )
+    x = rng.uniform(-2, 2, size=(n, n_in))
+    expected = jacobian_stacked(net, x)
+    assert np.array_equal(neural.jacobian(net, x), expected)
+    trace = neural._forward_trace(net, x)
+    assert np.array_equal(neural.jacobian(net, x, trace), expected)
+
+
+def test_jacobian_holds_little_more_than_its_result():
+    net = neural.make_mlp((4, 10, 1), seed=0)
+    x = np.random.Generator(np.random.PCG64(1)).uniform(-1, 1, size=(7500, 4))
+    tracemalloc.start()
+    try:
+        j = neural.jacobian(net, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the block-by-block build peaked at 3.4 times the result
+    assert peak < 1.7 * j.nbytes
+
+
 # ---------------------------------------------------------------------------
 # Levenberg-Marquardt training
 
@@ -237,6 +286,44 @@ def test_rejected_steps_raise_the_damping():
     neural.train_lm(net, (x, y), state=state)
     # nothing to improve, so every trial fails and mu climbs past its cap
     assert state.mu > state.mu_max
+
+
+def _sine_problem(seed, n=30):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x = rng.uniform(-2, 2, size=(n, 1))
+    return x, np.sin(x)
+
+
+def test_training_stops_at_max_epochs():
+    state = neural.LmState(max_epochs=3)
+    _, history = neural.train_lm(neural.make_mlp((1, 6, 1), seed=2), _sine_problem(0),
+                                 state=state)
+    assert state.stop == "max_epochs"
+    assert len(history) == 4
+
+
+def test_training_stops_when_patience_runs_out():
+    x, y = _sine_problem(1)
+    xv, yv = _sine_problem(2, n=20)
+    state = neural.LmState(patience=2)
+    neural.train_lm(neural.make_mlp((1, 6, 1), seed=2), (x, y), (xv, -yv), state)
+    assert state.stop == "patience"
+
+
+def test_training_stops_when_the_damping_passes_mu_max():
+    x = np.array([[0.0], [1.0], [2.0]])
+    net = neural.make_mlp((1, 1), seed=0)
+    state = neural.LmState()
+    neural.train_lm(net, (x, neural.forward(net, x)), state=state)
+    assert state.stop == "mu_max"
+
+
+def test_training_stops_on_a_short_step():
+    state = neural.LmState(step_tol=1e6)
+    _, history = neural.train_lm(neural.make_mlp((1, 6, 1), seed=2), _sine_problem(0),
+                                 state=state)
+    assert state.stop == "step_tol"
+    assert len(history) == 2
 
 
 def test_divergent_initial_network_is_reported():
@@ -349,6 +436,31 @@ def test_closed_loop_accepts_placeholder_futures():
     assert np.allclose(preds, y_true[-8:], atol=1e-12)
     with pytest.raises(InsufficientHistory):
         neural.narx_predict(model, u, y, horizon=8, mode="open")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.integers(1, 3),
+    hidden=st.integers(1, 12),
+    mode=st.sampled_from(("open", "closed")),
+    horizon=st.integers(1, 20),
+    placeholders=st.integers(0, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_narx_predict_equals_the_per_step_forward_loop(q, hidden, mode, horizon,
+                                                       placeholders, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    length = q + horizon + int(rng.integers(0, 10))
+    u = rng.uniform(-3, 3, size=length)
+    y = rng.uniform(-3, 3, size=length)
+    model = neural.NarxModel(q=q, net=neural.make_mlp((2 * q, hidden, 1), seed=seed),
+                             u_bounds=(-3.0, 3.0), y_bounds=(float(y.min()), float(y.max())))
+    if mode == "closed" and placeholders:
+        # the closed loop never reads the span, so forecasts past the record
+        # may leave it nan
+        y[length - min(placeholders, horizon):] = np.nan
+    expected = narx_predict_per_step(model, u, y, horizon, mode)
+    assert np.array_equal(neural.narx_predict(model, u, y, horizon, mode), expected)
 
 
 def test_prediction_span_must_leave_q_history_points():
