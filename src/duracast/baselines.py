@@ -5,19 +5,16 @@ aging diffusion coefficient.
 These are the physics yardsticks the learned models are compared against.
 """
 
-import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import atomic_write_text, fmt_float, read_text
+from ._io import atomic_write_text, fmt_float
 from .errors import (
     DivisionError,
     DomainError,
-    ParseError,
     ShapeError,
     SingularTime,
     UnitMismatch,
@@ -344,20 +341,3 @@ def write_comparison_csv(path, rows):
     for r in rows:
         buf.append(",".join([r.model, r.age] + [fmt_float(getattr(r, f)) for f in _SCORES]))
     atomic_write_text(path, "\n".join(buf) + "\n")
-
-
-def read_comparison_csv(path):
-    """Rows of a comparison CSV as written by write_comparison_csv. Raises
-    IoError when the file cannot be read and ParseError for a missing or
-    extra field or a bad number."""
-    rows = []
-    reader = csv.DictReader(io.StringIO(read_text(path)))
-    for ln, rec in enumerate(reader, start=2):
-        if None in rec:
-            raise ParseError("comparison CSV row %d has extra fields" % ln)
-        try:
-            scores = {f: float(rec[f]) for f in _SCORES}
-            rows.append(ComparisonRow(model=rec["model"], age=rec["age"], **scores))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError("bad comparison CSV row %d: %s" % (ln, exc)) from None
-    return rows

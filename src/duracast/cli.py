@@ -363,10 +363,12 @@ def cmd_importance(cfg):
             ds.schema.column_index(name)
         inputs = {ds.schema.names[j] for j in ds.schema.input_indices}
         drop.extend(sorted(inputs - set(keep) - set(drop)))
-    report = ensemble.scenario_importance(
-        ds, ensemble.Scenario(drop=tuple(drop)), n_trees=cfg["trees"], stop=models.stopping(cfg),
-        m=cfg["m"], iterations=cfg["iterations"], seed=cfg["seed"], scaling=cfg["scaling"],
-    )
+    if drop:
+        ds = data.drop_columns(ds, drop)
+    model = ensemble.train_bagged(ds, n_trees=cfg["trees"], stop=models.stopping(cfg),
+                                  m=cfg["m"], seed=cfg["seed"])
+    report = ensemble.permutation_importance(model, ds, iterations=cfg["iterations"],
+                                             seed=cfg["seed"], scaling=cfg["scaling"])
     ensemble.write_importance_csv(os.path.join(cfg["out"], "importance.csv"), report)
     ranked = ensemble.ranked_rows(report)
     share = dict(zip(report.names, report.splitgain))

@@ -1,5 +1,5 @@
 """Typed tabular data: schema, CSV ingestion, indicator encoding, min-max
-normalization, moving-average gap filling, and partitioning.
+normalization, segment sums, moving-average gap filling, and partitioning.
 
 Conventions used throughout the package:
 
@@ -462,24 +462,41 @@ def column_spec(spec, j):
 
 
 # ---------------------------------------------------------------------------
-# gap filling
+# segment sums and gap filling
+
+
+def _ranges(starts, lengths):
+    """The runs starts[i], ..., starts[i] + lengths[i] - 1, one after another."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if ends.size else 0)
+
+
+def segment_sums(values, lengths):
+    """Sums of the consecutive segments of the last axis of values, of the
+    given lengths, which are sorted. Each run of equal lengths is one
+    (segments x length) view summed along its rows, which keeps the bits of
+    each segment's own sum; a padded or reduceat sum would not."""
+    ends = (np.flatnonzero(lengths[1:] != lengths[:-1]) + 1).tolist() + [lengths.size]
+    out, at, i = np.empty(values.shape[:-1] + (lengths.size,)), 0, 0
+    for end in ends:
+        n, count = int(lengths[i]), end - i
+        block = values[..., at:at + n * count].reshape(values.shape[:-1] + (count, n))
+        out[..., i:end] = block.sum(axis=-1)
+        at, i = at + n * count, end
+    return out
 
 
 def segment_means(values, starts, counts):
-    """Mean of each segment values[s:s + c] for s, c in zip(starts, counts).
-
-    Every count must be at least 1. Segments of equal length are gathered
-    into one (k, c) block and summed along its rows, which gives the same
-    bits as values[s:s + c].mean() for each segment (np.add.reduceat would
-    not: it sums in another order).
-    """
-    starts = np.asarray(starts, dtype=np.intp)
-    counts = np.asarray(counts, dtype=np.intp)
-    out = np.empty(starts.size)
-    for c in sorted(set(counts.tolist())):
-        sel = np.flatnonzero(counts == c)
-        block = values[starts[sel, None] + np.arange(c)]
-        out[sel] = block.sum(axis=1) / c
+    """Mean of each segment values[..., s:s + c] for s, c in zip(starts, counts),
+    in any order and possibly overlapping; every count must be at least 1. The
+    segments are gathered shortest first with a take along the last axis
+    (values[..., index] would put a leading axis innermost and sum in another
+    order), so segment_sums gives each mean the bits of its slice's mean()."""
+    order = np.argsort(counts, kind="stable")
+    n = counts[order]
+    out = np.empty(values.shape[:-1] + (n.size,))
+    if n.size:
+        out[..., order] = segment_sums(values.take(_ranges(starts[order], n), axis=-1), n) / n
     return out
 
 

@@ -20,7 +20,6 @@ Relative humidity is a fraction in [0, 1] throughout this module.
 """
 
 import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -36,7 +35,6 @@ from ._io import (
     atomic_write_text,
     fmt_float,
     open_text,
-    read_text,
 )
 from .data import moving_average_fill, segment_means
 from .errors import DomainError, ParseError, ShapeError
@@ -305,8 +303,8 @@ def build_risk_grid(series, kind=CORROSION, bin_width=1.0, fill_radius=None):
         keep = np.isfinite(temp) & np.isfinite(rh)
         counts = np.bincount(idx[keep], minlength=n_bins)
         starts = np.cumsum(counts) - counts
-        mean_t = segment_means(temp[keep], starts[bins], counts[bins])
-        mean_rh = segment_means(rh[keep], starts[bins], counts[bins])
+        mean_t, mean_rh = segment_means(np.stack([temp[keep], rh[keep]]), starts[bins],
+                                        counts[bins])
         cells[ei, bins] = _classify_bins(kind, mean_t, mean_rh)
     return RiskGrid(
         kind=kind,
@@ -370,26 +368,6 @@ def render_grid(grid, ppm_path, csv_path=None, scale=1):
         for name, start, label in grid_rows(grid):
             buf.append("%s,%s,%s" % (name, fmt_float(start), label))
         atomic_write_text(csv_path, "\n".join(buf) + "\n")
-
-
-def read_grid_csv(path):
-    """Round-trip reader for the grid CSV; returns (element, bin_start,
-    category) tuples. Raises IoError when the file cannot be read and
-    ParseError for a malformed header or row."""
-    reader = csv.reader(io.StringIO(read_text(path)))
-    header = next(reader, None)
-    if header != ["element", "bin_start", "category"]:
-        raise ParseError("unexpected grid CSV header")
-    out = []
-    for ln, rec in enumerate(reader, start=2):
-        if len(rec) != 3:
-            raise ParseError("grid CSV row %d needs 3 fields" % ln)
-        try:
-            start = float(rec[1])
-        except ValueError:
-            raise ParseError("grid CSV row %d has a bad bin_start" % ln) from None
-        out.append((rec[0], start, rec[2]))
-    return out
 
 
 def read_series_csv(path, rh_percent=False):

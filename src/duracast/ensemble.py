@@ -272,14 +272,8 @@ def permutation_importance(model, ds, iterations=10, seed=0, scaling="std"):
         std = diffs.std(axis=0, ddof=1) if n_trees > 1 else np.zeros(p)
         if scaling == "stderr":
             std = std / np.sqrt(n_trees)
-        scores = np.zeros(p)
-        for j in range(p):
-            if std[j] > 0.0:
-                scores[j] = mean[j] / std[j]
-            elif mean[j] != 0.0:
-                scores[j] = mean[j]
-                degenerate.add(j)
-        iter_scores[i] = scores
+        iter_scores[i] = np.divide(mean, std, out=mean.copy(), where=std > 0.0)
+        degenerate.update(np.flatnonzero(~(std > 0.0) & (mean != 0.0)).tolist())
 
     return ImportanceReport(
         names=model.feature_names,
@@ -313,36 +307,6 @@ def splitgain_importance(model, ds=None):
     if total > 0.0:
         mean = mean / total
     return ImportanceReport(names=model.feature_names, splitgain=mean)
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Column drops applied before an importance run."""
-
-    drop: tuple = ()
-    name: str = ""
-
-
-def scenario_importance(
-    ds,
-    scenario=None,
-    n_trees=100,
-    stop=None,
-    m=None,
-    iterations=10,
-    seed=0,
-    scaling="std",
-):
-    """Drop columns, train a bagged model, rank the variables."""
-    from . import data as data_mod
-
-    work = ds
-    if scenario is not None and scenario.drop:
-        work = data_mod.drop_columns(work, scenario.drop)
-    model = train_bagged(work, n_trees=n_trees, stop=stop, m=m, seed=seed)
-    return permutation_importance(
-        model, work, iterations=iterations, seed=seed, scaling=scaling
-    )
 
 
 def ranked_rows(report):
@@ -428,6 +392,8 @@ def _build_ensemble(v, body):
     kind, n_trees, features = v["kind"], v["T"], v["feature"]
     if kind not in (BAGGED, BOOSTED):
         raise ParseError("unknown ensemble kind %r" % kind)
+    if kind == BOOSTED and (v["lambda"] is None or not 0.0 < v["lambda"] <= 2.0):
+        raise ParseError("a boosted ensemble needs lambda in (0, 2], got %r" % v["lambda"])
     blocks = []
     current = None
     for line in body:

@@ -57,6 +57,7 @@ import numpy as np
 # atomic_write_text is bound here so profiling shims (bench/tracing.py) can wrap
 # it on every module.
 from ._io import atomic_write_text, fmt_float, read_model
+from .data import _ranges, segment_sums
 from .errors import DomainError, ParseError, ShapeError, UndefinedAssociation
 
 
@@ -131,12 +132,6 @@ class StoppingCriteria:
             raise DomainError("feature subset size m must be >= 1")
         if self.surrogates < 0:
             raise DomainError("surrogate count must be >= 0")
-
-
-def _ranges(starts, lengths):
-    """The runs starts[i], ..., starts[i] + lengths[i] - 1, one after another."""
-    ends = np.cumsum(lengths)
-    return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if ends.size else 0)
 
 
 def _offsets(counts):
@@ -215,21 +210,6 @@ def _blocks(sizes, nodes, features):
         nodes = nodes[cut:]
 
 
-def _segment_sums(values, lengths):
-    """Sums of the consecutive segments of the last axis of values, of the
-    given lengths, which are sorted. Each run of equal lengths is one
-    (segments x length) view summed along its rows, which keeps the bits of
-    each segment's own sum; a padded or reduceat sum would not."""
-    ends = (np.flatnonzero(lengths[1:] != lengths[:-1]) + 1).tolist() + [lengths.size]
-    out, at, i = np.empty(values.shape[:-1] + (lengths.size,)), 0, 0
-    for end in ends:
-        n, count = int(lengths[i]), end - i
-        block = values[..., at:at + n * count].reshape(values.shape[:-1] + (count, n))
-        out[..., i:end] = block.sum(axis=-1)
-        at, i = at + n * count, end
-    return out
-
-
 def _rank_levels(codes, weights, within, missing, highest_first=False):
     """Replace the level codes of each row of codes (one node's rows on one
     feature), in place, by the ranks of their levels' mean weight over the
@@ -289,7 +269,7 @@ class _Grower:
     padded (features x nodes x rows) block (see _blocks). A cumulative sum
     along a padded row equals the unpadded one but a sum does not, so each
     node's value, centring and risk, and each feature's parent risk, are
-    summed over segments of equal length (see _segment_sums).
+    summed over segments of equal length (see data.segment_sums).
     """
 
     def __init__(self, x, nominal):
@@ -413,9 +393,9 @@ class _Grower:
         at = _ranges((np.cumsum(sizes) - sizes)[order], n)
         y = self.y[rows[at]]
         d = y - np.repeat(y[first], n)
-        total, s = _segment_sums(np.stack([y, d]), n)
+        total, s = segment_sums(np.stack([y, d]), n)
         d -= np.repeat(s / n, n)
-        s, q = _segment_sums(np.stack([d, d * d]), n)
+        s, q = segment_sums(np.stack([d, d * d]), n)
         value, risk, yc = np.empty(sizes.size), np.empty(sizes.size), np.empty(rows.size)
         value[order], risk[order], yc[at] = total / n, q - s * s / n, d
         return value, risk, yc
@@ -498,7 +478,7 @@ class _Grower:
             by = np.argsort(n_obs[c, j], kind="stable")
             c, j = c[by], j[by]
             d = yc[j][~miss[c, j]]
-            s, q = _segment_sums(np.stack([d, d * d]), n_obs[c, j])
+            s, q = segment_sums(np.stack([d, d * d]), n_obs[c, j])
             parents[c, j] = q - s * s / n_obs[c, j]
         cell, ranked = self._rank_nominal(x, feature, yc)
 
@@ -829,8 +809,9 @@ def tree_lines(tree):
 def tree_from_lines(lines):
     """Rebuild a one-tree table from its serialized lines.
 
-    Raises ParseError for a malformed line, a missing root or child, and a
-    node reached twice from the root (a cycle or a shared child).
+    Raises ParseError for a malformed line, a missing root or child, a node
+    reached twice from the root (a cycle or a shared child), an info or
+    surrogate line of a node the root does not reach, and a leaf's surrogate.
     """
     nodes = {}
     infos = {}
@@ -873,6 +854,10 @@ def tree_from_lines(lines):
         order.append(node_id)
         if len(nodes[node_id]) == 4:
             stack += (nodes[node_id][3], nodes[node_id][2])
+    stray = set(infos).union(surrogates).difference(index)
+    stray.update(i for i in surrogates if i in index and len(nodes[i]) == 2)
+    if stray:
+        raise ParseError("info or surrogate line for node %d, unreached or a leaf" % min(stray))
     rules, surr_rules, surr, columns = [], [], [0], []
     for node_id in order:
         entry = nodes[node_id]

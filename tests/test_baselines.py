@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -9,8 +10,6 @@ from duracast.errors import (
     DivisionError,
     DomainError,
     DuracastError,
-    IoError,
-    ParseError,
     ShapeError,
     SingularTime,
     UnitMismatch,
@@ -260,25 +259,11 @@ def test_comparison_csv_round_trip(tmp_path):
     )
     path = tmp_path / "comparison.csv"
     baselines.write_comparison_csv(path, rows)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "model,age,mse,mae,rmse,median_resid,q1,q3"
-    again = baselines.read_comparison_csv(path)
-    assert len(again) == len(rows)
-    for a, b in zip(rows, again):
-        assert a.model == b.model
-        assert a.age == b.age
-        assert a.mse == pytest.approx(b.mse)
-
-
-def test_comparison_reader_raises_typed_errors(tmp_path):
-    with pytest.raises(IoError):
-        baselines.read_comparison_csv(tmp_path / "absent.csv")
-    path = tmp_path / "comparison.csv"
-    header = "model,age,mse,mae,rmse,median_resid,q1,q3\n"
-    for row in ["baseline,all,x,1,1,0,0,0", "baseline,all,1,1", "baseline,all,1,1,1,0,0,0,9"]:
-        path.write_text(header + row + "\n")
-        with pytest.raises(ParseError, match="row 2"):
-            baselines.read_comparison_csv(path)
-    path.write_text("model,age\nbaseline,all\n")
-    with pytest.raises(ParseError):
-        baselines.read_comparison_csv(path)
+    scores = ["mse", "mae", "rmse", "median_resid", "q1", "q3"]
+    with open(path, newline="") as fh:
+        header, *again = csv.reader(fh)
+    assert header == ["model", "age"] + scores
+    assert [rec[:2] for rec in again] == [[r.model, r.age] for r in rows]
+    # Every score parses back to the exact float that was written.
+    assert [[float(v) for v in rec[2:]] for rec in again] == [
+        [getattr(r, f) for f in scores] for r in rows]

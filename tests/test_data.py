@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import duracast as dc
-from duracast.data import segment_means
+from duracast.data import segment_means, segment_sums
 from duracast.errors import DuracastError, UnfillableGap
 
 from helpers import continuous_ds, make_ds
@@ -325,14 +325,34 @@ def test_fill_equals_the_pointwise_loop_bit_for_bit(seed, n_extra, m, nan_share,
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), max_len=st.integers(1, 300))
-def test_segment_means_equal_slice_means(seed, max_len):
+def test_segment_sums_equal_slice_sums(seed, max_len):
     rng = np.random.Generator(np.random.PCG64(seed))
-    counts = rng.integers(1, max_len + 1, size=rng.integers(1, 30))
-    values = _wide_range_series(rng, int(counts.sum()) + 5, 0.0)
-    starts = rng.integers(0, values.size - counts + 1)
+    # Few distinct lengths, so that runs of equal lengths share a block.
+    lengths = np.sort(rng.choice(rng.integers(1, max_len + 1, size=3), size=rng.integers(1, 30)))
+    values = np.stack([_wide_range_series(rng, int(lengths.sum()), 0.0) for _ in range(2)])
+    sums = segment_sums(values, lengths)
+    for k, s in enumerate(np.cumsum(lengths) - lengths):
+        window = values[:, s:s + lengths[k]]
+        assert np.array_equal(sums[:, k], window.sum(-1))
+        assert [sums[0, k], sums[1, k]] == [window[0].sum(), window[1].sum()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), max_len=st.integers(1, 300), size=st.integers(0, 30))
+def test_segment_means_equal_slice_means(seed, max_len, size):
+    """Windows in any order, overlapping or none at all, of one series and
+    of a two-row stack."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    counts = rng.integers(1, max_len + 1, size=size)
+    values = np.stack([_wide_range_series(rng, max_len + 5, 0.0) for _ in range(2)])
+    starts = rng.integers(0, values.shape[1] - counts + 1)
     means = segment_means(values, starts, counts)
+    assert means.shape == (2, size)
+    assert np.array_equal(segment_means(values[1], starts, counts), means[1])
     for k, (s, c) in enumerate(zip(starts, counts)):
-        assert means[k] == values[s:s + c].mean()
+        window = values[:, s:s + c]
+        assert np.array_equal(means[:, k], window.mean(-1))
+        assert [means[0, k], means[1, k]] == [window[0].mean(), window[1].mean()]
 
 
 # ---------------------------------------------------------------------------

@@ -312,16 +312,6 @@ def test_ranked_rows_sort_by_score_then_name():
     assert [r[3] for r in rows] == [1, 2, 3]
 
 
-def test_scenario_importance_drops_columns_and_filters_rows():
-    ds = importance_ds()
-    scen = ensemble.Scenario(name="signal only", drop=("noise",))
-    report = ensemble.scenario_importance(
-        ds, scen, n_trees=8, stop=stop(), iterations=2, seed=0
-    )
-    assert "noise" not in report.names
-    assert "signal" in report.names
-
-
 def test_importance_csv_round_trip(tmp_path):
     ds = importance_ds()
     model = dc.train_bagged(ds, n_trees=8, stop=stop(), seed=1)
@@ -383,6 +373,15 @@ def test_rejects_malformed_ensemble_text():
 def test_an_ensemble_without_trees_is_a_parse_error():
     with pytest.raises(ParseError):
         ensemble.from_text("ensemble v1\nkind bagged\nT 0\nlambda -\nseed 0\nfeature 0 x\n")
+
+
+@pytest.mark.parametrize("lam", ["-", "0", "2.5", "nan", "inf"],
+                         ids=["none", "zero", "above-two", "nan", "inf"])
+def test_a_boosted_ensemble_needs_a_shrinkage_in_range(lam):
+    text = ensemble.to_text(dc.train_lsboost(nonlinear_ds(n=40), n_trees=2, stop=stop()))
+    assert "\nlambda 0.10000000000000001\n" in text
+    with pytest.raises(ParseError, match="lambda in"):
+        ensemble.from_text(text.replace("lambda 0.10000000000000001", "lambda " + lam))
 
 
 def test_large_level_codes_cost_memory_in_proportion_to_the_text():

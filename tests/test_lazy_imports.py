@@ -24,9 +24,8 @@ PUBLIC = {
     "durability": "CorrosionStatus HygroSample HygroSeries PALETTE RiskGrid RiskLevel "
                   "build_risk_grid classify_chemical classify_corrosion classify_frost "
                   "corrosion_rate humidity_factor render_grid temperature_factor",
-    "ensemble": "EnsembleModel ImportanceReport Scenario oob_error permutation_importance "
-                "ranked_rows scenario_importance splitgain_importance train_bagged "
-                "train_lsboost write_importance_csv",
+    "ensemble": "EnsembleModel ImportanceReport oob_error permutation_importance ranked_rows "
+                "splitgain_importance train_bagged train_lsboost write_importance_csv",
     "errors": "DuracastError",
     "metrics": "EvalReport evaluate write_report_csv",
     "neural": "Activation LmState MlpNetwork NarxModel forward jacobian make_mlp narx_predict "

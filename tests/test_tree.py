@@ -511,7 +511,14 @@ def test_malformed_tree_text_raises_parse_error(body):
     ("node 0 leaf 0\n", "bad tree line 'node 0 leaf 0': list index out of range"),
     ("node 0 split 0 in:1|x left 1 right 2\n" + LEAF_LINES,
      "bad split rule 'in:1|x': invalid literal for int() with base 10: 'x'"),
-], ids=["missing-child", "cycle", "shared-child", "negative-feature", "short-line", "bad-levels"])
+    ("node 0 leaf 0 1\nnode 3 leaf 1 1\ninfo 3 risk 0.5\n",
+     "info or surrogate line for node 3, unreached or a leaf"),
+    ("node 0 split 0 0.5 left 1 right 2\n" + LEAF_LINES + "surrogate 4 1 0.5 0.9\n",
+     "info or surrogate line for node 4, unreached or a leaf"),
+    ("node 0 split 0 0.5 left 1 right 2\n" + LEAF_LINES + "surrogate 2 1 0.5 0.9\n",
+     "info or surrogate line for node 2, unreached or a leaf"),
+], ids=["missing-child", "cycle", "shared-child", "negative-feature", "short-line", "bad-levels",
+        "info-of-unreached-node", "surrogate-of-unreached-node", "surrogate-of-leaf"])
 def test_hostile_tree_text_names_its_fault(body, message):
     with pytest.raises(ParseError) as err:
         tree.from_text("tree v1\n" + body)
