@@ -1,6 +1,6 @@
-"""Deterministic file output helpers, the UTF-8 file reader, the model-file
-header reader, the risk-grid kind names, and LazyModule, through which cli
-and models load a submodule on first use.
+"""Deterministic file output helpers and the one CSV table writer, the UTF-8
+file reader, the model-file header reader, the risk-grid kind names, and
+LazyModule, through which cli and models load a submodule on first use.
 
 All artifacts are written atomically (temporary file in the target directory,
 then rename) and floats are printed with 17 significant digits so that the
@@ -8,7 +8,9 @@ decimal text round-trips to the exact same IEEE double.
 """
 
 import contextlib
+import csv
 import importlib
+import io
 import os
 import tempfile
 
@@ -61,6 +63,21 @@ def atomic_write_text(path, text):
             raise
     except OSError as exc:
         raise IoError("cannot write %s: %s" % (path, exc)) from exc
+
+
+def write_table(path, header, rows):
+    """Write a CSV table: the header, then one line per row of cells.
+
+    A float cell prints through fmt_float, None as an empty cell, and csv
+    prints any other cell, quoting one that holds a comma, a quote or a line
+    break.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([fmt_float(c) if isinstance(c, float) else c for c in row] for row in rows)
+    # looked up at call time, so a profiling shim on _io sees every table
+    atomic_write_text(path, buf.getvalue())
 
 
 @contextlib.contextmanager

@@ -7,11 +7,14 @@ These are the physics yardsticks the learned models are compared against.
 
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import atomic_write_text, fmt_float
+# atomic_write_text is bound here so profiling shims (bench/tracing.py) can wrap
+# it on every module.
+from ._io import atomic_write_text, fmt_float, write_table
 from .errors import (
     DivisionError,
     DomainError,
@@ -225,19 +228,8 @@ def dnss_at(params, t):
 # comparison harness
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    model: str
-    age: str
-    mse: float
-    mae: float
-    rmse: float
-    median_resid: float
-    q1: float
-    q3: float
-
-
-_SCORES = ("mse", "mae", "rmse", "median_resid", "q1", "q3")
+# its fields are the comparison table's header
+ComparisonRow = namedtuple("ComparisonRow", "model age mse mae rmse median_resid q1 q3")
 
 
 def _comparison_row(name, age_label, pred, target):
@@ -337,7 +329,4 @@ def baseline_comparison(ds, specimen_column, age_column, eval_ages, model_predic
 def write_comparison_csv(path, rows):
     """Comparison table with the header
     model,age,mse,mae,rmse,median_resid,q1,q3."""
-    buf = ["model,age," + ",".join(_SCORES)]
-    for r in rows:
-        buf.append(",".join([r.model, r.age] + [fmt_float(getattr(r, f)) for f in _SCORES]))
-    atomic_write_text(path, "\n".join(buf) + "\n")
+    write_table(path, ComparisonRow._fields, rows)

@@ -22,7 +22,7 @@ import warnings
 
 import numpy as np
 
-from ._io import GRID_KINDS, LazyModule, atomic_write_text, fmt_float
+from ._io import GRID_KINDS, LazyModule, atomic_write_text, fmt_float, write_table
 from .errors import ConfigError, DuracastError, ShapeError
 
 # Each command loads only the modules it calls: risk never compiles the
@@ -273,10 +273,6 @@ def _json_text(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _write_lines(path, lines):
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -327,9 +323,8 @@ def cmd_predict(cfg):
         _warn_ignored(kind, [key for key in _NARX_PREDICT if cfg.pop(key) is not None])
         preds, measured = models.predict_tabular(kind, model, ds), ds.target_vector()
     start = ds.n_rows - len(preds)
-    _write_lines(os.path.join(cfg["out"], "predictions.csv"),
-                 ["row,prediction"]
-                 + ["%d,%s" % (start + i, fmt_float(v)) for i, v in enumerate(preds)])
+    write_table(os.path.join(cfg["out"], "predictions.csv"), ("row", "prediction"),
+                enumerate(preds.tolist(), start))
     if np.all(np.isfinite(measured)):
         metrics.write_report_csv(os.path.join(cfg["out"], "report.csv"),
                                  metrics.evaluate(preds, measured))
@@ -348,9 +343,9 @@ def cmd_crossval(cfg):
         residual = target - pred
         fold_mse.append(float(np.mean(residual * residual)))
     cv = float(np.mean(fold_mse))
-    _write_lines(os.path.join(cfg["out"], "crossval.csv"),
-                 ["metric,value", "cv_mse,%s" % fmt_float(cv), "folds,%d" % len(fold_mse)]
-                 + ["fold_%d_mse,%s" % (i, fmt_float(v)) for i, v in enumerate(fold_mse)])
+    write_table(os.path.join(cfg["out"], "crossval.csv"), ("metric", "value"),
+                [("cv_mse", cv), ("folds", len(fold_mse))]
+                + [("fold_%d_mse" % i, v) for i, v in enumerate(fold_mse)])
     print("cv mse %s over %d folds" % (fmt_float(cv), len(fold_mse)))
     return 0
 
@@ -372,12 +367,13 @@ def cmd_importance(cfg):
     ensemble.write_importance_csv(os.path.join(cfg["out"], "importance.csv"), report)
     ranked = ensemble.ranked_rows(report)
     share = dict(zip(report.names, report.splitgain))
-    lines = ["rank,variable,splitgain_share,cumulative_share"]
+    rows = []
     total = 0.0
     for name, _perm, _gain, rank in ranked[:cfg["top"]]:
         total += share[name]
-        lines.append("%d,%s,%s,%s" % (rank, name, fmt_float(share[name]), fmt_float(total)))
-    _write_lines(os.path.join(cfg["out"], "summary.csv"), lines)
+        rows.append((rank, name, share[name], total))
+    write_table(os.path.join(cfg["out"], "summary.csv"),
+                ("rank", "variable", "splitgain_share", "cumulative_share"), rows)
     best = ranked[0][0] if ranked else "(none)"
     print("ranked %d variable(s); top: %s" % (len(ranked), best))
     return 0

@@ -22,7 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import atomic_write_text, read_text
+# atomic_write_text is bound here so profiling shims (bench/tracing.py) can wrap
+# it on every module.
+from ._io import atomic_write_text, read_text, write_table
 from .errors import (
     DegenerateSplit,
     DomainError,
@@ -52,6 +54,8 @@ class Column:
     levels: tuple = ()
 
     def __post_init__(self):
+        if self.name.splitlines() != [self.name]:
+            raise SchemaViolation("column name %r is not one non-empty line" % self.name)
         if self.kind not in (CONTINUOUS, NOMINAL):
             raise SchemaViolation("unknown kind %r for column %r" % (self.kind, self.name))
         if self.role not in (INPUT, TARGET, IGNORED):
@@ -346,20 +350,18 @@ def _read_column(col, cells):
 
 def write_csv(path, ds):
     """Write a Dataset back to CSV (labels for nominal cells, empty=missing)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(ds.schema.names)
+    rows = []
     for i in range(ds.n_rows):
         record = []
         for j, col in enumerate(ds.schema.columns):
             if ds.missing[i, j]:
-                record.append("")
+                record.append(None)
             elif col.kind == NOMINAL:
                 record.append(col.levels[int(ds.values[i, j])])
             else:
                 record.append(repr(float(ds.values[i, j])))
-        writer.writerow(record)
-    atomic_write_text(path, buf.getvalue())
+        rows.append(record)
+    write_table(path, ds.schema.names, rows)
 
 
 # ---------------------------------------------------------------------------

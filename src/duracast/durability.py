@@ -33,8 +33,8 @@ from ._io import (
     FROST,
     GRID_KINDS,
     atomic_write_text,
-    fmt_float,
     open_text,
+    write_table,
 )
 from .data import moving_average_fill, segment_means
 from .errors import DomainError, ParseError, ShapeError
@@ -328,13 +328,10 @@ PALETTE = {
 
 def grid_rows(grid):
     """(element, bin_start, category_name) triples, row-major."""
-    out = []
-    for ei, name in enumerate(grid.elements):
-        for b in range(grid.n_bins):
-            cell = grid.cells[ei, b]
-            label = "Missing" if cell is None else cell.name
-            out.append((name, float(grid.bin_starts[b]), label))
-    return out
+    starts = grid.bin_starts.tolist()
+    # _name_ is the plain attribute behind the slower enum property .name
+    return [(name, start, "Missing" if cell is None else cell._name_)
+            for name, row in zip(grid.elements, grid.cells) for start, cell in zip(starts, row)]
 
 
 def render_grid(grid, ppm_path, csv_path=None, scale=1):
@@ -353,21 +350,14 @@ def render_grid(grid, ppm_path, csv_path=None, scale=1):
         raise DomainError("scale %d makes more than %d pixels" % (scale, MAX_GRID_PIXELS))
     width = grid.n_bins * scale
     height = grid.n_elements * scale
+    # one cell's run of scale pixels, by category (an IntEnum hashes as its value)
+    runs = {key: " ".join(["%d %d %d" % rgb] * scale) for key, rgb in PALETTE.items()}
     lines = ["P3", "%d %d" % (width, height), "255"]
-    for ei in range(grid.n_elements):
-        pixel_row = []
-        for b in range(grid.n_bins):
-            cell = grid.cells[ei, b]
-            rgb = PALETTE[None if cell is None else int(cell)]
-            pixel_row.extend(["%d %d %d" % rgb] * scale)
-        row_text = " ".join(pixel_row)
-        lines.extend([row_text] * scale)
+    for row in grid.cells:
+        lines.extend([" ".join([runs[cell] for cell in row])] * scale)
     atomic_write_text(ppm_path, "\n".join(lines) + "\n")
     if csv_path is not None:
-        buf = ["element,bin_start,category"]
-        for name, start, label in grid_rows(grid):
-            buf.append("%s,%s,%s" % (name, fmt_float(start), label))
-        atomic_write_text(csv_path, "\n".join(buf) + "\n")
+        write_table(csv_path, ("element", "bin_start", "category"), grid_rows(grid))
 
 
 def read_series_csv(path, rh_percent=False):
@@ -395,6 +385,8 @@ def read_series_csv(path, rh_percent=False):
                 raise ParseError("series row %d has a bad reading" % ln) from None
             col = columns.get(name)
             if col is None:
+                if name.splitlines() != [name]:
+                    raise ParseError("series row %d: element %r is not one line" % (ln, name))
                 col = columns[name] = ([], [], [], [])
             col[0].append(ts)
             col[1].append(t_c)

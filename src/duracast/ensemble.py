@@ -17,7 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tree as tree_mod
-from ._io import atomic_write_text, fmt_float, read_model, word
+# atomic_write_text is bound here so profiling shims (bench/tracing.py) can wrap
+# it on every module.
+from ._io import atomic_write_text, fmt_float, read_model, word, write_table
 from .errors import DomainError, NoCoverage, ParseError, ShapeError
 
 BAGGED = "bagged"
@@ -335,18 +337,8 @@ def ranked_rows(report):
 
 
 def write_importance_csv(path, report):
-    lines = ["variable,permutation_score,splitgain_score,rank"]
-    for name, perm, gain, rank in ranked_rows(report):
-        lines.append(
-            "%s,%s,%s,%d"
-            % (
-                name,
-                "" if perm is None else fmt_float(perm),
-                "" if gain is None else fmt_float(gain),
-                rank,
-            )
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_table(path, ("variable", "permutation_score", "splitgain_score", "rank"),
+                ranked_rows(report))
 
 
 # ---------------------------------------------------------------------------

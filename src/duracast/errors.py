@@ -11,10 +11,6 @@ class DuracastError(Exception):
 
     code = "error"
 
-    def __init__(self, message, **context):
-        super().__init__(message)
-        self.context = context
-
 
 class SchemaViolation(DuracastError):
     code = "schema-violation"

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import atomic_write_text, fmt_float
+# atomic_write_text is bound here so profiling shims (bench/tracing.py) can wrap
+# it on every module.
+from ._io import atomic_write_text, write_table
 from .errors import ShapeError
 
 
@@ -152,7 +154,4 @@ def report_rows(report):
 
 def write_report_csv(path, report):
     """Write the report as `metric,value` rows."""
-    lines = ["metric,value"]
-    for name, value in report_rows(report):
-        lines.append("%s,%s" % (name, fmt_float(value)))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_table(path, ("metric", "value"), report_rows(report))

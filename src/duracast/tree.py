@@ -606,6 +606,8 @@ def grower(ds):
     one Tree per sample of rows of ds, grown together as grow grows one;
     rngs[t] draws tree t's feature subsets. The input columns are ranked
     once, for every call."""
+    if not ds.schema.input_indices:
+        raise ShapeError("a tree needs at least one input column")
     nominal, _counts = ds.input_kinds()
     kernel = _Grower(ds.input_matrix(), nominal)
 

@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from duracast import durability, neural, tree
+from duracast._io import fmt_float
 from duracast.errors import DomainError, UnfillableGap
 
 
@@ -691,3 +692,23 @@ def risk_grid_reference(series, kind, bin_width=1.0, fill_radius=None):
             else:
                 cells[ei, b] = durability.classify_chemical(mean_rh)
     return cells
+
+
+def ppm_reference(grid, scale):
+    """Plain P3 text of a risk grid, built one cell and one pixel at a time;
+    then its CSV twin's text, for element names that need no quoting."""
+    lines = ["P3", "%d %d" % (grid.n_bins * scale, grid.n_elements * scale), "255"]
+    for ei in range(grid.n_elements):
+        pixel_row = []
+        for b in range(grid.n_bins):
+            cell = grid.cells[ei, b]
+            rgb = durability.PALETTE[None if cell is None else int(cell)]
+            pixel_row.extend(["%d %d %d" % rgb] * scale)
+        lines.extend([" ".join(pixel_row)] * scale)
+    rows = ["element,bin_start,category"]
+    for ei, name in enumerate(grid.elements):
+        for b in range(grid.n_bins):
+            cell = grid.cells[ei, b]
+            rows.append("%s,%s,%s" % (name, fmt_float(grid.bin_starts[b]),
+                                      "Missing" if cell is None else cell.name))
+    return "\n".join(lines) + "\n", "\n".join(rows) + "\n"

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import os
 import sys
@@ -424,6 +425,112 @@ def test_report_refuses_series_models(series_files, tmp_path, capsys):
     ])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:config-error:")
+
+
+def _write_rows(path, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def _mix_rows(wb, binder, depth, levels=("opc", "ggbs")):
+    """Schema and data rows of a 48-row mix table under the given names."""
+    schema = [[wb, "continuous", "input"], [binder, "nominal", "input", ";".join(levels)],
+              ["age", "continuous", "input"], [depth, "continuous", "target"]]
+    rng = np.random.Generator(np.random.PCG64(0))
+    rows = [[wb, binder, "age", depth]]
+    for i in range(48):
+        w, age = 0.4 + 0.3 * rng.uniform(), (1, 4, 9, 16, 25)[i % 5]
+        rows.append(["%.6f" % w, levels[i % 2], age, "%.6f" % (6.0 * w * age ** 0.5)])
+    return schema, rows
+
+
+def _hostile_files(tmp_path, *names, levels=("opc", "ggbs")):
+    schema_rows, data_rows = _mix_rows(*names, levels=levels)
+    schema, data = tmp_path / "mix.schema.csv", tmp_path / "mix.csv"
+    _write_rows(schema, schema_rows)
+    _write_rows(data, data_rows)
+    return ["--data", str(data), "--schema", str(schema)]
+
+
+def _one_error_line(capsys, code):
+    err = capsys.readouterr().err
+    assert err.startswith("error:%s:" % code) and err.count("\n") == 1, err
+
+
+# Names that a bare comma join splits or misquotes.
+WB, BINDER, DEPTH, WALL = "w,b", 'binder "type"', "depth, mm", 'wall, "north"'
+
+
+def test_names_with_commas_and_quotes_round_trip_through_every_table(tmp_path):
+    flags = _hostile_files(tmp_path, WB, BINDER, DEPTH)
+    series = tmp_path / "hygro.csv"
+    _write_rows(series, [["element", "timestamp", "t_celsius", "rh"]]
+                + [[name, day, 15 + day, 0.9] for day in range(6) for name in (WALL, "deck")])
+    assert run(["ingest", *flags, "--out", str(tmp_path / "ingest")]) == 0
+    assert run(["importance", "--trees", "5", "--iterations", "2", *flags,
+                "--out", str(tmp_path / "importance")]) == 0
+    assert run(["train", "--model", "bag", "--trees", "5", *flags,
+                "--out", str(tmp_path / "train")]) == 0
+    assert run(["baseline", "--model-file", str(tmp_path / "train" / "model.txt"),
+                "--specimen", BINDER, "--age", "age", "--ages", "4,9,16,25", *flags,
+                "--out", str(tmp_path / "baseline")]) == 0
+    assert run(["risk", "--series", str(series), "--out", str(tmp_path / "risk")]) == 0
+    tables = {}
+    for path in sorted(tmp_path.glob("*/*.csv")):
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert [len(row) for row in rows] == [len(header)] * len(rows), path
+        tables[path.relative_to(tmp_path).as_posix()] = rows
+    assert len(tables) == 8
+    assert tables["ingest/clean.csv"][0][1] in ("opc", "ggbs")
+    assert {row[0] for row in tables["importance/importance.csv"]} == {WB, BINDER, "age"}
+    assert {row[1] for row in tables["importance/summary.csv"]} == {WB, BINDER, "age"}
+    assert {row[0] for row in tables["baseline/comparison.csv"]} == {"baseline", "model"}
+    for kind in ("corrosion", "frost", "chemical"):
+        assert {row[0] for row in tables["risk/grid_%s.csv" % kind]} == {WALL, "deck"}
+
+
+@pytest.mark.parametrize("name", ["", "a\nb", "a\x1cb", "a\x85b", "a\u2028b"])
+def test_a_column_name_that_is_not_one_line_is_a_schema_violation(tmp_path, capsys, name):
+    flags = _hostile_files(tmp_path, name, "binder", "depth")
+    assert run(["train", "--model", "bag", "--trees", "3", *flags,
+                "--out", str(tmp_path / "run")]) == 1
+    _one_error_line(capsys, "schema-violation")
+
+
+def test_a_level_that_makes_a_one_of_n_name_of_two_lines_is_a_schema_violation(tmp_path,
+                                                                                capsys):
+    flags = _hostile_files(tmp_path, "wb", "binder", "depth", levels=("opc", "gg\nbs"))
+    assert run(["train", "--model", "mlp", "--hidden", "2", "--epochs", "2", *flags,
+                "--out", str(tmp_path / "run")]) == 1
+    _one_error_line(capsys, "schema-violation")
+
+
+@pytest.mark.parametrize("name", ["", "wall\rx", "wall\nx"])
+def test_an_element_name_that_is_not_one_line_is_a_parse_error(tmp_path, capsys, name):
+    series = tmp_path / "hygro.csv"
+    # quoted by hand: csv.writer leaves a bare "\r" unquoted
+    series.write_bytes(('element,timestamp,t_celsius,rh\ndeck,0,20,0.5\n"%s",1,20,0.5\n'
+                        % name).encode())
+    assert run(["risk", "--series", str(series), "--out", str(tmp_path / "run")]) == 1
+    _one_error_line(capsys, "parse-error")
+    assert not (tmp_path / "run" / "grid_frost.csv").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--model", "tree"],
+    ["train", "--model", "bag", "--trees", "2"],
+    ["train", "--model", "boost"],
+    ["crossval", "--folds", "2"],
+    ["importance", "--trees", "2"],
+])
+def test_a_schema_without_inputs_is_a_shape_error_for_trees(tmp_path, capsys, command):
+    schema, data = tmp_path / "s.csv", tmp_path / "d.csv"
+    _write_rows(schema, [["depth", "continuous", "target"], ["note", "continuous", "ignored"]])
+    _write_rows(data, [["depth", "note"]] + [[i % 7, i] for i in range(40)])
+    assert run([*command, "--data", str(data), "--schema", str(schema),
+                "--out", str(tmp_path / "run")]) == 1
+    _one_error_line(capsys, "shape-error")
 
 
 def test_missing_data_file_reports_io_error(mix_files, tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from duracast import durability as dur
 from duracast.errors import DomainError, ShapeError
 
-from oracles import risk_grid_reference
+from oracles import ppm_reference, risk_grid_reference
 
 
 def sample(ts, t=10.0, rh=0.5, missing=False):
@@ -435,6 +435,23 @@ def test_grid_csv_round_trip(tmp_path):
     assert header == ["element", "bin_start", "category"]
     # Each bin start parses back to the exact float that was written.
     assert [(e, float(s), c) for e, s, c in rows] == dur.grid_rows(grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([dur.CorrosionStatus, dur.RiskLevel]), st.integers(1, 4),
+       st.integers(1, 4), st.integers(1, 7), st.data())
+def test_render_equals_the_per_pixel_loop(tmp_path_factory, levels, scale, n_elements, n_bins,
+                                          data):
+    values = st.sampled_from([None] + list(levels))
+    cells = np.array([[data.draw(values) for _ in range(n_bins)] for _ in range(n_elements)],
+                     dtype=object)
+    grid = dur.RiskGrid(kind=dur.FROST, elements=tuple("e%d" % i for i in range(n_elements)),
+                        bin_starts=0.1 * np.arange(n_bins), bin_width=0.1, cells=cells)
+    out = tmp_path_factory.mktemp("render")
+    dur.render_grid(grid, out / "grid.ppm", out / "grid.csv", scale=scale)
+    ppm, grid_csv = ppm_reference(grid, scale)
+    assert (out / "grid.ppm").read_bytes() == ppm.encode()
+    assert (out / "grid.csv").read_bytes() == grid_csv.encode()
 
 
 def test_palette_values():

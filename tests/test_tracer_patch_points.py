@@ -27,3 +27,26 @@ def test_every_name_the_tracer_patches_exists():
     assert callable(neural.with_params)
     assert isinstance(tree.Internal, type)
     assert [c for c in tracing.COMMANDS if c not in cli._DISPATCH] == []
+
+
+def test_the_tracer_sees_every_artifact_write(tmp_path):
+    """Each file a command leaves is one traced atomic_write_text call, so a
+    writer that bound the function early (a default argument, a closure)
+    would drop its files from the io.atomic_write_text counts."""
+    from duracast.cli import run_cli
+
+    schema, data, out = tmp_path / "s.csv", tmp_path / "d.csv", tmp_path / "run"
+    schema.write_text("x,continuous,input\ny,continuous,target\n")
+    data.write_text("x,y\n" + "".join("%d,%d\n" % (i, i % 5) for i in range(30)))
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert run_cli(["importance", "--trees", "3", "--iterations", "1", "--data", str(data),
+                        "--schema", str(schema), "--out", str(out)]) == 0
+    finally:
+        tracer.uninstall()
+    counts = tracer.summary()
+    files = sorted(out.iterdir())
+    assert [f.name for f in files] == ["config.json", "importance.csv", "summary.csv"]
+    assert counts["io.atomic_write_text.calls"] == len(files)
+    assert counts["io.atomic_write_text.bytes"] == sum(f.stat().st_size for f in files)
