@@ -1,6 +1,7 @@
 """Deterministic file output helpers and the one CSV table writer, the UTF-8
-file reader, the model-file header reader, the risk-grid kind names, and
-LazyModule, through which cli and models load a submodule on first use.
+file opener and the one CSV record reader, the model-file header reader, the
+risk-grid kind names, and LazyModule, through which cli and models load a
+submodule on first use.
 
 All artifacts are written atomically (temporary file in the target directory,
 then rename) and floats are printed with 17 significant digits so that the
@@ -95,9 +96,19 @@ def open_text(path):
         raise IoError("cannot read %s: %s" % (path, exc)) from exc
 
 
-def read_text(path):
+@contextlib.contextmanager
+def read_rows(path):
+    """A csv.reader over the records of the UTF-8 text file at path, in a with
+    block: the mirror of write_table. A line ends at "\n", "\r\n" or a bare
+    "\r", and a quoted cell may hold any of them. A malformed record, such as
+    one with a field over csv's field size limit, raises ParseError naming
+    its line."""
     with open_text(path) as fh:
-        return fh.read()
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except csv.Error as exc:
+            raise ParseError("%s line %d: %s" % (path, reader.line_num, exc)) from None
 
 
 def float_array(text):

@@ -89,6 +89,8 @@ def _numbers(flag, text, count=None):
         values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise ConfigError("--%s takes comma-separated numbers" % flag) from None
+    if not np.all(np.isfinite(values)):
+        raise ConfigError("--%s takes finite numbers, got %r" % (flag, text))
     if count is not None and len(values) != count:
         raise ConfigError("--%s needs %d comma-separated numbers" % (flag, count))
     return values

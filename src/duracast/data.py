@@ -16,15 +16,13 @@ Conventions used throughout the package:
   encode_one_of_n first.
 """
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 # atomic_write_text is bound here so profiling shims (bench/tracing.py) can wrap
 # it on every module.
-from ._io import atomic_write_text, read_text, write_table
+from ._io import atomic_write_text, read_rows, write_table
 from .errors import (
     DegenerateSplit,
     DomainError,
@@ -63,6 +61,10 @@ class Column:
         if self.kind == NOMINAL:
             if not self.levels:
                 raise SchemaViolation("nominal column %r has no levels" % self.name)
+            for level in self.levels:
+                if level.splitlines() != [level]:
+                    raise SchemaViolation("column %r has a level %r that is not one "
+                                          "non-empty line" % (self.name, level))
             if len(set(self.levels)) != len(self.levels):
                 raise SchemaViolation("duplicate levels in column %r" % self.name)
         elif self.levels:
@@ -243,16 +245,17 @@ class NormalizationSpec:
 def read_schema(path):
     """Parse a line-oriented schema file (see module docstring)."""
     cols = []
-    for lineno, record in enumerate(csv.reader(io.StringIO(read_text(path))), start=1):
-        if not record or (len(record) == 1 and not record[0].strip()):
-            continue
-        if len(record) < 3:
-            raise ParseError("schema line %d needs name,kind,role" % lineno)
-        name, kind, role = (f.strip() for f in record[:3])
-        levels = ()
-        if len(record) > 3 and record[3].strip():
-            levels = tuple(p.strip() for p in record[3].split(";"))
-        cols.append(Column(name, kind, role, levels))
+    with read_rows(path) as reader:
+        for lineno, record in enumerate(reader, start=1):
+            if not record or (len(record) == 1 and not record[0].strip()):
+                continue
+            if len(record) < 3:
+                raise ParseError("schema line %d needs name,kind,role" % lineno)
+            name, kind, role = (f.strip() for f in record[:3])
+            levels = ()
+            if len(record) > 3 and record[3].strip():
+                levels = tuple(p.strip() for p in record[3].split(";"))
+            cols.append(Column(name, kind, role, levels))
     if not cols:
         raise ParseError("schema file %s is empty" % path)
     return Schema(tuple(cols))
@@ -274,11 +277,11 @@ def ingest_csv(path, sch):
         the end of the file are ignored; a blank line between rows is a
         ParseError.
     """
-    reader = csv.reader(io.StringIO(read_text(path)))
-    header = next(reader, None)
+    with read_rows(path) as reader:
+        header = next(reader, None)
+        records = list(reader)
     if header is None:
         raise ParseError("%s has no header row" % path)
-    records = list(reader)
     while records and not records[-1]:
         records.pop()
 
@@ -579,6 +582,8 @@ def split_holdout(ds, fractions, seed=0):
     fracs = [float(f) for f in fractions]
     if len(fracs) != 3:
         raise DomainError("fractions must be (train, validation, test)")
+    if not np.all(np.isfinite(fracs)):
+        raise DomainError("fractions must be finite, got %r" % (fracs,))
     if any(f < 0 for f in fracs) or not any(f > 0 for f in fracs):
         raise DomainError("fractions must be non-negative with a positive sum")
     if abs(sum(fracs) - 1.0) > 1e-9:

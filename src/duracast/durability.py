@@ -19,7 +19,6 @@ scalar call and the same value inside an array agree exactly.
 Relative humidity is a fraction in [0, 1] throughout this module.
 """
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,7 +32,7 @@ from ._io import (
     FROST,
     GRID_KINDS,
     atomic_write_text,
-    open_text,
+    read_rows,
     write_table,
 )
 from .data import moving_average_fill, segment_means
@@ -366,8 +365,7 @@ def read_series_csv(path, rh_percent=False):
     with an empty temperature or humidity field is missing."""
     columns = {}
     nan = float("nan")
-    with open_text(path) as fh:
-        reader = csv.reader(fh)
+    with read_rows(path) as reader:
         if next(reader, None) != ["element", "timestamp", "t_celsius", "rh"]:
             raise ParseError("series file needs header element,timestamp,t_celsius,rh")
         for ln, rec in enumerate(reader, start=2):

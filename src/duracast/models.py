@@ -23,7 +23,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from ._io import LazyModule, float_array, float_pair, fmt_float, read_model, read_text
+from ._io import LazyModule, float_array, float_pair, fmt_float, open_text, read_model
 from .errors import ConfigError, ParseError, ShapeError
 
 # A model kind loads only its own modules: narx never compiles the tree code.
@@ -208,7 +208,8 @@ _BY_KIND = {codec.kind: codec for codec in CODECS.values()}
 
 def load_model(path):
     """(kind, model) of a saved model file, chosen by its header line."""
-    content = read_text(path)
+    with open_text(path) as fh:
+        content = fh.read()
     first = content.splitlines()[0].strip() if content else ""
     if first not in CODECS:
         raise ParseError("unrecognized model file header %r" % first)

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import sys
@@ -8,8 +10,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from duracast import models
+from duracast import data as dcdata, models
 from duracast.cli import _build_parser, run_cli
 from oracles import simulate_first_order
 
@@ -498,12 +501,21 @@ def test_a_column_name_that_is_not_one_line_is_a_schema_violation(tmp_path, caps
     _one_error_line(capsys, "schema-violation")
 
 
-def test_a_level_that_makes_a_one_of_n_name_of_two_lines_is_a_schema_violation(tmp_path,
-                                                                                capsys):
-    flags = _hostile_files(tmp_path, "wb", "binder", "depth", levels=("opc", "gg\nbs"))
+@pytest.mark.parametrize("level", ["gg\rbs", "gg\nbs", "gg\x1cbs", ""],
+                         ids=["cr", "lf", "fs", "empty"])
+def test_a_level_that_is_not_one_non_empty_line_is_a_schema_violation(tmp_path, capsys,
+                                                                       level):
+    """Such a level would split its row of clean.csv or a one-of-N column name."""
+    flags = _hostile_files(tmp_path, "wb", "binder", "depth")
+    # quoted by hand: csv.writer leaves a bare "\r" unquoted
+    with open(flags[3], "wb") as fh:
+        fh.write(('wb,continuous,input\nbinder,nominal,input,"opc;%s"\nage,continuous,input\n'
+                  'depth,continuous,target\n' % level).encode())
     assert run(["train", "--model", "mlp", "--hidden", "2", "--epochs", "2", *flags,
                 "--out", str(tmp_path / "run")]) == 1
-    _one_error_line(capsys, "schema-violation")
+    err = capsys.readouterr().err
+    assert err == ("error:schema-violation:column 'binder' has a level %r that is not one "
+                   "non-empty line\n" % level)
 
 
 @pytest.mark.parametrize("name", ["", "wall\rx", "wall\nx"])
@@ -583,6 +595,8 @@ def test_bad_split_text_is_a_config_error(mix_files, tmp_path, capsys):
 DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 TAB = ["--data", os.path.join(DATA_DIR, "cli.train.csv"),
        "--schema", os.path.join(DATA_DIR, "cli.schema.csv")]
+ABSENT = ["--data", os.path.join(DATA_DIR, "absent.csv"),
+          "--schema", os.path.join(DATA_DIR, "absent.schema.csv")]
 SERIES = ["--data", os.path.join(DATA_DIR, "cli.series.csv"),
           "--schema", os.path.join(DATA_DIR, "cli.series.schema.csv")]
 
@@ -815,13 +829,14 @@ def test_a_crossval_fold_without_complete_training_rows_is_a_shape_error(tmp_pat
     assert capsys.readouterr().err.startswith("error:shape-error:")
 
 
-@pytest.mark.parametrize("kind", ["data", "schema", "series", "model"])
-def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, kind):
+def _run_with_second_line(tmp_path, kind, edit):
+    """(exit code, path) of a command reading a copy of a tests/data file of
+    the given kind whose second line edit rewrote."""
     sources = {"data": "cli.train.csv", "schema": "cli.schema.csv",
                "series": "risk.logger.csv", "model": "models/cli.train_tree.model.txt"}
     with open(os.path.join(DATA_DIR, sources[kind]), "rb") as fh:
         lines = fh.read().split(b"\n")
-    lines[1] = lines[1][:3] + b"\xff" + lines[1][3:]
+    lines[1] = edit(lines[1])
     bad = str(tmp_path / "bad.txt")
     with open(bad, "wb") as fh:
         fh.write(b"\n".join(lines))
@@ -831,9 +846,24 @@ def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, kind):
         "series": ["risk", "--series", bad],
         "model": ["predict", *TAB, "--model-file", bad],
     }[kind]
-    assert run(argv + ["--out", str(tmp_path / "run")]) == 1
+    return run(argv + ["--out", str(tmp_path / "run")]), bad
+
+
+@pytest.mark.parametrize("kind", ["data", "schema", "series", "model"])
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, kind):
+    code, bad = _run_with_second_line(tmp_path, kind, lambda line: line[:3] + b"\xff" + line[3:])
+    assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:parse-error:%s is not UTF-8 text" % bad)
+
+
+@pytest.mark.parametrize("kind", ["data", "schema", "series"])
+def test_a_field_over_the_csv_limit_is_a_parse_error_naming_its_line(tmp_path, capsys, kind):
+    code, bad = _run_with_second_line(tmp_path, kind, lambda line: line + b"x" * 200000)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error:parse-error:%s line 2: field larger than field limit (131072)\n" % bad)
+    assert not (tmp_path / "run" / "config.json").exists()
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -847,6 +877,11 @@ def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, kind):
     pytest.param(["train", *TAB, "--model", "mlp", "--epochs", "0"], "config-error",
                  id="mlp-epochs-0"),
     pytest.param(["importance", *TAB, "--top", "0"], "config-error", id="importance-top-0"),
+    # absent files: a non-finite number is refused before any file is read
+    pytest.param(["train", *ABSENT, "--split", "0.7,nan,0.2"], "config-error", id="split-nan"),
+    pytest.param(["train", *ABSENT, "--split", "inf,0,0.2"], "config-error", id="split-inf"),
+    pytest.param(["baseline", *ABSENT, *_model("train_bag"), "--specimen", "specimen",
+                  "--age", "age", "--ages", "1,nan"], "config-error", id="ages-nan"),
 ])
 def test_a_knob_outside_its_domain_ends_in_one_typed_error(tmp_path, capsys, argv, code):
     assert run(argv + ["--out", str(tmp_path / "run")]) == 1
@@ -880,19 +915,43 @@ def test_a_zero_test_fraction_is_a_config_error_before_any_file_is_read(tmp_path
 def test_a_byte_order_mark_gives_the_same_artifacts(tmp_path, argv, marked):
     """A file saved with a UTF-8 byte-order mark, as spreadsheets export CSV,
     reads as the same file without one."""
-    outputs = []
-    for bom in (b"", b"\xef\xbb\xbf"):
-        args = [os.path.join(DATA_DIR, a) if a.endswith(".csv") else a for a in argv]
-        with open(os.path.join(DATA_DIR, marked), "rb") as fh:
-            copy = tmp_path / ("%d.%s" % (len(bom), marked))
-            copy.write_bytes(bom + fh.read())
-        args[argv.index(marked)] = str(copy)
-        out = tmp_path / ("run%d" % len(bom))
-        assert run(args + ["--out", str(out)]) == 0
-        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
-                        if p.name != "config.json"})
-    assert len(outputs[0]) >= 2
-    assert outputs[0] == outputs[1]
+    plain = _artifacts(tmp_path / "plain", argv, marked, lambda text: text)
+    assert len(plain) >= 2
+    assert _artifacts(tmp_path / "bom", argv, marked, lambda text: b"\xef\xbb\xbf" + text) == plain
+
+
+def _artifacts(root, argv, marked, edit):
+    """{name: bytes} of the artifacts but config.json of argv, whose file
+    names are in tests/data, run with the file `marked` rewritten by edit."""
+    root.mkdir()
+    args = [os.path.join(DATA_DIR, a) if a.endswith(".csv") else a for a in argv]
+    with open(os.path.join(DATA_DIR, marked), "rb") as fh:
+        copy = root / marked
+        copy.write_bytes(edit(fh.read()))
+    args[argv.index(marked)] = str(copy)
+    out = root / "run"
+    assert run(args + ["--out", str(out)]) == 0
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "config.json"}
+
+
+_TREE_RUN = ["train", "--data", "cli.train.csv", "--schema", "cli.schema.csv",
+             "--model", "tree"]
+_INGEST = ["ingest", "--data", "cli.train.csv", "--schema", "cli.schema.csv"]
+
+
+@pytest.mark.parametrize("end", [b"\r", b"\r\n"], ids=["cr", "crlf"])
+@pytest.mark.parametrize("argv, marked", [
+    pytest.param(_INGEST, "cli.train.csv", id="ingest-data"),
+    pytest.param(_INGEST, "cli.schema.csv", id="ingest-schema"),
+    pytest.param(_TREE_RUN, "cli.train.csv", id="train-data"),
+    pytest.param(_TREE_RUN, "cli.schema.csv", id="train-schema"),
+    pytest.param(["risk", "--series", "risk.logger.csv", "--fill", "2"], "risk.logger.csv",
+                 id="risk"),
+])
+def test_every_line_end_gives_the_same_artifacts(tmp_path, argv, marked, end):
+    plain = _artifacts(tmp_path / "plain", argv, marked, lambda text: text)
+    assert _artifacts(tmp_path / "ends", argv, marked,
+                      lambda text: text.replace(b"\n", end)) == plain
 
 
 @pytest.mark.parametrize("blank", ["\n", "\n\r\n\n"])
@@ -927,3 +986,117 @@ def test_an_oversized_risk_grid_fails_before_it_is_allocated(tmp_path, capsys, f
     assert code == 1
     assert capsys.readouterr().err.startswith("error:domain-error:")
     assert peak < 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# properties over drawn and mutated input files
+
+# Names and levels: one line, stripped, with the characters a CSV writer quotes.
+_LABEL = st.text(st.sampled_from('ab ,"'), min_size=1, max_size=4).map(str.strip).filter(bool)
+
+
+@st.composite
+def _tables(draw):
+    """(schema rows, data rows, line end) of a small table with about 15 %
+    empty cells and at least one input column."""
+    names = draw(st.lists(_LABEL, min_size=2, max_size=4, unique=True))
+    schema = []
+    for name in names[:-1]:
+        levels = draw(st.none() | st.lists(_LABEL, min_size=1, max_size=3, unique=True))
+        schema.append([name, "continuous", "input"] if levels is None
+                      else [name, "nominal", "input", ";".join(levels)])
+    schema.append([names[-1], "continuous", "target"])
+    rows = [names]
+    for _ in range(draw(st.integers(1, 8))):
+        row = []
+        for spec in schema:
+            if draw(st.integers(0, 99)) < draw(st.integers(0, 30)):
+                row.append("")
+            elif spec[1] == "nominal":
+                row.append(draw(st.sampled_from(spec[3].split(";"))))
+            else:
+                row.append(repr(draw(st.floats(allow_nan=False, allow_infinity=False))))
+        rows.append(row)
+    return schema, rows, draw(st.sampled_from(["\n", "\r\n", "\r"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=_tables())
+def test_a_clean_copy_ingests_to_the_same_values_and_the_same_bytes(tmp_path_factory, table):
+    schema_rows, data_rows, end = table
+    root = tmp_path_factory.mktemp("round")
+    schema, data = root / "s.csv", root / "d.csv"
+    for path, rows in ((schema, schema_rows), (data, data_rows)):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator=end).writerows(rows)
+    clean = root / "first" / "clean.csv"
+    for source, out in ((data, "first"), (clean, "second")):
+        assert run(["ingest", "--data", str(source), "--schema", str(schema),
+                    "--out", str(root / out)]) == 0
+    assert (root / "second" / "clean.csv").read_bytes() == clean.read_bytes()
+    sch = dcdata.read_schema(str(schema))
+    before, after = dcdata.ingest_csv(str(data), sch), dcdata.ingest_csv(str(clean), sch)
+    assert np.array_equal(before.missing, after.missing)
+    assert np.array_equal(before.values, after.values)
+
+
+def _mutate(text, kind, at):
+    """text with one hostile edit at a place chosen by at."""
+    lines, pos = text.split(b"\n"), at % (len(text) + 1)
+    i = at % len(lines)
+    if kind in ("cr", "crlf"):
+        return text.replace(b"\n", {"cr": b"\r", "crlf": b"\r\n"}[kind])
+    if kind == "blank":
+        return text + b"\n"
+    if kind == "truncated":
+        last = text.rstrip(b"\n").rfind(b"\n") + 1
+        return text[:last + at % max(len(text) - last, 1)]
+    if kind in ("nul", "byte"):
+        return text[:pos] + {"nul": b"\x00", "byte": b"\xff"}[kind] + text[pos:]
+    if kind == "quoted":
+        lines[i] = b",".join(b'"%s"' % cell for cell in lines[i].split(b","))
+    elif kind == "header":
+        lines.insert(1, lines[0])
+    elif kind == "field":
+        lines[i] += b"x" * 200000
+    return b"\n".join(lines)
+
+
+_MUTATIONS = ["cr", "crlf", "blank", "quoted", "header", "truncated", "nul", "field", "byte"]
+_ARTIFACTS = {"ingest": ["clean.csv"], "train": ["model.txt", "report.csv"],
+              "risk": ["grid_%s.%s" % (k, ext) for k in ("corrosion", "frost", "chemical")
+                       for ext in ("ppm", "csv")]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["data", "schema", "series"]),
+       edits=st.lists(st.tuples(st.sampled_from(_MUTATIONS), st.integers(0, 10 ** 6)),
+                      min_size=1, max_size=2))
+def test_a_mutated_input_file_ends_in_artifacts_or_one_typed_error(tmp_path_factory, kind,
+                                                                   edits):
+    root = tmp_path_factory.mktemp("hostile")
+    source = {"data": TAB[1], "schema": TAB[3],
+              "series": os.path.join(DATA_DIR, "risk.logger.csv")}[kind]
+    with open(source, "rb") as fh:
+        text = fh.read()
+    for mutation, at in edits:
+        text = _mutate(text, mutation, at)
+    path = root / "mutated.csv"
+    path.write_bytes(text)
+    files = {"data": ["--data", str(path), "--schema", TAB[3]],
+             "schema": ["--data", TAB[1], "--schema", str(path)],
+             "series": ["--series", str(path), "--fill", "2"]}[kind]
+    commands = [["risk"]] if kind == "series" else [["ingest"], ["train", "--model", "tree"]]
+    for command in commands:
+        out = root / command[0]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = run_cli(command + files + ["--out", str(out)])
+        if code == 0:
+            assert all((out / name).exists() for name in _ARTIFACTS[command[0]] + ["config.json"])
+        else:
+            assert code == 1
+            assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, \
+                err.getvalue()
+            assert not (out / "config.json").exists()

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import duracast as dc
 from duracast.data import segment_means, segment_sums
-from duracast.errors import DuracastError, UnfillableGap
+from duracast.errors import DomainError, DuracastError, UnfillableGap
 
 from helpers import continuous_ds, make_ds
 from oracles import moving_average_fill_reference
@@ -380,6 +380,8 @@ def test_holdout_rejects_bad_fractions():
         dc.split_holdout(10, (0.5, 0.2, 0.2), seed=0)
     with pytest.raises(DuracastError):
         dc.split_holdout(2, (0.4, 0.3, 0.3), seed=0)
+    with pytest.raises(DomainError):
+        dc.split_holdout(10, (0.7, float("nan"), 0.3), seed=0)
 
 
 @pytest.mark.parametrize("n, fractions", [(10, (0.5, 0.5, 0.0)), (10, (0.98, 0.01, 0.01))])
