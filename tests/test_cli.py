@@ -997,8 +997,8 @@ _LABEL = st.text(st.sampled_from('ab ,"'), min_size=1, max_size=4).map(str.strip
 
 @st.composite
 def _tables(draw):
-    """(schema rows, data rows, line end) of a small table with about 15 %
-    empty cells and at least one input column."""
+    """(schema rows, data rows, line end) of a small table with 0-30 % empty
+    cells and at least one input column."""
     names = draw(st.lists(_LABEL, min_size=2, max_size=4, unique=True))
     schema = []
     for name in names[:-1]:
@@ -1006,11 +1006,11 @@ def _tables(draw):
         schema.append([name, "continuous", "input"] if levels is None
                       else [name, "nominal", "input", ";".join(levels)])
     schema.append([names[-1], "continuous", "target"])
-    rows = [names]
+    rows, empty = [names], draw(st.integers(0, 30))
     for _ in range(draw(st.integers(1, 8))):
         row = []
         for spec in schema:
-            if draw(st.integers(0, 99)) < draw(st.integers(0, 30)):
+            if draw(st.integers(0, 99)) < empty:
                 row.append("")
             elif spec[1] == "nominal":
                 row.append(draw(st.sampled_from(spec[3].split(";"))))
