@@ -1,6 +1,6 @@
 """Closed-form ingress baselines: square-root-of-time carbonation, the
 fib-style carbonation front, and the error-function chloride profile with an
-aging diffusion coefficient.
+aging diffusion coefficient. The profile's erf is the stdlib's math.erf.
 
 These are the physics yardsticks the learned models are compared against.
 """
@@ -24,25 +24,13 @@ from .errors import (
 )
 from .metrics import evaluate
 
-# Rational approximation 7.1.26 from Abramowitz & Stegun, max absolute
-# error 1.5e-7, extended to negative arguments by oddness.
-_ERF_P = 0.3275911
-_ERF_A = (0.254829592, -0.284496736, 1.421413741, -1.453152027, 1.061405429)
+# math.erf applied elementwise; otypes lets it take an empty array.
+_erf = np.vectorize(math.erf, otypes=[float])
 
 
 def erf(x):
-    """Gauss error function, elementwise, absolute error within 1.5e-7."""
-    x = np.asarray(x, dtype=float)
-    sign = np.sign(x)
-    ax = np.abs(x)
-    t = 1.0 / (1.0 + _ERF_P * ax)
-    poly = t * (
-        _ERF_A[0]
-        + t * (_ERF_A[1] + t * (_ERF_A[2] + t * (_ERF_A[3] + t * _ERF_A[4])))
-    )
-    with np.errstate(under="ignore"):
-        y = 1.0 - poly * np.exp(-ax * ax)
-    out = sign * y
+    """Gauss error function, elementwise: math.erf on every element."""
+    out = _erf(np.asarray(x, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 
@@ -52,12 +40,9 @@ def erf(x):
 
 @dataclass(frozen=True)
 class CarbonationCoefficient:
-    """Front coefficient in mm per sqrt(time unit), with optional provenance
-    of the fit."""
+    """Front coefficient in mm per sqrt(time unit)."""
 
     k: float
-    fitted_at: float = float("nan")
-    depth: float = float("nan")
 
     def __post_init__(self):
         if not math.isfinite(self.k) or self.k < 0:
@@ -74,7 +59,7 @@ def fit_k(depth, t):
         raise DomainError("age cannot be negative")
     if t == 0:
         raise DivisionError("cannot fit a square-root law at age zero")
-    return CarbonationCoefficient(k=depth / math.sqrt(t), fitted_at=t, depth=depth)
+    return CarbonationCoefficient(k=depth / math.sqrt(t))
 
 
 def carbonation_sqrt(k, t):

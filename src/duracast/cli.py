@@ -80,8 +80,9 @@ _UNFLAGGED = {("importance", "surrogates")}
 # predict records these only for narx models.
 _NARX_PREDICT = ("horizon", "mode", "u_column", "y_column")
 # The least value of the count knobs that no library function checks: zero
-# epochs would save an untrained network, and --top 0 an empty summary.
-_LEAST = {"epochs": 1, "top": 1}
+# epochs would save an untrained network, --top 0 an empty summary, and a
+# patience below 1 trains as patience 1 while config.json records the value.
+_LEAST = {"epochs": 1, "top": 1, "patience": 1}
 
 
 def _numbers(flag, text, count=None):

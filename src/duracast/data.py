@@ -246,11 +246,12 @@ def read_schema(path):
     """Parse a line-oriented schema file (see module docstring)."""
     cols = []
     with read_rows(path) as reader:
-        for lineno, record in enumerate(reader, start=1):
+        for record in reader:
             if not record or (len(record) == 1 and not record[0].strip()):
                 continue
             if len(record) < 3:
-                raise ParseError("schema line %d needs name,kind,role" % lineno)
+                raise ParseError("%s line %d: a schema record needs name,kind,role"
+                                 % (path, reader.line_num))
             name, kind, role = (f.strip() for f in record[:3])
             levels = ()
             if len(record) > 3 and record[3].strip():

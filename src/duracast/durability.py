@@ -150,40 +150,42 @@ def corrosion_rate(t_celsius, rh):
     return float(rate) if rate.ndim == 0 else rate
 
 
+def _categories(kind, values):
+    """Category of each value, a corrosion rate for CORROSION and a relative
+    humidity otherwise. A rate bands below 1, 1 to 5, above 5 up to 10 and
+    above 10; a humidity below 0.85, 0.85 up to but not including 0.98, and
+    0.98 and above, whose middle band is Medium for frost and Slight for
+    chemical attack."""
+    v = np.asarray(values, dtype=float)
+    if kind == CORROSION:
+        if not (np.isfinite(v) & (v >= 0.0)).all():
+            raise DomainError("corrosion rate must be finite and >= 0")
+        codes, levels = (v >= 1.0).astype(int) + (v > 5.0) + (v > 10.0), list(CorrosionStatus)
+    else:
+        if not ((v >= 0.0) & (v <= 1.0)).all():
+            raise DomainError("relative humidity must lie in [0, 1]")
+        codes = (v >= 0.85).astype(int) + (v >= 0.98)
+        middle = RiskLevel.Medium if kind == FROST else RiskLevel.Slight
+        levels = [RiskLevel.Insignificant, middle, RiskLevel.High]
+    return np.array(levels, dtype=object)[codes]
+
+
 def classify_corrosion(rate):
     """Band a corrosion rate: below 1 Passive, 1 to 5 Low, above 5 up to 10
     Moderate, above 10 High."""
-    rate = float(rate)
-    if not math.isfinite(rate) or rate < 0:
-        raise DomainError("corrosion rate must be finite and >= 0")
-    if rate < 1.0:
-        return CorrosionStatus.Passive
-    if rate <= 5.0:
-        return CorrosionStatus.Low
-    if rate <= 10.0:
-        return CorrosionStatus.Moderate
-    return CorrosionStatus.High
-
-
-def _band_rh(rh, middle):
-    rh = float(rh)
-    if not math.isfinite(rh) or not 0.0 <= rh <= 1.0:
-        raise DomainError("relative humidity must lie in [0, 1]")
-    if rh < 0.85:
-        return RiskLevel.Insignificant
-    return middle if rh < 0.98 else RiskLevel.High
+    return _categories(CORROSION, float(rate))
 
 
 def classify_frost(rh):
     """Frost risk from humidity: dry is Insignificant, 0.85 up to but not
     including 0.98 is Medium, 0.98 and above is High."""
-    return _band_rh(rh, RiskLevel.Medium)
+    return _categories(FROST, float(rh))
 
 
 def classify_chemical(rh):
     """Chemical attack risk from humidity; same cut points as frost but the
     middle band is only Slight."""
-    return _band_rh(rh, RiskLevel.Slight)
+    return _categories(CHEMICAL, float(rh))
 
 
 # ---------------------------------------------------------------------------
@@ -216,23 +218,6 @@ class RiskGrid:
     @property
     def n_bins(self):
         return self.bin_starts.size
-
-
-def _classify_bins(kind, mean_t, mean_rh):
-    """Categories of bin mean vectors, banded as classify_corrosion,
-    classify_frost and classify_chemical band one value."""
-    if kind == CORROSION:
-        rate, _ = _rate_array(mean_t, mean_rh)
-        if not np.isfinite(rate).all():
-            raise DomainError("corrosion rate must be finite and >= 0")
-        codes = (rate >= 1.0).astype(int) + (rate > 5.0) + (rate > 10.0)
-        return np.array(list(CorrosionStatus), dtype=object)[codes]
-    middle = RiskLevel.Medium if kind == FROST else RiskLevel.Slight
-    codes = np.where(
-        mean_rh < 0.85, RiskLevel.Insignificant,
-        np.where(mean_rh < 0.98, middle, RiskLevel.High),
-    )
-    return np.array(list(RiskLevel), dtype=object)[codes]
 
 
 def build_risk_grid(series, kind=CORROSION, bin_width=1.0, fill_radius=None):
@@ -304,7 +289,8 @@ def build_risk_grid(series, kind=CORROSION, bin_width=1.0, fill_radius=None):
         starts = np.cumsum(counts) - counts
         mean_t, mean_rh = segment_means(np.stack([temp[keep], rh[keep]]), starts[bins],
                                         counts[bins])
-        cells[ei, bins] = _classify_bins(kind, mean_t, mean_rh)
+        values = _rate_array(mean_t, mean_rh)[0] if kind == CORROSION else mean_rh
+        cells[ei, bins] = _categories(kind, values)
     return RiskGrid(
         kind=kind,
         elements=elements,

@@ -117,11 +117,9 @@ def train_lsboost(ds, n_trees=150, lam=0.1, stop=None, seed=0, rows=None):
         raise DomainError("shrinkage must be in (0, 2], got %r" % lam)
     rows = np.arange(ds.n_rows) if rows is None else np.asarray(rows, dtype=int)
     stop = stop or tree_mod.StoppingCriteria()
-    y = ds.target_vector(rows)
-    if np.any(np.isnan(y)):
-        raise DomainError("target has missing values in the training rows")
     residual = np.zeros(ds.n_rows)
-    residual[rows] = y
+    # the grower refuses a missing target in the training rows
+    residual[rows] = ds.target_vector(rows)
     x = ds.input_matrix(rows)
     grow_trees = tree_mod.grower(ds)
     trees = []
@@ -148,8 +146,6 @@ def predict(model, x):
 
 def predict_batch(model, x_matrix):
     x_matrix = np.asarray(x_matrix, dtype=float)
-    if x_matrix.ndim != 2:
-        raise ShapeError("prediction input must be a matrix")
     per_tree = tree_mod.predict_batch(model.table, x_matrix)
     return _combine(model, per_tree.reshape(model.n_trees, x_matrix.shape[0]))
 

@@ -129,8 +129,7 @@ def forward(net, x):
     z = x[None, :] if single else x
     if z.shape[1] != net.n_in:
         raise ShapeError("input arity %d, network expects %d" % (z.shape[1], net.n_in))
-    for w, b, act in zip(net.weights, net.biases, net.activations):
-        z = act.apply(z @ w.T + b)
+    z = _forward_trace(net, z)[-1]
     return z[0] if single else z
 
 

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 import tracemalloc
 import warnings
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from duracast import data as dcdata, models
-from duracast.cli import _build_parser, run_cli
+from duracast.cli import _FLAGS, _build_parser, run_cli
 from oracles import simulate_first_order
 
 
@@ -866,6 +867,16 @@ def test_a_field_over_the_csv_limit_is_a_parse_error_naming_its_line(tmp_path, c
     assert not (tmp_path / "run" / "config.json").exists()
 
 
+def test_a_short_schema_record_is_a_parse_error_naming_the_file_and_its_line(tmp_path, capsys):
+    # the first record holds a quoted line break, so the short record is line 4
+    schema = tmp_path / "s.csv"
+    schema.write_text('x,"continuous\n",input\ny,continuous,target\nz\n')
+    assert run(["ingest", "--data", TAB[1], "--schema", str(schema),
+                "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == (
+        "error:parse-error:%s line 4: a schema record needs name,kind,role\n" % schema)
+
+
 @pytest.mark.parametrize("argv, code", [
     pytest.param(["train", *TAB, "--model", "mlp", "--hidden", "0"], "domain-error",
                  id="mlp-hidden-0"),
@@ -880,6 +891,10 @@ def test_a_field_over_the_csv_limit_is_a_parse_error_naming_its_line(tmp_path, c
     # absent files: a non-finite number is refused before any file is read
     pytest.param(["train", *ABSENT, "--split", "0.7,nan,0.2"], "config-error", id="split-nan"),
     pytest.param(["train", *ABSENT, "--split", "inf,0,0.2"], "config-error", id="split-inf"),
+    pytest.param(["train", *ABSENT, "--model", "mlp", "--patience", "0"], "config-error",
+                 id="mlp-patience-0"),
+    pytest.param(["train", *ABSENT, "--model", "narx", "--patience", "-3"], "config-error",
+                 id="narx-patience-minus-3"),
     pytest.param(["baseline", *ABSENT, *_model("train_bag"), "--specimen", "specimen",
                   "--age", "age", "--ages", "1,nan"], "config-error", id="ages-nan"),
 ])
@@ -889,6 +904,29 @@ def test_a_knob_outside_its_domain_ends_in_one_typed_error(tmp_path, capsys, arg
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and errors[0].startswith("error:%s:" % code), err
     assert "Traceback" not in err
+
+
+def test_the_readme_knob_table_names_every_numeric_flag():
+    with open(os.path.join(os.path.dirname(DATA_DIR), os.pardir, "README.md")) as fh:
+        table = fh.read().split("| knob | domain | error |", 1)[1].split("\n\n", 1)[0]
+    named = set(re.findall(r"`(--[a-z-]+)`", table))
+    numeric = {"--" + key.replace("_", "-") for key, spec in _FLAGS.items()
+               if spec.get("type") in (int, float)}
+    assert sorted((numeric | {"--split", "--ages"}) - named) == []
+
+
+def test_a_bin_whose_corrosion_rate_overflows_is_one_domain_error(tmp_path, capsys):
+    series = tmp_path / "logger.csv"
+    series.write_text("element,timestamp,t_celsius,rh\nw,0,1e300,0.5\nw,1,20,0.5\n")
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run(["risk", "--series", str(series), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error:domain-error:corrosion rate must be finite and >= 0"]
+    assert "Traceback" not in err
+    assert not (out / "config.json").exists()
 
 
 @pytest.mark.parametrize("model", ["tree", "narx"])

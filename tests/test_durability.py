@@ -349,6 +349,25 @@ def test_constant_bins_on_the_band_edges_classify_like_the_scan(rh, count):
         assert _same_cells(grid.cells, risk_grid_reference(series, kind, 1.0))
 
 
+# humidities on the two cut points, a few ulps either side of them, and anywhere
+_BAND_RH = st.one_of(
+    st.builds(lambda edge, ulps: edge + ulps * float(np.spacing(edge)),
+              st.sampled_from([0.85, 0.98]), st.integers(-3, 3)),
+    st.floats(0.8, 1.0),
+    st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-30.0, 60.0), _BAND_RH)
+def test_a_one_reading_bin_is_banded_as_the_scalar_classifiers_band(t, rh):
+    series = {"wall": [sample(0.0, t=t, rh=rh)]}
+    cells = {kind: dur.build_risk_grid(series, kind=kind).cells[0, 0] for kind in dur.GRID_KINDS}
+    assert cells[dur.CORROSION] is dur.classify_corrosion(dur.corrosion_rate(t, rh))
+    assert cells[dur.FROST] is dur.classify_frost(rh)
+    assert cells[dur.CHEMICAL] is dur.classify_chemical(rh)
+
+
 def test_grid_keeps_all_missing_bins_of_elements_with_other_spans():
     series = {
         "early": [sample(0.0), sample(0.5, missing=True), sample(1.2, missing=True)],

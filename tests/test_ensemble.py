@@ -6,7 +6,7 @@ import pytest
 
 import duracast as dc
 from duracast import ensemble, tree
-from duracast.errors import DomainError, NoCoverage, ParseError
+from duracast.errors import DomainError, NoCoverage, ParseError, ShapeError
 
 from helpers import continuous_ds, make_ds
 
@@ -131,6 +131,23 @@ def test_boosting_training_error_never_increases():
         mse = float(np.mean((ensemble.predict_batch(model, grid) - y) ** 2))
         assert mse <= last + 1e-12
         last = mse
+
+
+def test_boosting_refuses_a_missing_target_in_its_training_rows_only():
+    ds = nonlinear_ds(n=40)
+    missing = ds.missing.copy()
+    missing[7, ds.schema.target_index] = True
+    ds = dc.Dataset(ds.schema, ds.values, missing)
+    with pytest.raises(DomainError, match="^target has missing values in the training rows$"):
+        dc.train_lsboost(ds, n_trees=2, stop=stop())
+    rows = np.delete(np.arange(40), 7)
+    assert dc.train_lsboost(ds, n_trees=2, stop=stop(), rows=rows).n_trees == 2
+
+
+def test_ensemble_prediction_needs_a_matrix():
+    model = dc.train_lsboost(nonlinear_ds(n=40), n_trees=2, stop=stop())
+    with pytest.raises(ShapeError, match="^prediction input must be a matrix$"):
+        ensemble.predict_batch(model, np.zeros(3))
 
 
 @pytest.mark.parametrize("lam", [0.0, -0.1, 2.0001])
