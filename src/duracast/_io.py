@@ -101,14 +101,24 @@ def read_rows(path):
     """A csv.reader over the records of the UTF-8 text file at path, in a with
     block: the mirror of write_table. A line ends at "\n", "\r\n" or a bare
     "\r", and a quoted cell may hold any of them. A malformed record, such as
-    one with a field over csv's field size limit, raises ParseError naming
-    its line."""
+    one with a field over csv's field size limit, raises ParseError, and a
+    DuracastError raised in the block is raised again as its class, both
+    with "<path> line <N>: " before the message, N the last line read."""
     with open_text(path) as fh:
         reader = csv.reader(fh)
         try:
             yield reader
-        except csv.Error as exc:
-            raise ParseError("%s line %d: %s" % (path, reader.line_num, exc)) from None
+        except (csv.Error, DuracastError) as exc:
+            kind = ParseError if isinstance(exc, csv.Error) else type(exc)
+            raise kind("%s line %d: %s" % (path, reader.line_num, exc)) from None
+
+
+def raise_at_record(path, index, exc):
+    """Raise exc as read_rows does at record `index` (0 the first), re-reading path to it."""
+    with read_rows(path) as reader:
+        for _ in zip(range(index + 1), reader):
+            pass
+        raise exc
 
 
 def float_array(text):

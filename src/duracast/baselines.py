@@ -225,9 +225,9 @@ def _comparison_row(name, age_label, pred, target):
         mse=rep.mse,
         mae=rep.mae,
         rmse=rep.rmse,
-        median_resid=rep.residuals.median,
-        q1=rep.residuals.q1,
-        q3=rep.residuals.q3,
+        median_resid=rep.residual_median,
+        q1=rep.residual_q1,
+        q3=rep.residual_q3,
     )
 
 

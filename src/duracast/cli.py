@@ -49,7 +49,7 @@ KNOBS = {
                     u_column=None, y_column=None),
     "crossval": dict(_DATA, model="tree", preset=None, folds=10),
     "importance": dict(_DATA, preset=None, trees=100, leaf=5, branch=10, surrogates=5,
-                       m=None, iterations=10, scaling="std", keep=None, drop=None, top=5),
+                       m=None, iterations=10, scaling="std", keep=None, drop=(), top=5),
     "baseline": dict(_DATA, model_file=None, specimen=None, age=None, ages=None),
     "risk": {"series": None, "kind": "all", "bin_width": 1.0, "fill": None, "scale": 10,
              "rh_percent": False},
@@ -72,53 +72,54 @@ MODEL_KNOBS = {
     "crossval": _KINDS,
 }
 # The model kinds a preset may name for each command that takes --preset.
-RUNNABLE = {"train": tuple(MODEL_KNOBS["train"]), "crossval": tuple(_KINDS),
-            "importance": ("bag",)}
+RUNNABLE = dict(MODEL_KNOBS, importance=("bag",))
 SEEDED = ("train", "crossval", "importance")
 # Knobs a command consumes but has no flag for.
 _UNFLAGGED = {("importance", "surrogates")}
 # predict records these only for narx models.
 _NARX_PREDICT = ("horizon", "mode", "u_column", "y_column")
-# The least value of the count knobs that no library function checks: zero
-# epochs would save an untrained network, --top 0 an empty summary, and a
-# patience below 1 trains as patience 1 while config.json records the value.
-_LEAST = {"epochs": 1, "top": 1, "patience": 1}
 
 
-def _numbers(flag, text, count=None):
-    try:
-        values = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise ConfigError("--%s takes comma-separated numbers" % flag) from None
+# argparse types; a bad value reads "argument --<flag>: invalid <type> value: '<text>'".
+def count(text):
+    """An integer of at least 1, for the count knobs that no library function checks:
+    zero epochs would save an untrained network, --top 0 an empty summary, and a
+    patience below 1 trains as patience 1 while config.json records the value."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
+def numbers(text):
+    """Comma-separated finite numbers."""
+    values = [float(v) for v in text.split(",") if v.strip()]
     if not np.all(np.isfinite(values)):
-        raise ConfigError("--%s takes finite numbers, got %r" % (flag, text))
-    if count is not None and len(values) != count:
-        raise ConfigError("--%s needs %d comma-separated numbers" % (flag, count))
+        raise argparse.ArgumentTypeError("takes finite numbers, got %r" % text)
     return values
 
 
-def _names(text):
+def fractions(text):
+    """Train, validation and test fractions: three numbers, the test one > 0."""
+    values = numbers(text)
+    if len(values) != 3 or not values[2] > 0.0:
+        raise argparse.ArgumentTypeError("needs three numbers, the test one > 0, got %r" % text)
+    return values
+
+
+def names(text):
+    """Comma-separated column names; empty text is the flag left out (keep all, drop none)."""
     return [s.strip() for s in text.split(",")] if text else None
 
 
-# Flag text -> knob value, for the knobs that are not plain strings or numbers.
-_CONVERT = {
-    "split": lambda text: _numbers("split", text, 3),
-    "ages": lambda text: _numbers("ages", text),
-    "keep": _names,
-    "drop": lambda text: _names(text) or [],
-}
-
-
 def _resolve_seed(args):
+    seed = 0 if args.seed is None else args.seed
     env = os.environ.get("DURACAST_SEED")
     if env is not None:
         try:
             seed = int(env)
         except ValueError:
             raise ConfigError("DURACAST_SEED must be an integer") from None
-    else:
-        seed = 0 if args.seed is None else int(args.seed)
     if seed < 0:
         raise ConfigError("the seed must be a non-negative integer, got %d" % seed)
     return seed
@@ -149,12 +150,9 @@ def resolve(args):
         value = getattr(args, key, None)
         if value is None:
             value = preset.get(key, default)
-        cfg[key] = _CONVERT[key](value) if key in _CONVERT else value
-    for key, least in _LEAST.items():
-        if cfg.get(key, least) < least:
-            raise ConfigError("--%s must be at least %d, got %d" % (key, least, cfg[key]))
-    if "split" in cfg and not cfg["split"][2] > 0.0:
-        raise ConfigError("--split needs a positive test fraction, got %r" % cfg["split"][2])
+            if isinstance(value, str) and "type" in _FLAGS[key]:
+                value = _FLAGS[key]["type"](value)
+        cfg[key] = value
     if command in SEEDED:
         cfg["seed"] = seed
     return cfg
@@ -181,11 +179,11 @@ _FLAGS = {
     "surrogates": dict(type=int, help="surrogate splits kept per node (default {default})"),
     "hidden": dict(type=int, help="hidden neurons for network models (default {default})"),
     "delays": dict(type=int, help="tapped delay order q for narx (default {default})"),
-    "patience": dict(type=int, help="validation increases tolerated before stopping "
+    "patience": dict(type=count, help="validation increases tolerated before stopping "
+                                      "(default {default})"),
+    "epochs": dict(type=count, help="maximum training epochs for network models "
                                     "(default {default})"),
-    "epochs": dict(type=int, help="maximum training epochs for network models "
-                                  "(default {default})"),
-    "split": dict(help="train,validation,test fractions (default {default})"),
+    "split": dict(type=fractions, help="train,validation,test fractions (default {default})"),
     "u_column": dict(help="narx input series column (default: first continuous input)"),
     "y_column": dict(help="narx output series column (default: the target column)"),
     "fill": dict(type=int, help="moving-average fill radius for series gaps"),
@@ -193,16 +191,16 @@ _FLAGS = {
     "iterations": dict(type=int, help="permutation repeats averaged (default {default})"),
     "scaling": dict(choices=("std", "stderr"),
                     help="permutation score denominator (default {default})"),
-    "keep": dict(help="comma-separated input columns to keep (default all)"),
-    "drop": dict(help="comma-separated input columns to exclude"),
-    "top": dict(type=int, help="rows in the cumulative-share summary (default {default})"),
+    "keep": dict(type=names, help="comma-separated input columns to keep (default all)"),
+    "drop": dict(type=names, help="comma-separated input columns to exclude"),
+    "top": dict(type=count, help="rows in the cumulative-share summary (default {default})"),
     "model_file": dict(required=True, help="saved model file"),
     "horizon": dict(type=int, help="narx only: predict the last H points of the series"),
     "mode": dict(choices=("open", "closed"),
                  help="narx only: feedback mode (default: as trained)"),
     "specimen": dict(required=True, help="specimen id column"),
     "age": dict(required=True, help="age column"),
-    "ages": dict(required=True, help="comma-separated evaluation ages"),
+    "ages": dict(type=numbers, required=True, help="comma-separated evaluation ages"),
     "series": dict(required=True, help="CSV with header element,timestamp,t_celsius,rh"),
     "kind": dict(choices=("all",) + GRID_KINDS, help="grid kind (default {default})"),
     "bin_width": dict(type=float, help="time bin width in days (default {default})"),
@@ -360,7 +358,7 @@ def cmd_importance(cfg):
         for name in keep:
             ds.schema.column_index(name)
         inputs = {ds.schema.names[j] for j in ds.schema.input_indices}
-        drop.extend(sorted(inputs - set(keep) - set(drop)))
+        cfg["drop"] = drop = [*drop, *sorted(inputs - set(keep) - set(drop))]
     if drop:
         ds = data.drop_columns(ds, drop)
     model = ensemble.train_bagged(ds, n_trees=cfg["trees"], stop=models.stopping(cfg),
@@ -369,12 +367,10 @@ def cmd_importance(cfg):
                                              seed=cfg["seed"], scaling=cfg["scaling"])
     ensemble.write_importance_csv(os.path.join(cfg["out"], "importance.csv"), report)
     ranked = ensemble.ranked_rows(report)
-    share = dict(zip(report.names, report.splitgain))
-    rows = []
-    total = 0.0
-    for name, _perm, _gain, rank in ranked[:cfg["top"]]:
-        total += share[name]
-        rows.append((rank, name, share[name], total))
+    rows, total = [], 0.0
+    for name, _perm, share, rank in ranked[:cfg["top"]]:
+        total += share
+        rows.append((rank, name, share, total))
     write_table(os.path.join(cfg["out"], "summary.csv"),
                 ("rank", "variable", "splitgain_share", "cumulative_share"), rows)
     best = ranked[0][0] if ranked else "(none)"

@@ -22,7 +22,7 @@ import numpy as np
 
 # atomic_write_text is bound here so profiling shims (bench/tracing.py) can wrap
 # it on every module.
-from ._io import atomic_write_text, read_rows, write_table
+from ._io import atomic_write_text, raise_at_record, read_rows, write_table
 from .errors import (
     DegenerateSplit,
     DomainError,
@@ -250,8 +250,7 @@ def read_schema(path):
             if not record or (len(record) == 1 and not record[0].strip()):
                 continue
             if len(record) < 3:
-                raise ParseError("%s line %d: a schema record needs name,kind,role"
-                                 % (path, reader.line_num))
+                raise ParseError("a schema record needs name,kind,role")
             name, kind, role = (f.strip() for f in record[:3])
             levels = ()
             if len(record) > 3 and record[3].strip():
@@ -309,10 +308,12 @@ def ingest_csv(path, sch):
         values[:good, j] = column
         if fault is not None:
             faults.append((fault[0], j, fault[1]))
-    if faults:
-        raise min(faults, key=lambda fault: fault[:2])[2]
     if good < n:
-        raise ParseError("row %d has %d fields, expected %d" % (good + 1, len(records[good]), p))
+        faults.append((good, p, ParseError("a record has %d fields, expected %d"
+                                           % (len(records[good]), p))))
+    if faults:
+        row, _, exc = min(faults, key=lambda fault: fault[:2])
+        raise_at_record(path, row + 1, exc)
     return Dataset(sch, values, missing)
 
 
@@ -328,8 +329,7 @@ def _read_column(col, cells):
         unknown = np.flatnonzero(codes < 0)
         if unknown.size:
             i = int(unknown[0])
-            return codes, (i, SchemaViolation("row %d, column %r: unknown level %r"
-                                              % (i + 1, col.name, cells[i])))
+            return codes, (i, SchemaViolation("column %r: unknown level %r" % (col.name, cells[i])))
         return codes, None
     try:
         column = np.fromiter((float(cell) if cell else 0.0 for cell in cells), float, len(cells))
@@ -344,11 +344,10 @@ def _read_column(col, cells):
     infinite = np.flatnonzero(~np.isfinite(column[:bad]))
     if infinite.size:
         i = int(infinite[0])
-        return column, (i, ParseError("row %d, column %r: non-finite value %r"
-                                      % (i + 1, col.name, cells[i])))
+        return column, (i, ParseError("column %r: non-finite value %r" % (col.name, cells[i])))
     if bad < len(cells):
-        return column, (bad, ParseError("row %d, column %r: cannot parse %r as a number"
-                                        % (bad + 1, col.name, cells[bad])))
+        return column, (bad, ParseError("column %r: cannot parse %r as a number"
+                                        % (col.name, cells[bad])))
     return column, None
 
 

@@ -117,7 +117,9 @@ def temperature_factor(t_celsius):
     """Quartic temperature multiplier 1.6e-7 (30 + T)^4, zero at and below
     -30 C where the polynomial would otherwise rise again."""
     t = np.asarray(t_celsius, dtype=float)
-    c_t = np.where(t < -30.0, 0.0, 1.6e-7 * np.power(30.0 + t, 4.0))
+    # An extreme T overflows to inf without a warning: callers refuse the inf.
+    with np.errstate(over="ignore"):
+        c_t = np.where(t < -30.0, 0.0, 1.6e-7 * np.power(30.0 + t, 4.0))
     return float(c_t) if c_t.ndim == 0 else c_t
 
 
@@ -208,7 +210,6 @@ class RiskGrid:
     kind: str
     elements: tuple
     bin_starts: np.ndarray
-    bin_width: float
     cells: np.ndarray
 
     @property
@@ -295,7 +296,6 @@ def build_risk_grid(series, kind=CORROSION, bin_width=1.0, fill_radius=None):
         kind=kind,
         elements=elements,
         bin_starts=bin_starts,
-        bin_width=float(bin_width),
         cells=cells,
     )
 
@@ -352,25 +352,26 @@ def read_series_csv(path, rh_percent=False):
     columns = {}
     nan = float("nan")
     with read_rows(path) as reader:
-        if next(reader, None) != ["element", "timestamp", "t_celsius", "rh"]:
+        header = next(reader, None)
+        if header not in (None, ["element", "timestamp", "t_celsius", "rh"]):
             raise ParseError("series file needs header element,timestamp,t_celsius,rh")
-        for ln, rec in enumerate(reader, start=2):
+        for rec in reader:
             if len(rec) != 4:
-                raise ParseError("series row %d needs 4 fields" % ln)
+                raise ParseError("a series record needs 4 fields")
             name, ts, t_c, rh = rec
             try:
                 ts = float(ts)
             except ValueError:
-                raise ParseError("series row %d has a bad timestamp" % ln) from None
+                raise ParseError("a series record has a bad timestamp") from None
             missing = t_c.strip() == "" or rh.strip() == ""
             try:
                 t_c, rh = (nan, nan) if missing else (float(t_c), float(rh))
             except ValueError:
-                raise ParseError("series row %d has a bad reading" % ln) from None
+                raise ParseError("a series record has a bad reading") from None
             col = columns.get(name)
             if col is None:
                 if name.splitlines() != [name]:
-                    raise ParseError("series row %d: element %r is not one line" % (ln, name))
+                    raise ParseError("element %r is not one line" % name)
                 col = columns[name] = ([], [], [], [])
             col[0].append(ts)
             col[1].append(t_c)

@@ -57,7 +57,6 @@ class ImportanceReport:
     names: tuple
     permutation: np.ndarray = None
     splitgain: np.ndarray = None
-    iterations: int = 0
     seeds: tuple = ()
     degenerate: tuple = ()
 
@@ -276,14 +275,13 @@ def permutation_importance(model, ds, iterations=10, seed=0, scaling="std"):
     return ImportanceReport(
         names=model.feature_names,
         permutation=iter_scores.mean(axis=0),
-        splitgain=splitgain_importance(model, ds).splitgain,
-        iterations=iterations,
+        splitgain=splitgain_importance(model).splitgain,
         seeds=seeds,
         degenerate=tuple(sorted(degenerate)),
     )
 
 
-def splitgain_importance(model, ds=None):
+def splitgain_importance(model):
     """Risk-reduction importance: each split credits its gain to the primary
     variable and gain times the association to each surrogate variable;
     per-tree credits are averaged over trees and scaled to sum to one."""

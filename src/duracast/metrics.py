@@ -8,7 +8,7 @@ of the box, points beyond them counting as outliers.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -19,25 +19,22 @@ from .errors import ShapeError
 
 
 @dataclass(frozen=True)
-class ResidualSummary:
-    mean: float
-    std: float
-    median: float
-    q1: float
-    q3: float
-    whisker_lo: float
-    whisker_hi: float
-    outliers: int
-
-
-@dataclass(frozen=True)
 class EvalReport:
+    """report.csv's metrics, named and ordered as its rows; r_defined is False where r is nan."""
+
     mse: float
     rmse: float
     mae: float
     r: float
     n: int
-    residuals: ResidualSummary
+    residual_mean: float
+    residual_std: float
+    residual_median: float
+    residual_q1: float
+    residual_q3: float
+    whisker_lo: float
+    whisker_hi: float
+    outliers: int
     r_defined: bool = True
 
 
@@ -115,41 +112,13 @@ def evaluate(pred, target):
         r = max(-1.0, min(1.0, r))
         r_defined = True
 
-    median, q1, q3, wlo, whi, outliers = _boxplot_stats(residuals)
-    summary = ResidualSummary(
-        mean=float(residuals.mean()),
-        std=float(residuals.std()),
-        median=median,
-        q1=q1,
-        q3=q3,
-        whisker_lo=wlo,
-        whisker_hi=whi,
-        outliers=outliers,
-    )
-    return EvalReport(
-        mse=mse, rmse=rmse, mae=mae, r=r, n=int(pred.size),
-        residuals=summary, r_defined=r_defined,
-    )
+    return EvalReport(mse, rmse, mae, r, int(pred.size), float(residuals.mean()),
+                      float(residuals.std()), *_boxplot_stats(residuals), r_defined=r_defined)
 
 
 def report_rows(report):
-    """Flatten an EvalReport to (metric, value) rows for the report CSV."""
-    res = report.residuals
-    return [
-        ("mse", report.mse),
-        ("rmse", report.rmse),
-        ("mae", report.mae),
-        ("r", report.r),
-        ("n", report.n),
-        ("residual_mean", res.mean),
-        ("residual_std", res.std),
-        ("residual_median", res.median),
-        ("residual_q1", res.q1),
-        ("residual_q3", res.q3),
-        ("whisker_lo", res.whisker_lo),
-        ("whisker_hi", res.whisker_hi),
-        ("outliers", res.outliers),
-    ]
+    """An EvalReport as the (metric, value) rows of the report CSV."""
+    return [(f.name, getattr(report, f.name)) for f in fields(report) if f.name != "r_defined"]
 
 
 def write_report_csv(path, report):

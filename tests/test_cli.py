@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from duracast import data as dcdata, models
-from duracast.cli import _FLAGS, _build_parser, run_cli
+from duracast.cli import _FLAGS, _build_parser, count, fractions, numbers, run_cli
 from oracles import simulate_first_order
 
 
@@ -372,9 +372,12 @@ def test_risk_accepts_percent_humidity(tmp_path):
     ("wall,2,20,1.5", "error:domain-error:"),
     ("wall,inf,20,0.5", "error:domain-error:"),
     ("wall,2,nan,0.5", "error:domain-error:"),
-    ("wall,2,20,wet", "error:parse-error:series row 4 "),
-    ("wall,later,20,0.5", "error:parse-error:series row 4 "),
-    ("wall,2,20", "error:parse-error:series row 4 "),
+    pytest.param("wall,2,20,wet", "error:parse-error:{path} line 4: a series record has a bad "
+                 "reading", id="wall,2,20,wet-error:parse-error:line 4"),
+    pytest.param("wall,later,20,0.5", "error:parse-error:{path} line 4: a series record has a "
+                 "bad timestamp", id="wall,later,20,0.5-error:parse-error:line 4"),
+    pytest.param("wall,2,20", "error:parse-error:{path} line 4: a series record needs 4 fields",
+                 id="wall,2,20-error:parse-error:line 4"),
 ])
 def test_risk_rejects_bad_series_rows(tmp_path, capsys, row, code):
     path = tmp_path / "hygro.csv"
@@ -382,7 +385,7 @@ def test_risk_rejects_bad_series_rows(tmp_path, capsys, row, code):
         "element,timestamp,t_celsius,rh\nwall,0,20,0.5\nwall,1,,\n%s\n" % row
     )
     assert run(["risk", "--series", str(path), "--out", str(tmp_path / "run")]) == 1
-    assert capsys.readouterr().err.startswith(code)
+    assert capsys.readouterr().err.startswith(code.format(path=path))
 
 
 def test_risk_renders_are_byte_identical(hygro_file, tmp_path):
@@ -502,10 +505,11 @@ def test_a_column_name_that_is_not_one_line_is_a_schema_violation(tmp_path, caps
     _one_error_line(capsys, "schema-violation")
 
 
-@pytest.mark.parametrize("level", ["gg\rbs", "gg\nbs", "gg\x1cbs", ""],
+# A quoted line break puts the end of the level's record on line 3.
+@pytest.mark.parametrize("level, line", [("gg\rbs", 3), ("gg\nbs", 3), ("gg\x1cbs", 2), ("", 2)],
                          ids=["cr", "lf", "fs", "empty"])
 def test_a_level_that_is_not_one_non_empty_line_is_a_schema_violation(tmp_path, capsys,
-                                                                       level):
+                                                                       level, line):
     """Such a level would split its row of clean.csv or a one-of-N column name."""
     flags = _hostile_files(tmp_path, "wb", "binder", "depth")
     # quoted by hand: csv.writer leaves a bare "\r" unquoted
@@ -515,8 +519,8 @@ def test_a_level_that_is_not_one_non_empty_line_is_a_schema_violation(tmp_path, 
     assert run(["train", "--model", "mlp", "--hidden", "2", "--epochs", "2", *flags,
                 "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
-    assert err == ("error:schema-violation:column 'binder' has a level %r that is not one "
-                   "non-empty line\n" % level)
+    assert err == ("error:schema-violation:%s line %d: column 'binder' has a level %r that is "
+                   "not one non-empty line\n" % (flags[3], line, level))
 
 
 @pytest.mark.parametrize("name", ["", "wall\rx", "wall\nx"])
@@ -758,20 +762,20 @@ def test_a_malformed_seed_variable_is_a_config_error_on_every_command(
 # value, "{...}" the choices and "?" a switch.
 FLAG_SURFACE = {
     "ingest": "--data! --out! --schema! --seed:int",
-    "train": "--branch:int --data! --delays:int --epochs:int --fill:int --hidden:int "
-             "--leaf:int --m:int --model{tree,bag,boost,mlp,narx} --out! --patience:int "
+    "train": "--branch:int --data! --delays:int --epochs:count --fill:int --hidden:int "
+             "--leaf:int --m:int --model{tree,bag,boost,mlp,narx} --out! --patience:count "
              "--preset{caprm-bag,caprm-boost,chloride-vi,hygro-narx} --rate:float --schema! "
-             "--seed:int --split --surrogates:int --trees:int --u-column --y-column",
+             "--seed:int --split:fractions --surrogates:int --trees:int --u-column --y-column",
     "predict": "--data! --horizon:int --model-file! --mode{open,closed} --out! --schema! "
                "--seed:int --u-column --y-column",
-    "crossval": "--branch:int --data! --epochs:int --folds:int --hidden:int --leaf:int "
+    "crossval": "--branch:int --data! --epochs:count --folds:int --hidden:int --leaf:int "
                 "--m:int --model{tree,bag,boost,mlp} --out! "
                 "--preset{caprm-bag,caprm-boost,chloride-vi,hygro-narx} --rate:float "
                 "--schema! --seed:int --surrogates:int --trees:int",
-    "importance": "--branch:int --data! --drop --iterations:int --keep --leaf:int --m:int "
-                  "--out! --preset{caprm-bag,caprm-boost,chloride-vi,hygro-narx} "
-                  "--scaling{std,stderr} --schema! --seed:int --top:int --trees:int",
-    "baseline": "--age! --ages! --data! --model-file! --out! --schema! --seed:int "
+    "importance": "--branch:int --data! --drop:names --iterations:int --keep:names --leaf:int "
+                  "--m:int --out! --preset{caprm-bag,caprm-boost,chloride-vi,hygro-narx} "
+                  "--scaling{std,stderr} --schema! --seed:int --top:count --trees:int",
+    "baseline": "--age! --ages!:numbers --data! --model-file! --out! --schema! --seed:int "
                 "--specimen!",
     "risk": "--bin-width:float --fill:int --kind{all,corrosion,frost,chemical} --out! "
             "--rh-percent? --scale:int --seed:int --series!",
@@ -877,6 +881,37 @@ def test_a_short_schema_record_is_a_parse_error_naming_the_file_and_its_line(tmp
         "error:parse-error:%s line 4: a schema record needs name,kind,role\n" % schema)
 
 
+@pytest.mark.parametrize("kind, text, message", [
+    ("series", 'element,timestamp,t_celsius,rh\nw,"0\n",20,0.5\nw,1,20,0.5\nw,later,20,0.5\n',
+     "a series record has a bad timestamp"),
+    ("data", 'x,y\n"0\n",1\n2,3\n4,wet\n', "column 'y': cannot parse 'wet' as a number"),
+], ids=["series", "data"])
+def test_a_fault_after_a_quoted_line_break_names_its_physical_line(tmp_path, capsys, kind,
+                                                                   text, message):
+    # the first record spans lines 2 and 3, so the bad one is line 5, the third record
+    path, schema = tmp_path / "in.csv", tmp_path / "s.csv"
+    path.write_text(text)
+    schema.write_text("x,continuous,input\ny,continuous,target\n")
+    argv = {"series": ["risk", "--series", str(path)],
+            "data": ["ingest", "--data", str(path), "--schema", str(schema)]}[kind]
+    assert run(argv + ["--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == "error:parse-error:%s line 5: %s\n" % (path, message)
+
+
+def test_empty_keep_and_drop_text_is_the_flag_left_out(tmp_path):
+    """A guard: --keep "" keeps every input column (null) and --drop "" drops
+    none ([]), as when the flag is left out."""
+    argv = ["importance", *TAB, "--trees", "2", "--iterations", "1"]
+    configs = []
+    for name, flags in (("plain", []), ("empty", ["--keep", "", "--drop", ""])):
+        out = tmp_path / name
+        assert run(argv + flags + ["--out", str(out)]) == 0
+        configs.append(json.loads((out / "config.json").read_text()))
+        assert (configs[-1].pop("out"), configs[-1]["keep"], configs[-1]["drop"]) == (
+            str(out), None, [])
+    assert configs[0] == configs[1]
+
+
 @pytest.mark.parametrize("argv, code", [
     pytest.param(["train", *TAB, "--model", "mlp", "--hidden", "0"], "domain-error",
                  id="mlp-hidden-0"),
@@ -906,13 +941,18 @@ def test_a_knob_outside_its_domain_ends_in_one_typed_error(tmp_path, capsys, arg
     assert "Traceback" not in err
 
 
+# The argparse types of the numeric flags.
+_NUMERIC = (int, float, count, fractions, numbers)
+
+
 def test_the_readme_knob_table_names_every_numeric_flag():
     with open(os.path.join(os.path.dirname(DATA_DIR), os.pardir, "README.md")) as fh:
         table = fh.read().split("| knob | domain | error |", 1)[1].split("\n\n", 1)[0]
     named = set(re.findall(r"`(--[a-z-]+)`", table))
     numeric = {"--" + key.replace("_", "-") for key, spec in _FLAGS.items()
-               if spec.get("type") in (int, float)}
-    assert sorted((numeric | {"--split", "--ages"}) - named) == []
+               if spec.get("type") in _NUMERIC}
+    assert {"--epochs", "--top", "--patience", "--split", "--ages"} <= numeric
+    assert sorted(numeric - named) == []
 
 
 def test_a_bin_whose_corrosion_rate_overflows_is_one_domain_error(tmp_path, capsys):
@@ -920,12 +960,13 @@ def test_a_bin_whose_corrosion_rate_overflows_is_one_domain_error(tmp_path, caps
     series.write_text("element,timestamp,t_celsius,rh\nw,0,1e300,0.5\nw,1,20,0.5\n")
     out = tmp_path / "run"
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        # a warning prints to stderr, as it does outside pytest
+        warnings.simplefilter("default")
+        warnings.showwarning = lambda message, category, filename, lineno, file=None, \
+            line=None: sys.stderr.write(warnings.formatwarning(message, category, filename,
+                                                               lineno, line))
         assert run(["risk", "--series", str(series), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert [line for line in err.splitlines() if line.startswith("error:")] == [
-        "error:domain-error:corrosion rate must be finite and >= 0"]
-    assert "Traceback" not in err
+    assert capsys.readouterr().err == "error:domain-error:corrosion rate must be finite and >= 0\n"
     assert not (out / "config.json").exists()
 
 
@@ -938,7 +979,8 @@ def test_a_zero_test_fraction_is_a_config_error_before_any_file_is_read(tmp_path
             "--out", str(out)]
     assert run(argv) == 1
     assert capsys.readouterr().err == (
-        "error:config-error:--split needs a positive test fraction, got 0.0\n")
+        "error:config-error:argument --split: needs three numbers, the test one > 0, got "
+        "'0.5,0.5,0'\n")
     assert not out.exists()
 
 
@@ -1005,7 +1047,8 @@ def test_blank_lines_end_a_data_file_but_do_not_split_it(tmp_path, capsys, blank
         codes[name] = run(["ingest", "--data", str(path), "--schema", TAB[3],
                            "--out", str(tmp_path / name)])
     assert codes == {"plain": 0, "trailing": 0, "inner": 1}
-    assert capsys.readouterr().err.startswith("error:parse-error:row 1 has 0 fields")
+    assert capsys.readouterr().err.startswith(
+        "error:parse-error:%s line 2: a record has 0 fields" % (tmp_path / "inner.csv"))
     assert ((tmp_path / "trailing" / "clean.csv").read_bytes()
             == (tmp_path / "plain" / "clean.csv").read_bytes())
 
@@ -1138,3 +1181,47 @@ def test_a_mutated_input_file_ends_in_artifacts_or_one_typed_error(tmp_path_fact
             assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, \
                 err.getvalue()
             assert not (out / "config.json").exists()
+
+
+# Each command on tiny files, with the counts that set its work kept small; a
+# drawn flag comes later on the command line, so it wins.
+_SMALL = ["--trees", "2", "--epochs", "2"]
+_TABULAR = ("tree", "bag", "boost", "mlp")
+_BASE = {
+    "ingest": [["ingest", *TAB]],
+    "train": [["train", *TAB, "--model", kind, *_SMALL] for kind in _TABULAR]
+             + [["train", *SERIES, "--model", "narx", "--epochs", "2"]],
+    "predict": [["predict", *TAB, *_model("train_%s" % kind)] for kind in ("tree", "bag", "mlp")]
+               + [["predict", *SERIES, *_model("train_narx"), "--horizon", "5"]],
+    "crossval": [["crossval", *TAB, "--folds", "2", "--model", k, *_SMALL] for k in _TABULAR],
+    "importance": [["importance", *TAB, "--trees", "2", "--iterations", "2"]],
+    "baseline": [["baseline", *TAB, *_model("train_bag"), "--specimen", "specimen", "--age", "age",
+                  "--ages", "1,2"]],
+    "risk": [["risk", "--series", os.path.join(DATA_DIR, "risk.logger.csv")]],
+    "report": [["report", *TAB, *_model("train_tree")]],
+}
+def _numeric_flags(command):
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sorted(a.option_strings[0] for a in sub.choices[command]._actions
+                  if a.type in _NUMERIC)
+
+
+@pytest.mark.parametrize("command", list(_BASE))
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_a_numeric_flag_at_an_edge_value_runs_or_ends_in_one_typed_error(tmp_path_factory,
+                                                                          command, data):
+    argv = data.draw(st.sampled_from(_BASE[command]))
+    flags = data.draw(st.dictionaries(st.sampled_from(_numeric_flags(command)),
+                                      st.sampled_from(["0", "-1", "1", "nan", "inf"]),
+                                      min_size=1, max_size=3))
+    out = tmp_path_factory.mktemp("edge") / "run"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = run_cli(argv + [x for item in flags.items() for x in item] + ["--out", str(out)])
+    if code != 0:
+        assert code == 1
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, \
+            err.getvalue()
+        assert not (out / "config.json").exists()

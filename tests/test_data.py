@@ -77,10 +77,11 @@ def test_ingest_unknown_level_names_row_and_column(tmp_path):
         ("c", "nominal", "input", ("a", "b")),
         ("y", "continuous", "target"),
     ])
+    path = _write(tmp_path / "d.csv", "c,y\na,1\nz,2\n")
     with pytest.raises(DuracastError) as err:
-        dc.ingest_csv(_write(tmp_path / "d.csv", "c,y\na,1\nz,2\n"), sch)
+        dc.ingest_csv(path, sch)
     assert err.value.code == "schema-violation"
-    assert "c" in str(err.value) and "2" in str(err.value)
+    assert str(err.value) == "%s line 3: column 'c': unknown level 'z'" % path
 
 
 def test_ingest_bad_number_names_row_and_column(tmp_path):
@@ -115,19 +116,20 @@ _THREE = [("x", "continuous", "input"), ("c", "nominal", "input", ("a", "b")),
 
 
 @pytest.mark.parametrize("body, code, message", [
-    ("1,a,abc\n2,b\n", "parse-error", "row 1, column 'y': cannot parse 'abc' as a number"),
-    ("1,a\n2,b,abc\n", "parse-error", "row 1 has 2 fields, expected 3"),
-    ("1,a,2\n3,z,4\n5,b\n", "schema-violation", "row 2, column 'c': unknown level 'z'"),
-    ("1,a,inf\nnan,z,4\n", "parse-error", "row 1, column 'y': non-finite value 'inf'"),
-    ("1,a,2\nx,z,nan\n", "parse-error", "row 2, column 'x': cannot parse 'x' as a number"),
-    ("1,a,2\n3,z,nan\n", "schema-violation", "row 2, column 'c': unknown level 'z'"),
-    ("1,a,2\n3, b ,1e400\n", "parse-error", "row 2, column 'y': non-finite value '1e400'"),
+    ("1,a,abc\n2,b\n", "parse-error", "line 2: column 'y': cannot parse 'abc' as a number"),
+    ("1,a\n2,b,abc\n", "parse-error", "line 2: a record has 2 fields, expected 3"),
+    ("1,a,2\n3,z,4\n5,b\n", "schema-violation", "line 3: column 'c': unknown level 'z'"),
+    ("1,a,inf\nnan,z,4\n", "parse-error", "line 2: column 'y': non-finite value 'inf'"),
+    ("1,a,2\nx,z,nan\n", "parse-error", "line 3: column 'x': cannot parse 'x' as a number"),
+    ("1,a,2\n3,z,nan\n", "schema-violation", "line 3: column 'c': unknown level 'z'"),
+    ("1,a,2\n3, b ,1e400\n", "parse-error", "line 3: column 'y': non-finite value '1e400'"),
 ], ids=["bad-cell-before-short-row", "short-row-before-bad-cell", "level-before-short-row",
         "first-row-wins", "first-column-wins", "level-before-number", "overflow"])
 def test_ingest_reports_the_first_fault_in_row_order(tmp_path, body, code, message):
+    path = _write(tmp_path / "d.csv", "x,c,y\n" + body)
     with pytest.raises(DuracastError) as err:
-        dc.ingest_csv(_write(tmp_path / "d.csv", "x,c,y\n" + body), dc.schema(_THREE))
-    assert (err.value.code, str(err.value)) == (code, message)
+        dc.ingest_csv(path, dc.schema(_THREE))
+    assert (err.value.code, str(err.value)) == (code, "%s %s" % (path, message))
 
 
 def test_ingest_reads_levels_numbers_and_empty_cells_by_column(tmp_path):

@@ -465,7 +465,7 @@ def test_render_equals_the_per_pixel_loop(tmp_path_factory, levels, scale, n_ele
     cells = np.array([[data.draw(values) for _ in range(n_bins)] for _ in range(n_elements)],
                      dtype=object)
     grid = dur.RiskGrid(kind=dur.FROST, elements=tuple("e%d" % i for i in range(n_elements)),
-                        bin_starts=0.1 * np.arange(n_bins), bin_width=0.1, cells=cells)
+                        bin_starts=0.1 * np.arange(n_bins), cells=cells)
     out = tmp_path_factory.mktemp("render")
     dur.render_grid(grid, out / "grid.ppm", out / "grid.csv", scale=scale)
     ppm, grid_csv = ppm_reference(grid, scale)

@@ -243,7 +243,7 @@ def test_unused_variable_scores_exactly_zero():
     model = dc.train_bagged(ds, n_trees=10, stop=stop(), seed=1)
     report = dc.permutation_importance(model, ds, iterations=3, seed=0)
     assert report.permutation[list(report.names).index("flat")] == 0.0
-    sg = dc.splitgain_importance(model, ds)
+    sg = dc.splitgain_importance(model)
     assert sg.splitgain[list(sg.names).index("flat")] == 0.0
 
 
@@ -292,7 +292,7 @@ def test_degenerate_spread_falls_back_to_the_raw_mean():
 def test_splitgain_shares_sum_to_one():
     ds = importance_ds()
     model = dc.train_bagged(ds, n_trees=8, stop=stop(), seed=1)
-    report = dc.splitgain_importance(model, ds)
+    report = dc.splitgain_importance(model)
     assert report.splitgain.sum() == pytest.approx(1.0)
     assert (report.splitgain >= 0.0).all()
 

@@ -79,3 +79,16 @@ def test_a_quoted_cell_keeps_its_line_breaks_and_a_nul_byte_is_text(tmp_path):
     path = tmp_path / "t.csv"
     path.write_bytes(b'a,"b\nc\r\nd\re",f\x00g\r\n"h""",i\n')
     assert _records(path) == [["a", "b\nc\r\nd\re", "f\x00g"], ['h"', "i"]]
+
+
+def test_a_file_position_is_formatted_only_by_read_rows():
+    """Data, schema and logger faults get their "<path> line <N>: " from
+    _io.read_rows alone; no reader numbers its rows itself."""
+    source = os.path.join(os.path.dirname(DATA_DIR), os.pardir, "src", "duracast")
+    found = {}
+    for name in sorted(os.listdir(source)):
+        if name.endswith(".py"):
+            with open(os.path.join(source, name), encoding="utf-8") as fh:
+                text = fh.read()
+            found[name] = [p for p in (" line %d", "row %d", "series row") if p in text]
+    assert {name: hits for name, hits in found.items() if hits} == {"_io.py": [" line %d"]}

@@ -21,7 +21,7 @@ def test_basic_error_measures():
 
 def test_residuals_are_target_minus_prediction():
     rep = dc.evaluate(np.array([1.0, 1.0]), np.array([3.0, 0.0]))
-    assert rep.residuals.mean == pytest.approx((2.0 + -1.0) / 2)
+    assert rep.residual_mean == pytest.approx((2.0 + -1.0) / 2)
 
 
 def test_correlation_of_exact_fit_is_one():
@@ -39,21 +39,20 @@ def test_correlation_undefined_when_one_side_is_constant():
 
 def test_median_interpolates_between_closest_ranks():
     rep = dc.evaluate(np.zeros(4), np.array([1.0, 2.0, 3.0, 4.0]))
-    assert rep.residuals.median == pytest.approx(2.5)
+    assert rep.residual_median == pytest.approx(2.5)
 
 
 def test_quartiles_and_whiskers_with_an_outlier():
     resid = np.array([1.0, 2.0, 3.0, 4.0, 100.0])
     rep = dc.evaluate(np.zeros(5), resid)
-    s = rep.residuals
     q1 = np.quantile(resid, 0.25)
     q3 = np.quantile(resid, 0.75)
-    assert s.q1 == pytest.approx(q1)
-    assert s.q3 == pytest.approx(q3)
+    assert rep.residual_q1 == pytest.approx(q1)
+    assert rep.residual_q3 == pytest.approx(q3)
     # whiskers sit on the most extreme points inside the 1.5 IQR fences
-    assert s.whisker_lo == 1.0
-    assert s.whisker_hi == 4.0
-    assert s.outliers == 1
+    assert rep.whisker_lo == 1.0
+    assert rep.whisker_hi == 4.0
+    assert rep.outliers == 1
 
 
 def test_shape_mismatch_rejected():
